@@ -2,10 +2,13 @@
 
 Three engines cooperate:
 
-* ``sec_extremes``: projected-gradient optimization of the sectional
-  curvature over the Grassmannian of 2-planes, batched over random
-  restarts (plus a deterministic self-dual/anti-self-dual grid of
-  starting planes when n = 4).  Produces extremal planes as witnesses.
+* ``sec_extremes``: minimization of the sectional curvature over the
+  Grassmannian of 2-planes by alternating exact eigen-steps, batched
+  over random restarts.  With x fixed, sec(x, .) is the quadratic form
+  of the Jacobi matrix ``L_x^T R L_x`` (``L_x y = x ^ y``), so the best
+  y is its bottom eigenvector on x^perp; then x and y swap roles.  The
+  value never increases and there is no step size.  Produces extremal
+  planes as witnesses.
 
 * ``thorpe_certify`` (n = 4 only): the bound ``sec >= k`` holds iff some
   shift of the operator by a multiple of the Hodge star is positive
@@ -18,17 +21,11 @@ Three engines cooperate:
   ``sec >= k`` (p = 1 is the Ricci test).  A negative eigenvalue at any
   level refutes the bound; an all-pass is only a necessary-condition
   pass and is reported as ``inconclusive_for_certification``.
-
-The env var ``CURVELAB_THREADS`` caps worker threads used to split
-optimization restarts; the default is serial and results do not depend
-on the split.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,16 +36,6 @@ from .curvature import CurvatureOperator, TwoPlane, sec
 from .multilinear import pair_index
 
 DEFAULT_SEED = 0xC04A7
-
-
-def max_threads():
-    """Worker cap from CURVELAB_THREADS; 1 (serial) when unset or invalid."""
-    raw = os.environ.get("CURVELAB_THREADS", "")
-    try:
-        val = int(raw)
-    except ValueError:
-        return 1
-    return max(1, val)
 
 
 # ---------------------------------------------------------------------------
@@ -159,115 +146,57 @@ class SecExtremes:
     min_plane: TwoPlane
     max_plane: TwoPlane
     restarts: int
-    grad_tol: float
     converged_fraction: float
 
 
-def _pair_arrays(n):
-    pairs = ml.pair_basis(n)
-    I = np.array([i - 1 for (i, j) in pairs])
-    J = np.array([j - 1 for (i, j) in pairs])
-    return I, J
+# Sweeps per start before it counts as unconverged, and the decrease per
+# sweep, relative to |R|_2, below which a start has stopped descending
+# (a few ulps: anything smaller is rounding, not progress).
+_MAX_SWEEPS = 500
+_STALL = 1e-15
 
 
-def _batch_value(Rmat, x, y, I, J):
-    s = x[:, I] * y[:, J] - x[:, J] * y[:, I]
-    return np.einsum("bi,bi->b", s, s @ Rmat)
+def _partner(Rmat, x, I, J):
+    """Best unit partners y of the unit vectors x_b, with their values.
+
+    ``L_x y = x ^ y`` in the pair basis, so sec(x, y) is the quadratic
+    form of the Jacobi matrix ``L_x^T R L_x`` at y.  Restricted to an
+    orthonormal basis P of x^perp, its bottom eigenvector is the y that
+    minimizes sec(x, .).
+    """
+    B, n = x.shape
+    L = np.zeros((B, I.size, n))
+    rows = np.arange(I.size)
+    L[:, rows, J] = x[:, I]
+    L[:, rows, I] = -x[:, J]
+    P = np.linalg.qr(x[:, :, None], mode="complete")[0][:, :, 1:]
+    LP = L @ P
+    w, V = np.linalg.eigh(np.swapaxes(LP, 1, 2) @ Rmat @ LP)
+    return w[:, 0], (P @ V[:, :, :1])[:, :, 0]
 
 
-def _batch_grad(Rmat, x, y, I, J, n):
-    s = x[:, I] * y[:, J] - x[:, J] * y[:, I]
-    T = s @ Rmat
-    f = np.einsum("bi,bi->b", s, T)
-    Tm = np.zeros((x.shape[0], n, n))
-    Tm[:, I, J] = T
-    Tm[:, J, I] = -T
-    gx = 2.0 * np.einsum("bij,bj->bi", Tm, y)
-    gy = -2.0 * np.einsum("bij,bj->bi", Tm, x)
-    # remove components inside the plane (they only reparametrize it)
-    for g in (gx, gy):
-        g -= x * np.einsum("bi,bi->b", g, x)[:, None]
-        g -= y * np.einsum("bi,bi->b", g, y)[:, None]
-    return f, gx, gy
+def _descend(Rmat, x, y):
+    """Minimize sec from each start (x_b, y_b) by alternating eigen-steps.
 
-
-def _retract(x, y):
-    q = np.linalg.qr(np.stack([x, y], axis=2))[0]
-    return np.ascontiguousarray(q[:, :, 0]), np.ascontiguousarray(q[:, :, 1])
-
-
-def _ascend(Rmat, x, y, I, J, n, grad_tol, max_iter):
-    """Batched projected-gradient ascent with Armijo backtracking from 0.5."""
-    B = x.shape[0]
-    step = np.full(B, 0.5)
-    active = np.arange(B)
-    for _ in range(max_iter):
-        f, gx, gy = _batch_grad(Rmat, x[active], y[active], I, J, n)
-        g2 = np.einsum("bi,bi->b", gx, gx) + np.einsum("bi,bi->b", gy, gy)
-        live = np.sqrt(g2) > grad_tol
-        if not np.any(live):
-            active = active[:0]
+    A sweep replaces y by the best partner of x, then x by the best
+    partner of y.  Each step is exact, so the value never increases and
+    there is no step size.  A start stops once a sweep no longer lowers
+    its value.  Returns the final values and frames and the number of
+    starts that stopped within ``_MAX_SWEEPS``.
+    """
+    I, J = np.triu_indices(x.shape[1], 1)      # the lex-ordered pair basis
+    stall = _STALL * np.linalg.norm(Rmat, 2)
+    value = np.full(x.shape[0], np.inf)
+    active = np.arange(x.shape[0])
+    for _ in range(_MAX_SWEEPS):
+        _, y[active] = _partner(Rmat, x[active], I, J)
+        f, x[active] = _partner(Rmat, y[active], I, J)
+        lowered = f < value[active] - stall
+        value[active] = f
+        active = active[lowered]
+        if active.size == 0:
             break
-        idx = active[live]
-        gx, gy, g2, f = gx[live], gy[live], g2[live], f[live]
-        s = step[idx]
-        remaining = np.arange(idx.size)
-        stalled = np.zeros(idx.size, dtype=bool)
-        for _bt in range(60):
-            xs = x[idx[remaining]] + s[remaining, None] * gx[remaining]
-            ys = y[idx[remaining]] + s[remaining, None] * gy[remaining]
-            xs, ys = _retract(xs, ys)
-            fc = _batch_value(Rmat, xs, ys, I, J)
-            ok = fc >= f[remaining] + 1e-4 * s[remaining] * g2[remaining]
-            acc = remaining[ok]
-            x[idx[acc]] = xs[ok]
-            y[idx[acc]] = ys[ok]
-            remaining = remaining[~ok]
-            if remaining.size == 0:
-                break
-            s[remaining] *= 0.5
-            step[idx[remaining]] = s[remaining]
-            if np.all(s[remaining] < 1e-17):
-                stalled[remaining] = True
-                break
-        else:
-            stalled[remaining] = True
-        step[idx] = np.minimum(0.5, step[idx] * 2.0)
-        active = idx[~stalled]
-    f_final = _batch_value(Rmat, x, y, I, J)
-    return f_final, x, y, B - active.size
-
-
-def _fibonacci_sphere(k):
-    i = np.arange(k) + 0.5
-    z = 1.0 - 2.0 * i / k
-    phi = np.arccos(np.clip(z, -1, 1))
-    theta = math.pi * (1.0 + math.sqrt(5.0)) * i
-    return np.column_stack(
-        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), z]
-    )
-
-
-def _grid_starts_n4(Rmat, per_direction=12, points=40):
-    """Planes near the extremes of a deterministic S^2 x S^2 scan (n = 4).
-
-    Decomposable unit two-forms of R^4 are exactly the sums of a self-dual
-    and an anti-self-dual form of norm 1/sqrt(2) each, so pairs of sphere
-    points parametrize the Grassmannian."""
-    plus, minus = HodgeStar().selfdual_basis()
-    u = _fibonacci_sphere(points)
-    pv = (u @ plus) / math.sqrt(2.0)
-    mv = (u @ minus) / math.sqrt(2.0)
-    sig = (pv[:, None, :] + mv[None, :, :]).reshape(-1, 6)
-    vals = np.einsum("bi,bi->b", sig, sig @ Rmat)
-    order = np.argsort(vals)
-    pick = np.concatenate([order[:per_direction], order[-per_direction:]])
-    A = np.zeros((pick.size, 4, 4))
-    I, J = _pair_arrays(4)
-    A[:, I, J] = sig[pick]
-    A[:, J, I] = -sig[pick]
-    U = np.linalg.svd(A)[0]
-    return np.ascontiguousarray(U[:, :, 0]), np.ascontiguousarray(U[:, :, 1])
+    return value, x, y, x.shape[0] - active.size
 
 
 def _random_frames(n, count, rng):
@@ -276,56 +205,30 @@ def _random_frames(n, count, rng):
     return np.ascontiguousarray(q[:, :, 0]), np.ascontiguousarray(q[:, :, 1])
 
 
-def sec_extremes(R, restarts=100, seed=None, grad_tol=1e-9, max_iter=10000):
+def sec_extremes(R, restarts=100, seed=None):
     """Extremal sectional curvatures with extremal planes as witnesses.
 
-    Projected-gradient ascent on the Grassmannian from ``restarts`` random
-    frames (two independent runs for the maximum and the minimum), with
-    Armijo backtracking from step 0.5.  For n = 4 a deterministic grid of
-    self-dual/anti-self-dual starting planes is added to the batch.
+    Alternating exact eigen-steps from ``restarts`` random frames: one
+    run on R for the minimum, one on -R for the maximum.  Each reported
+    value is ``sec`` of the reported plane.
     """
-    n = R.n
     rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-    I, J = _pair_arrays(n)
-    workers = max_threads()
 
     def run(mat):
-        x, y = _random_frames(n, restarts, rng)
-        if n == 4:
-            gx, gy = _grid_starts_n4(mat)
-            x = np.vstack([x, gx])
-            y = np.vstack([y, gy])
-        if workers > 1 and x.shape[0] >= 2 * workers:
-            chunks = np.array_split(np.arange(x.shape[0]), workers)
-            results = []
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = [
-                    pool.submit(
-                        _ascend, mat, x[c].copy(), y[c].copy(), I, J, n,
-                        grad_tol, max_iter
-                    )
-                    for c in chunks
-                ]
-                results = [f.result() for f in futs]
-            f = np.concatenate([r[0] for r in results])
-            xs = np.vstack([r[1] for r in results])
-            ys = np.vstack([r[2] for r in results])
-            conv = sum(r[3] for r in results)
-        else:
-            f, xs, ys, conv = _ascend(mat, x, y, I, J, n, grad_tol, max_iter)
-        b = int(np.argmax(f))
-        return f[b], xs[b], ys[b], conv, f.shape[0]
+        x, y = _random_frames(R.n, restarts, rng)
+        f, x, y, converged = _descend(mat, x, y)
+        b = int(np.argmin(f))
+        return TwoPlane.orthonormalized(x[b], y[b]), converged
 
-    fmax, xmax, ymax, conv_a, tot_a = run(R.mat)
-    fmin_neg, xmin, ymin, conv_b, tot_b = run(-R.mat)
+    min_plane, conv_min = run(R.mat)
+    max_plane, conv_max = run(-R.mat)
     return SecExtremes(
-        min_value=float(-fmin_neg),
-        max_value=float(fmax),
-        min_plane=TwoPlane.orthonormalized(xmin, ymin),
-        max_plane=TwoPlane.orthonormalized(xmax, ymax),
+        min_value=sec(R, min_plane),
+        max_value=sec(R, max_plane),
+        min_plane=min_plane,
+        max_plane=max_plane,
         restarts=restarts,
-        grad_tol=grad_tol,
-        converged_fraction=(conv_a + conv_b) / (tot_a + tot_b),
+        converged_fraction=(conv_min + conv_max) / (2 * restarts),
     )
 
 
@@ -380,7 +283,9 @@ def thorpe_sec_min(R, t_tol=1e-10):
 
     ``min sec = max_t lambda_min(R + t star)``: the bound ``sec >= k``
     holds iff the shifted operator can be made positive semidefinite, and
-    shifting by k Id moves every eigenvalue by -k.  Returns (value, t*).
+    shifting by k Id moves every eigenvalue by -k.  The search runs on
+    ``R / |R|_2`` over t in [-2, 2] (``t_tol`` is relative to that
+    scale), and the value and t* are scaled back.  Returns (value, t*).
     """
     if R.n != 4:
         raise ValueError("the star-shift argument needs n = 4")
@@ -388,39 +293,41 @@ def thorpe_sec_min(R, t_tol=1e-10):
     norm = float(np.linalg.norm(R.mat, 2))
     if norm == 0.0:
         return 0.0, 0.0
-    span = 2.0 * norm
+    unit = R.mat / norm
 
     def mu(t):
-        return float(np.linalg.eigvalsh(R.mat + t * star)[0])
+        return float(np.linalg.eigvalsh(unit + t * star)[0])
 
-    t_star, val = golden_max(mu, -span, span, tol=t_tol)
-    return val, t_star
+    t_star, val = golden_max(mu, -2.0, 2.0, tol=t_tol)
+    return norm * val, norm * t_star
 
 
 def thorpe_certify(R, k, strict=False, t_tol=1e-10, witness_seed=None):
     """Decide sec >= k for n = 4 through the star-shift criterion.
 
     Certification threshold: the maximized least eigenvalue must be
-    >= +1e-9 in strict mode, >= -1e-9 otherwise.  Refutations carry a
-    violating plane found by optimization.  A strict query whose value
-    lands inside the (-1e-9, +1e-9) boundary band is inconclusive: the
-    non-strict bound holds, but equality cannot be separated from a
-    strict margin at working precision.
+    > +tol in strict mode, >= -tol otherwise, with
+    ``tol = 1e-9 * max(|R|_2, |k|)``.  Refutations carry a violating
+    plane found by optimization.  A strict query whose value lands inside
+    the [-tol, +tol] boundary band is inconclusive: the non-strict bound
+    holds, but equality cannot be separated from a strict margin at
+    working precision.
     """
     if R.n != 4:
         raise ValueError("thorpe_certify needs n = 4")
     S = CurvatureOperator(4, R.mat - k * np.eye(6))
     val_shifted, t_star = thorpe_sec_min(S, t_tol=t_tol)
-    tol = 1e-9
+    tol = 1e-9 * max(float(np.linalg.norm(R.mat, 2)), abs(k))
     tolerances = {"eig_tol": tol, "t_tol": t_tol, "strict": strict}
     witness = {"t_star": t_star, "mu_max": val_shifted}
-    if val_shifted >= (tol if strict else -tol):
+    certified = val_shifted > tol if strict else val_shifted >= -tol
+    if certified:
         return Certificate(
             n=4, k=k, direction="ge", verdict="certified",
             method="thorpe_exact", strict=strict,
             witness=witness, tolerances=tolerances,
         )
-    if strict and val_shifted > -tol:
+    if strict and val_shifted >= -tol:
         return Certificate(
             n=4, k=k, direction="ge",
             verdict="inconclusive_for_certification",

@@ -96,12 +96,23 @@ def operator_from_json(doc):
             raise InputError(
                 f"field 'matrix[{r}]': expected {N} entries, got {got}"
             )
+        vals = []
         for c, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise InputError(
                     f"field 'matrix[{r}][{c}]': expected a number, got {v!r}"
                 )
-        rows.append([float(v) for v in row])
+            try:
+                v = float(v)
+            except OverflowError:
+                v = math.inf
+            if not math.isfinite(v):
+                raise InputError(
+                    f"field 'matrix[{r}][{c}]': expected a finite number, "
+                    f"got {v!r}"
+                )
+            vals.append(v)
+        rows.append(vals)
     return CurvatureOperator(n, np.array(rows))
 
 
@@ -127,7 +138,7 @@ def load_operator(source, n):
 
 
 def emit(doc, out_path):
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if out_path is None:
         sys.stdout.write(text + "\n")
         return
@@ -282,6 +293,8 @@ def cmd_verify(args):
 
 
 def cmd_certify(args):
+    if not math.isfinite(args.k):
+        raise InputError(f"--k: expected a finite number, got {args.k!r}")
     R = load_operator(args.input, args.n)
     cert = certify_bound(
         R, args.k, direction=args.direction, strict=args.strict,

@@ -159,6 +159,23 @@ def test_wrong_matrix_size_exits_two(capsys, tmp_path):
     assert "expected 10 rows for n=5, got 6" in err
 
 
+def test_non_finite_entry_exits_two(capsys, tmp_path):
+    text = json.dumps(cli.operator_to_json(fixture_operator("identity", 4)))
+    bad = tmp_path / "nan.json"
+    bad.write_text(text.replace("1.0", "NaN", 1))
+    code, out, err = run(capsys, "decompose", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "matrix[0][0]" in err and "finite" in err
+
+
+def test_certify_non_finite_bound_exits_two(capsys):
+    code, out, err = run(capsys, "certify", "identity", "--k", "nan")
+    assert code == 2
+    assert out == ""
+    assert "--k" in err
+
+
 def test_kterm_oversized_space_exits_two(capsys):
     code, _, err = run(capsys, "kterm", "identity", "--n", "4",
                        "--rep", "sym0", "--p", "99")
