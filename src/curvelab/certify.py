@@ -16,11 +16,16 @@ Three engines cooperate:
   in t, so a golden-section search over a bracketing interval decides
   the question exactly up to tolerance.
 
-* ``hierarchy_check``: for any n, nonnegativity of the curvature terms
-  ``K(R - k Id, Harm^p)`` for p = 1, 2, ... is necessary for
-  ``sec >= k`` (p = 1 is the Ricci test).  A negative eigenvalue at any
-  level refutes the bound; an all-pass is only a necessary-condition
-  pass and is reported as ``inconclusive_for_certification``.
+* ``certify_bound`` for n != 4: ``R - k Id`` positive semidefinite is
+  sufficient for ``sec >= k``, since sec is the quadratic form of R on
+  unit decomposable two-forms.  Otherwise ``hierarchy_check``:
+  nonnegativity of the curvature terms ``K(R - k Id, Harm^p)`` for
+  p = 1, 2, ... is necessary for ``sec >= k`` (p = 1 is the Ricci test).
+  A negative eigenvalue at any level refutes the bound; an all-pass is
+  only a necessary-condition pass and is reported as
+  ``inconclusive_for_certification``.
+
+Every eigenvalue test uses ``tol = 1e-9 * max(|R|_2, |k|)``.
 """
 
 from __future__ import annotations
@@ -54,33 +59,6 @@ def hodge_star_matrix():
         star[ia, ib] = s
         star[ib, ia] = s
     return star
-
-
-@dataclass(frozen=True)
-class HodgeStar:
-    """The Hodge star of R^4 with its eigenbasis bookkeeping."""
-
-    mat: np.ndarray = field(default_factory=hodge_star_matrix)
-
-    def apply(self, alpha):
-        return self.mat @ np.asarray(alpha, dtype=float)
-
-    def selfdual_basis(self):
-        """Rows: orthonormal bases of the +1 and -1 eigenspaces."""
-        plus = np.zeros((3, 6))
-        minus = np.zeros((3, 6))
-        s = 1.0 / math.sqrt(2.0)
-        for r, ((i, j), (k, l), sg) in enumerate((
-            ((1, 2), (3, 4), 1.0),
-            ((1, 3), (2, 4), -1.0),
-            ((1, 4), (2, 3), 1.0),
-        )):
-            a, b = pair_index(4, i, j), pair_index(4, k, l)
-            plus[r, a] = s
-            plus[r, b] = sg * s
-            minus[r, a] = s
-            minus[r, b] = -sg * s
-        return plus, minus
 
 
 def selfdual_split(alpha):
@@ -244,7 +222,7 @@ class Certificate:
     k: float
     direction: str            # "ge" or "le"
     verdict: str              # certified / refuted / inconclusive_for_certification
-    method: str               # thorpe_exact / grassmann_opt / hierarchy
+    method: str               # thorpe_exact / psd_shift / grassmann_opt / hierarchy
     strict: bool
     witness: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
@@ -268,6 +246,11 @@ class Certificate:
             "witness": self.witness,
             "tolerances": self.tolerances,
         }
+
+
+def _eig_tol(R, k):
+    """Tolerance on eigenvalues of ``R - k Id``, relative to the query."""
+    return 1e-9 * max(float(np.linalg.norm(R.mat, 2)), abs(k))
 
 
 def _plane_witness(R, k, restarts=40, seed=None):
@@ -317,7 +300,7 @@ def thorpe_certify(R, k, strict=False, t_tol=1e-10, witness_seed=None):
         raise ValueError("thorpe_certify needs n = 4")
     S = CurvatureOperator(4, R.mat - k * np.eye(6))
     val_shifted, t_star = thorpe_sec_min(S, t_tol=t_tol)
-    tol = 1e-9 * max(float(np.linalg.norm(R.mat, 2)), abs(k))
+    tol = _eig_tol(R, k)
     tolerances = {"eig_tol": tol, "t_tol": t_tol, "strict": strict}
     witness = {"t_star": t_star, "mu_max": val_shifted}
     certified = val_shifted > tol if strict else val_shifted >= -tol
@@ -373,13 +356,15 @@ class HierarchyResult:
         }
 
 
-def hierarchy_check(R, k, p_max=6, tol=1e-8):
+def hierarchy_check(R, k, p_max=6, tol=None):
     """Least eigenvalues of K(R - k Id, Harm^p) for p = 1..p_max.
 
-    p = 1 is the Ricci test.  Any eigenvalue below ``-tol`` refutes
-    ``sec >= k``; all-nonnegative rows are necessary-condition passes
-    only, never a certification.
+    p = 1 is the Ricci test.  Any eigenvalue below ``-tol`` (default
+    ``1e-9 * max(|R|_2, |k|)``) refutes ``sec >= k``; all-nonnegative
+    rows are necessary-condition passes only, never a certification.
     """
+    if tol is None:
+        tol = _eig_tol(R, k)
     n = R.n
     S = CurvatureOperator(n, R.mat - k * np.eye(R.N))
     rows = []
@@ -408,13 +393,15 @@ class Witness:
         }
 
 
-def witness_search(R, k, p_max=6, tol=1e-8):
+def witness_search(R, k, p_max=6, tol=None):
     """First hierarchy level with a negative direction, as a polynomial.
 
     Returns the eigenpolynomial of the most negative eigenvalue of
-    K(R - k Id, Harm^p) at the first refuting level, or None if every
-    level up to p_max passes.
+    K(R - k Id, Harm^p) at the first level below ``-tol`` (default as in
+    ``hierarchy_check``), or None if every level up to p_max passes.
     """
+    if tol is None:
+        tol = _eig_tol(R, k)
     n = R.n
     S = CurvatureOperator(n, R.mat - k * np.eye(R.N))
     for p in range(1, p_max + 1):
@@ -430,9 +417,10 @@ def witness_search(R, k, p_max=6, tol=1e-8):
 def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     """Top-level bound decision for an operator.
 
-    For n = 4 the star-shift criterion decides the question; for other n
-    the hierarchy can refute (with an optimizer-found violating plane
-    attached when available) but an all-pass is explicitly inconclusive.
+    For n = 4 the star-shift criterion decides the question.  For other n
+    the bound is certified when ``lambda_min(R - k Id) >= -tol`` (``> tol``
+    if strict; method ``psd_shift``); otherwise a plane below ``k - tol``
+    or the hierarchy can refute, and an all-pass is inconclusive.
     ``direction="le"`` is handled by negating the operator and the bound.
     """
     if direction not in ("ge", "le"):
@@ -453,9 +441,21 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
         )
     if R.n == 4:
         return thorpe_certify(R, k, strict=strict, witness_seed=seed)
-    hier = hierarchy_check(R, k, p_max=p_max)
+    tol = _eig_tol(R, k)
+    lam = float(np.linalg.eigvalsh(R.mat - k * np.eye(R.N))[0])
+    if lam >= -tol:
+        # the non-strict bound holds; as in thorpe_certify, a strict query
+        # inside the boundary band cannot be told from equality
+        verdict = ("certified" if lam > tol or not strict
+                   else "inconclusive_for_certification")
+        return Certificate(
+            n=R.n, k=k, direction="ge", verdict=verdict,
+            method="psd_shift", strict=strict,
+            witness={"lambda_min": lam}, tolerances={"eig_tol": tol},
+        )
+    hier = hierarchy_check(R, k, p_max=p_max, tol=tol)
     wit = {"hierarchy": hier.to_dict()}
-    found = _plane_witness(R, k - 1e-9, seed=seed)
+    found = _plane_witness(R, k - tol, seed=seed)
     if found is not None:
         plane, value = found
         wit["plane"] = {"x": plane.x.tolist(), "y": plane.y.tolist(),
@@ -463,21 +463,21 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
         return Certificate(
             n=R.n, k=k, direction="ge", verdict="refuted",
             method="grassmann_opt", strict=strict, witness=wit,
-            tolerances={"eig_tol": hier.tol, "plane_margin": 1e-9},
+            tolerances={"eig_tol": tol, "plane_margin": tol},
         )
     if hier.refuted_at is not None:
-        ws = witness_search(R, k, p_max=p_max)
+        ws = witness_search(R, k, p_max=p_max, tol=tol)
         if ws is not None:
             wit["eigen_direction"] = ws.to_dict()
         return Certificate(
             n=R.n, k=k, direction="ge", verdict="refuted",
             method="hierarchy", strict=strict, witness=wit,
-            tolerances={"eig_tol": hier.tol},
+            tolerances={"eig_tol": tol},
         )
     return Certificate(
         n=R.n, k=k, direction="ge",
         verdict="inconclusive_for_certification",
         method="hierarchy", strict=strict,
         witness={"hierarchy": hier.to_dict()},
-        tolerances={"eig_tol": hier.tol},
+        tolerances={"eig_tol": tol},
     )

@@ -1,8 +1,8 @@
 """Representation spaces of so(n) and their infinitesimal generator matrices.
 
 Three families of orthogonal representations are supported, each with an
-explicit orthonormal basis and sparse skew-symmetric generator matrices
-``D[(i, j)]`` for the standard basis of so(n):
+explicit orthonormal basis; the first two carry sparse skew-symmetric
+generator matrices ``D[(i, j)]`` for the standard basis of so(n):
 
 * exterior powers of R^n, with the wedge basis ``e_{i1} ^ ... ^ e_{ip}``
   over strictly increasing index tuples in lexicographic order;
@@ -11,7 +11,11 @@ explicit orthonormal basis and sparse skew-symmetric generator matrices
   the exponent tuple (so the degree-1 basis is ``x_1, ..., x_n``);
 * traceless (harmonic) symmetric powers, the orthogonal complement of
   ``r^2 * Sym^{p-2}`` inside ``Sym^p``, carried by a computed orthonormal
-  basis expressed in normalized-monomial coordinates.
+  basis expressed in normalized-monomial coordinates; its generators are
+  the ambient ones restricted to it and are not stored.
+
+On the first two, the generators have pairwise disjoint supports, so all
+of them share one sparse pattern (``RepSpace.pattern``).
 
 The generator ``A[(i, j)]`` of so(n) is the matrix with ``+1`` in entry
 ``(i, j)`` and ``-1`` in entry ``(j, i)``, so ``A e_j = e_i`` and
@@ -353,7 +357,7 @@ def harmonic_projection(poly):
 
 
 class RepSpace:
-    """An orthogonal representation of so(n) with explicit generator matrices.
+    """An orthogonal representation of so(n) on an explicit orthonormal basis.
 
     Attributes
     ----------
@@ -368,23 +372,67 @@ class RepSpace:
         this is the monomial basis of the ambient symmetric power.
     pairs : list of (i, j)
         so(n) basis labels, aligned with ``action_list``.
-    action : dict
+    action : dict or None
         ``(i, j) -> scipy.sparse.csr_matrix`` skew generator matrices.
+        None for "traceless": its generators are the ambient ones
+        restricted by ``change_of_basis``, and are never formed.
+    pattern : scipy.sparse.csr_matrix or None
+        Sum of all generators.  Their supports are pairwise disjoint, so
+        every combination ``sum_a c_a D_a`` is this matrix with its data
+        multiplied by ``c[pattern_pair]``.
+    pattern_pair : ndarray or None
+        For each stored entry of ``pattern``, the position in ``pairs`` of
+        the one generator it belongs to.
     change_of_basis : ndarray or None
         For "traceless": rows are the orthonormal harmonic basis vectors in
         normalized-monomial coordinates of the ambient symmetric power.
     """
 
-    def __init__(self, kind, n, p, dim, basis, action, change_of_basis=None):
+    def __init__(self, kind, n, p, dim, basis, entries=None,
+                 change_of_basis=None):
         self.kind = kind
         self.n = n
         self.p = p
         self.dim = dim
         self.basis = basis
         self.pairs = pair_basis(n)
-        self.action = action
-        self.action_list = [action[ij] for ij in self.pairs]
         self.change_of_basis = change_of_basis
+        self.action = self.action_list = None
+        self.pattern = self.pattern_pair = None
+        if entries is not None:
+            self._set_generators(*entries)
+
+    def _set_generators(self, rows, cols, vals, pair):
+        """Per-pair generators and their shared pattern from COO entries.
+
+        ``pair[e]`` is the generator of entry e; entries arrive grouped by
+        generator in ``pairs`` order.  Raises if two entries share a
+        position, which would break the shared-pattern assembly.
+        """
+        rows, cols, pair = (np.asarray(a, dtype=np.int64)
+                            for a in (rows, cols, pair))
+        vals = np.asarray(vals, dtype=float)
+        shape = (self.dim, self.dim)
+        bounds = np.searchsorted(pair, np.arange(len(self.pairs) + 1))
+        self.action_list = [
+            sparse.csr_matrix((vals[lo:hi], (rows[lo:hi], cols[lo:hi])),
+                              shape=shape)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        self.action = dict(zip(self.pairs, self.action_list))
+        order = np.lexsort((cols, rows))
+        key = rows[order] * self.dim + cols[order]
+        if np.any(key[1:] == key[:-1]):
+            raise RuntimeError(
+                f"generator supports overlap on {self!r}; the shared "
+                "pattern needs pairwise disjoint supports"
+            )
+        indptr = np.zeros(self.dim + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
+        self.pattern = sparse.csr_matrix(
+            (vals[order], cols[order], indptr), shape=shape
+        )
+        self.pattern_pair = pair[order]
 
     def __repr__(self):
         return f"RepSpace({self.kind}, n={self.n}, p={self.p}, dim={self.dim})"
@@ -405,10 +453,8 @@ def build_exterior(n, p):
         raise ValueError(f"exterior power needs p <= n, got p={p}, n={n}")
     basis = wedge_basis(n, p)
     index = {I: k for k, I in enumerate(basis)}
-    dim = len(basis)
-    action = {}
-    for (i, j) in pair_basis(n):
-        rows, cols, vals = [], [], []
+    rows, cols, vals, pair = [], [], [], []
+    for a, (i, j) in enumerate(pair_basis(n)):
         for col, I in enumerate(basis):
             for t, it in enumerate(I):
                 # generator sends e_j -> e_i and e_i -> -e_j
@@ -427,10 +473,9 @@ def build_exterior(n, p):
                 rows.append(index[J])
                 cols.append(col)
                 vals.append(sgn)
-        action[(i, j)] = sparse.csr_matrix(
-            (np.array(vals, dtype=float), (rows, cols)), shape=(dim, dim)
-        )
-    return RepSpace("exterior", n, p, dim, basis, action)
+                pair.append(a)
+    return RepSpace("exterior", n, p, len(basis), basis,
+                    (rows, cols, vals, pair))
 
 
 @lru_cache(maxsize=None)
@@ -444,10 +489,8 @@ def build_symmetric(n, p):
     _check_np(n, p)
     basis = monomial_basis(n, p)
     index = {exps: k for k, exps in enumerate(basis)}
-    dim = len(basis)
-    action = {}
-    for (i, j) in pair_basis(n):
-        rows, cols, vals = [], [], []
+    rows, cols, vals, pair = [], [], [], []
+    for a, (i, j) in enumerate(pair_basis(n)):
         for col, exps in enumerate(basis):
             li, lj = exps[i - 1], exps[j - 1]
             if lj:
@@ -457,6 +500,7 @@ def build_symmetric(n, p):
                 rows.append(index[tuple(tgt)])
                 cols.append(col)
                 vals.append(math.sqrt(lj * (li + 1)))
+                pair.append(a)
             if li:
                 tgt = list(exps)
                 tgt[i - 1] -= 1
@@ -464,10 +508,9 @@ def build_symmetric(n, p):
                 rows.append(index[tuple(tgt)])
                 cols.append(col)
                 vals.append(-math.sqrt(li * (lj + 1)))
-        action[(i, j)] = sparse.csr_matrix(
-            (np.array(vals, dtype=float), (rows, cols)), shape=(dim, dim)
-        )
-    return RepSpace("symmetric", n, p, dim, basis, action)
+                pair.append(a)
+    return RepSpace("symmetric", n, p, len(basis), basis,
+                    (rows, cols, vals, pair))
 
 
 @lru_cache(maxsize=None)
@@ -495,7 +538,10 @@ def build_traceless(n, p):
 
     The basis is the orthogonal complement of the column space of the r^2
     multiplication map, obtained from a full SVD; it is orthonormal but not
-    canonical.  Generators are conjugated from the ambient symmetric power.
+    canonical.  The space carries no generators of its own: the ambient
+    ones preserve it, so its generators are ``C D C^T`` with
+    ``C = change_of_basis``, and ``weitzenbock.curvature_term`` assembles
+    on the ambient power and conjugates the result once.
     """
     _check_np(n, p)
     amb = build_symmetric(n, p)
@@ -510,11 +556,7 @@ def build_traceless(n, p):
         raise RuntimeError(
             f"harmonic basis has dim {dim}, expected {dim_traceless(n, p)}"
         )
-    action = {
-        ij: sparse.csr_matrix(C @ (D @ C.T))
-        for ij, D in amb.action.items()
-    }
-    return RepSpace("traceless", n, p, dim, amb.basis, action, change_of_basis=C)
+    return RepSpace("traceless", n, p, dim, amb.basis, change_of_basis=C)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import multilinear as ml
 from .curvature import ricci
@@ -50,19 +51,26 @@ class SymmetricEndomorphism:
         )
 
 
-def _assemble(Rmat, mats, dim):
-    """Dense matrix of -sum_ab R_ab D_a D_b from sparse generators."""
-    K = np.zeros((dim, dim))
-    N = len(mats)
-    for b in range(N):
-        col = Rmat[:, b]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+def _assemble(Rmat, space):
+    """Dense matrix of -sum_ab R_ab D_a D_b from sparse generators.
+
+    The generators have pairwise disjoint supports, so for each b the
+    combination ``Y_b = sum_a R_ab D_a`` is the space's shared pattern
+    with its data scaled entrywise; no sparse sums are formed.
+    """
+    S = space.pattern
+    label = space.pattern_pair
+    K = np.zeros((space.dim, space.dim))
+    for b, D in enumerate(space.action_list):
+        coeff = Rmat[label, b]
+        if not coeff.any():
             continue
-        acc = col[nz[0]] * mats[nz[0]]
-        for a in nz[1:]:
-            acc = acc + col[a] * mats[a]
-        K -= (acc @ mats[b]).toarray()
+        Y = sparse.csr_matrix((S.data * coeff, S.indices, S.indptr),
+                              shape=S.shape)
+        # a sparse product stores each position once, so the scatter
+        # below never drops a repeated index
+        P = (Y @ D).tocoo()
+        K[P.row, P.col] -= P.data
     return K
 
 
@@ -76,12 +84,11 @@ def curvature_term(R, space):
     if R.n != space.n:
         raise ValueError(f"operator has n={R.n}, space has n={space.n}")
     if space.kind == "traceless":
-        amb = ml.build_symmetric(space.n, space.p)
-        K = _assemble(R.mat, amb.action_list, amb.dim)
+        K = _assemble(R.mat, ml.build_symmetric(space.n, space.p))
         C = space.change_of_basis
         K = C @ K @ C.T
     else:
-        K = _assemble(R.mat, space.action_list, space.dim)
+        K = _assemble(R.mat, space)
     defect = float(np.max(np.abs(K - K.T)) / 2) if K.size else 0.0
     return SymmetricEndomorphism(space, 0.5 * (K + K.T), defect)
 

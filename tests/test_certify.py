@@ -45,13 +45,17 @@ def test_selfdual_split_example():
 
 
 def test_selfdual_basis_is_orthonormal_eigenbasis():
-    star = ce.HodgeStar()
-    plus, minus = star.selfdual_basis()
+    # the split halves of the planes (1,2), (1,3), (1,4), rescaled by
+    # sqrt 2, are orthonormal bases of the +1 and -1 eigenspaces
+    star = ce.hodge_star_matrix()
+    halves = [ce.selfdual_split(e) for e in np.eye(6)[:3]]
+    plus = np.sqrt(2.0) * np.array([h[0] for h in halves])
+    minus = np.sqrt(2.0) * np.array([h[1] for h in halves])
     for rows, sign in ((plus, 1.0), (minus, -1.0)):
         assert rows.shape == (3, 6)
         assert np.allclose(rows @ rows.T, np.eye(3))
         for row in rows:
-            assert np.allclose(star.apply(row), sign * row)
+            assert np.allclose(star @ row, sign * row)
 
 
 def test_selfdual_split_rejects_wrong_shape():
@@ -196,6 +200,14 @@ def test_certify_verdict_is_scale_invariant(rng):
         assert cert.witness["mu_max"] == pytest.approx(
             scale * base.witness["mu_max"], rel=1e-9)
         assert cert.witness["plane"]["sec"] < 0.0
+    # outside dimension four the plane search and the hierarchy scale too
+    RL = fixture_operator("RL", 5)
+    for scale in (1e-12, 1.0, 1e8):
+        k = 0.5 * scale
+        cert = ce.certify_bound(cv.CurvatureOperator(5, scale * RL.mat), k,
+                                p_max=2, seed=2)
+        assert cert.refuted and cert.method == "grassmann_opt"
+        assert cert.witness["plane"]["sec"] < k
 
 
 def test_certify_refutation_carries_sound_plane():
@@ -291,16 +303,36 @@ def test_certify_bound_le_direction():
     assert value > 0.5 + 1e-9
 
 
-def test_certify_bound_never_certifies_outside_dim_four(rng):
-    # all-pass hierarchies stay inconclusive: passing necessary conditions
-    # is not a certificate
+def test_certify_bound_certifies_psd_shift_outside_dim_four():
+    # R - k Id positive semidefinite proves sec >= k in any dimension
     R = fixture_operator("identity", 5)
     cert = ce.certify_bound(R, 0.5, p_max=3)
+    assert cert.certified
+    assert cert.method == "psd_shift"
+    assert cert.witness["lambda_min"] == pytest.approx(0.5, abs=1e-12)
+    assert ce.certify_bound(R, 0.5, strict=True).certified
+    # at the boundary the strict bound cannot be separated from equality
+    strict = ce.certify_bound(R, 1.0, strict=True)
+    assert strict.verdict == "inconclusive_for_certification"
+    assert strict.method == "psd_shift"
+
+
+def test_certify_bound_four_form_shift_stays_inconclusive(rng):
+    # sec cannot see a four-form: Id + omega has sec == 1, yet
+    # Id + omega - Id = omega is indefinite.  The bound sec >= 1 is true
+    # and passes every hierarchy level (K vanishes on four-forms), but
+    # passing necessary conditions is not a certificate
+    n = 5
+    omega = cv.four_form_projection(random_operator(n, rng))
+    assert np.linalg.eigvalsh(omega)[0] < -0.1
+    R = cv.CurvatureOperator(n, np.eye(10) + omega)
+    cert = ce.certify_bound(R, 1.0, p_max=3)
     assert cert.verdict == "inconclusive_for_certification"
     assert cert.method == "hierarchy"
     assert not cert.certified
     rows = cert.witness["hierarchy"]["rows"]
     assert len(rows) == 3
+    assert cert.witness["hierarchy"]["refuted_at"] is None
 
 
 def test_certify_bound_refutes_by_plane_outside_dim_four():

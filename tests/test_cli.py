@@ -279,13 +279,16 @@ def test_certify_strict_boundary_is_inconclusive(capsys):
     assert doc["verdict"] == "inconclusive_for_certification"
 
 
-def test_certify_outside_dim_four_never_certifies(capsys):
-    code, out, _ = run(capsys, "certify", "RL", "--n", "5", "--k", "-10",
-                       "--pmax", "2")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["verdict"] != "certified"
-    assert doc["method"] == "hierarchy"
+def test_certify_outside_dim_four_certifies_psd_shift(capsys):
+    # both bounds hold because R - k Id is positive semidefinite
+    for name, n, k in (("RL", "5", "-10"), ("identity", "6", "0.5")):
+        code, out, _ = run(capsys, "certify", name, "--n", n, "--k", k,
+                           "--pmax", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "certified"
+        assert doc["method"] == "psd_shift"
+        assert doc["witness"]["lambda_min"] >= 0.0
 
 
 def test_certify_deterministic_output(capsys):

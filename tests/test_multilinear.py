@@ -6,7 +6,6 @@ from math import comb, factorial
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from curvelab import multilinear as ml
 
@@ -215,10 +214,13 @@ def test_harmonic_projection_properties(rng):
 
 
 def _as_dense(space):
-    return {pair: np.asarray(space.action[pair].todense())
-            if scipy.sparse.issparse(space.action[pair])
-            else np.asarray(space.action[pair])
-            for pair in space.pairs}
+    """Dense generators.  A traceless space carries none of its own: its
+    generators are the ambient ones conjugated by the change of basis."""
+    if space.kind == "traceless":
+        C = space.change_of_basis
+        amb = _as_dense(ml.build_symmetric(space.n, space.p))
+        return {pair: C @ D @ C.T for pair, D in amb.items()}
+    return {pair: space.action[pair].toarray() for pair in space.pairs}
 
 
 @pytest.mark.parametrize("build,n,p", [
@@ -334,8 +336,8 @@ def test_casimir_is_scalar_on_irreducibles():
                                    atol=1e-12)
     for p in (1, 2, 3):
         space = ml.build_traceless(n, p)
-        cas = sum(-space.action[q] @ space.action[q] for q in space.pairs)
-        cas = np.asarray(cas if isinstance(cas, np.ndarray) else cas.todense())
+        dense = _as_dense(space)
+        cas = sum(-dense[q] @ dense[q] for q in space.pairs)
         np.testing.assert_allclose(cas, p * (p + n - 2) * np.eye(space.dim),
                                    atol=1e-12)
 

@@ -1,6 +1,7 @@
 """Assembly of the curvature term and its structural properties."""
 
 from math import comb, factorial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +46,82 @@ def test_determinism_of_assembly(rng):
     K1 = wz.curvature_term(R, space).mat
     K2 = wz.curvature_term(R, space).mat
     np.testing.assert_array_equal(K1, K2)
+
+
+# ---------------------------------------------------------------------------
+# assembly against a dense reference
+
+
+def _random_mat(n, rng):
+    N = n * (n - 1) // 2
+    M = rng.standard_normal((N, N))
+    return M + M.T
+
+
+def _dense_reference(Rmat, space):
+    """-sum_ab R_ab D_a D_b from dense copies of the generators."""
+    gens = [D.toarray() for D in space.action_list]
+    K = np.zeros((space.dim, space.dim))
+    for a, Da in enumerate(gens):
+        for b, Db in enumerate(gens):
+            K -= Rmat[a, b] * (Da @ Db)
+    return K
+
+
+def _assert_matches(K, ref):
+    assert np.abs(K - ref).max(initial=0.0) <= (
+        1e-13 * np.abs(ref).max(initial=0.0))
+
+
+@pytest.mark.parametrize("n,p", [(5, 0), (5, 1), (5, 4), (5, 5), (6, 3)])
+def test_exterior_assembly_matches_dense_reference(n, p, rng):
+    space = ml.build_exterior(n, p)
+    R = CurvatureOperator(n, _random_mat(n, rng))
+    _assert_matches(wz.curvature_term(R, space).mat,
+                    _dense_reference(R.mat, space))
+
+
+@pytest.mark.parametrize("n,p", [(2, 1), (2, 4), (3, 0), (3, 4), (5, 2)])
+def test_symmetric_assembly_matches_dense_reference(n, p, rng):
+    # CurvatureOperator needs n >= 3; curvature_term reads only n and mat
+    R = SimpleNamespace(n=n, mat=_random_mat(n, rng))
+    space = ml.build_symmetric(n, p)
+    _assert_matches(wz.curvature_term(R, space).mat,
+                    _dense_reference(R.mat, space))
+
+
+@pytest.mark.parametrize("n,p", [(3, 4), (4, 3), (5, 2)])
+def test_traceless_assembly_matches_dense_reference(n, p, rng):
+    R = CurvatureOperator(n, _random_mat(n, rng))
+    space = ml.build_traceless(n, p)
+    C = space.change_of_basis
+    ref = C @ _dense_reference(R.mat, ml.build_symmetric(n, p)) @ C.T
+    _assert_matches(wz.curvature_term(R, space).mat, ref)
+
+
+@pytest.mark.parametrize("build,n,p", [
+    (ml.build_exterior, 5, 2), (ml.build_exterior, 6, 3),
+    (ml.build_symmetric, 2, 3), (ml.build_symmetric, 4, 3),
+])
+def test_generator_supports_are_pairwise_disjoint(build, n, p):
+    # the shared-pattern assembly relies on this: every entry of the
+    # pattern belongs to exactly one generator
+    space = build(n, p)
+    gens = [D.toarray() for D in space.action_list]
+    owners = sum((D != 0).astype(int) for D in gens)
+    assert owners.max() == 1
+    np.testing.assert_array_equal(space.pattern.toarray(), sum(gens))
+    rows = np.repeat(np.arange(space.dim), np.diff(space.pattern.indptr))
+    for r, c, v, a in zip(rows, space.pattern.indices, space.pattern.data,
+                          space.pattern_pair):
+        assert gens[a][r, c] == v
+
+
+def test_overlapping_generator_supports_rejected():
+    # two generators of so(3) claiming the same entry
+    entries = ([0, 0], [1, 1], [1.0, -1.0], [0, 1])
+    with pytest.raises(RuntimeError, match="overlap"):
+        ml.RepSpace("exterior", 3, 1, 3, ml.wedge_basis(3, 1), entries)
 
 
 # ---------------------------------------------------------------------------
