@@ -9,7 +9,6 @@ from .certify import (
     certify_bound,
     hierarchy_check,
     sec_extremes,
-    thorpe_certify,
     thorpe_sec_min,
 )
 from .curvature import (
@@ -54,6 +53,5 @@ __all__ = [
     "scalar_curvature",
     "sec",
     "sec_extremes",
-    "thorpe_certify",
     "thorpe_sec_min",
 ]

@@ -2,28 +2,30 @@
 
 Three engines cooperate:
 
-* ``sec_extremes``: minimization of the sectional curvature over the
-  Grassmannian of 2-planes by alternating exact eigen-steps, batched
-  over random restarts.  With x fixed, sec(x, .) is the quadratic form
-  of the Jacobi matrix ``L_x^T R L_x`` (``L_x y = x ^ y``), so the best
-  y is its bottom eigenvector on x^perp; then x and y swap roles.  The
-  value never increases and there is no step size.  Produces extremal
-  planes as witnesses.
+* the shift engine in ``certify_bound``: sec is the quadratic form of R
+  on unit decomposable two-forms, and a four-form omega vanishes on
+  them, so ``lambda_min(R - k Id + omega) >= 0`` for some omega proves
+  ``sec >= k``.  At n = 4 the four-forms are the multiples of the Hodge
+  star and the test is exact (Thorpe): ``lambda_min(R - k Id + t star)``
+  is concave in t, ``thorpe_sec_min`` maximizes it by golden-section
+  search, and a negative maximum is refuted by the plane read off the
+  optimum's bottom eigenspace.  For other n the engine takes omega = 0,
+  which is sufficient only.
 
-* ``thorpe_certify`` (n = 4 only): the bound ``sec >= k`` holds iff some
-  shift of the operator by a multiple of the Hodge star is positive
-  semidefinite.  The least eigenvalue of ``R - k Id + t star`` is concave
-  in t, so a golden-section search over a bracketing interval decides
-  the question exactly up to tolerance.
+* ``sec_extremes`` (refutations for n != 4): minimization of the
+  sectional curvature over the Grassmannian of 2-planes by alternating
+  exact eigen-steps, batched over random restarts.  With x fixed,
+  sec(x, .) is the quadratic form of the Jacobi matrix ``L_x^T R L_x``
+  (``L_x y = x ^ y``), so the best y is its bottom eigenvector on
+  x^perp; then x and y swap roles.  The value never increases and there
+  is no step size.  Produces extremal planes as witnesses.
 
-* ``certify_bound`` for n != 4: ``R - k Id`` positive semidefinite is
-  sufficient for ``sec >= k``, since sec is the quadratic form of R on
-  unit decomposable two-forms.  Otherwise ``hierarchy_check``:
-  nonnegativity of the curvature terms ``K(R - k Id, Harm^p)`` for
-  p = 1, 2, ... is necessary for ``sec >= k`` (p = 1 is the Ricci test).
-  A negative eigenvalue at any level refutes the bound; an all-pass is
-  only a necessary-condition pass and is reported as
-  ``inconclusive_for_certification``.
+* ``hierarchy_check`` (n != 4, beside the plane search): nonnegativity of
+  the curvature terms ``K(R - k Id, Harm^p)`` for p = 1, 2, ... is
+  necessary for ``sec >= k`` (p = 1 is the Ricci test).  A negative
+  eigenvalue at any level refutes the bound, with its eigenpolynomial as
+  witness; an all-pass is only a necessary-condition pass and is
+  reported as ``inconclusive_for_certification``.
 
 Every eigenvalue test uses ``tol = 1e-9 * max(|R|_2, |k|)``.
 """
@@ -253,22 +255,19 @@ def _eig_tol(R, k):
     return 1e-9 * max(float(np.linalg.norm(R.mat, 2)), abs(k))
 
 
-def _plane_witness(R, k, restarts=40, seed=None):
-    """Search for a plane violating sec >= k; returns (plane, value) or None."""
-    ext = sec_extremes(R, restarts=restarts, seed=seed)
-    if ext.min_value < k:
-        return ext.min_plane, ext.min_value
-    return None
+# Width, relative to |R|_2, at which the golden-section search for the
+# star shift t* stops.
+_T_TOL = 1e-10
 
 
-def thorpe_sec_min(R, t_tol=1e-10):
+def thorpe_sec_min(R):
     """Exact minimum sectional curvature for n = 4 via the star shift.
 
     ``min sec = max_t lambda_min(R + t star)``: the bound ``sec >= k``
     holds iff the shifted operator can be made positive semidefinite, and
     shifting by k Id moves every eigenvalue by -k.  The search runs on
-    ``R / |R|_2`` over t in [-2, 2] (``t_tol`` is relative to that
-    scale), and the value and t* are scaled back.  Returns (value, t*).
+    ``R / |R|_2`` over t in [-2, 2], and the value and t* are scaled
+    back.  Returns (value, t*).
     """
     if R.n != 4:
         raise ValueError("the star-shift argument needs n = 4")
@@ -281,52 +280,39 @@ def thorpe_sec_min(R, t_tol=1e-10):
     def mu(t):
         return float(np.linalg.eigvalsh(unit + t * star)[0])
 
-    t_star, val = golden_max(mu, -2.0, 2.0, tol=t_tol)
+    t_star, val = golden_max(mu, -2.0, 2.0, tol=_T_TOL)
     return norm * val, norm * t_star
 
 
-def thorpe_certify(R, k, strict=False, t_tol=1e-10, witness_seed=None):
-    """Decide sec >= k for n = 4 through the star-shift criterion.
+def _thorpe_plane(S, t_star, tol):
+    """A plane whose sec under S is ``lambda_min(S + t* star)`` (n = 4).
 
-    Certification threshold: the maximized least eigenvalue must be
-    > +tol in strict mode, >= -tol otherwise, with
-    ``tol = 1e-9 * max(|R|_2, |k|)``.  Refutations carry a violating
-    plane found by optimization.  A strict query whose value lands inside
-    the [-tol, +tol] boundary band is inconclusive: the non-strict bound
-    holds, but equality cannot be separated from a strict margin at
-    working precision.
+    Let B span the eigenvectors of ``S + t* star`` within ``tol`` of the
+    least eigenvalue.  At the optimum t* the range of ``<v, star v>`` over
+    unit v in span(B) is an interval containing 0, so mixing its two
+    extreme directions gives a unit ``v = B c`` with ``<v, star v> = 0``.
+    That is the Pluecker relation at n = 4: v is decomposable, and its
+    plane is the top singular pair of v's 4 x 4 skew matrix.
     """
-    if R.n != 4:
-        raise ValueError("thorpe_certify needs n = 4")
-    S = CurvatureOperator(4, R.mat - k * np.eye(6))
-    val_shifted, t_star = thorpe_sec_min(S, t_tol=t_tol)
-    tol = _eig_tol(R, k)
-    tolerances = {"eig_tol": tol, "t_tol": t_tol, "strict": strict}
-    witness = {"t_star": t_star, "mu_max": val_shifted}
-    certified = val_shifted > tol if strict else val_shifted >= -tol
-    if certified:
-        return Certificate(
-            n=4, k=k, direction="ge", verdict="certified",
-            method="thorpe_exact", strict=strict,
-            witness=witness, tolerances=tolerances,
-        )
-    if strict and val_shifted >= -tol:
-        return Certificate(
-            n=4, k=k, direction="ge",
-            verdict="inconclusive_for_certification",
-            method="thorpe_exact", strict=strict,
-            witness=witness, tolerances=tolerances,
-        )
-    found = _plane_witness(R, k, seed=witness_seed)
-    if found is not None:
-        plane, value = found
-        witness["plane"] = {"x": plane.x.tolist(), "y": plane.y.tolist(),
-                           "sec": value}
-    return Certificate(
-        n=4, k=k, direction="ge", verdict="refuted",
-        method="thorpe_exact", strict=strict,
-        witness=witness, tolerances=tolerances,
-    )
+    star = hodge_star_matrix()
+    lam, vec = np.linalg.eigh(S.mat + t_star * star)
+    B = vec[:, lam <= lam[0] + tol]
+    w, W = np.linalg.eigh(B.T @ star @ B)
+    lo, hi = w[0], w[-1]
+    # cos^2 lo + sin^2 hi = 0, clipped where rounding left 0 just outside
+    cos2 = float(np.clip(hi / (hi - lo), 0.0, 1.0)) if hi > lo else 1.0
+    v = B @ (math.sqrt(cos2) * W[:, 0] + math.sqrt(1.0 - cos2) * W[:, -1])
+    I, J = np.triu_indices(4, 1)               # the lex-ordered pair basis
+    X = np.zeros((4, 4))
+    X[I, J] = v
+    X[J, I] = -v
+    U = np.linalg.svd(X)[0]
+    return TwoPlane.orthonormalized(U[:, 0], U[:, 1])
+
+
+def _plane_doc(R, plane):
+    return {"x": plane.x.tolist(), "y": plane.y.tolist(),
+            "sec": sec(R, plane)}
 
 
 @dataclass
@@ -337,6 +323,7 @@ class HierarchyResult:
     rows: list                 # (p, lambda_min)
     refuted_at: int | None
     tol: float
+    witness: Witness | None = None     # bottom eigenpolynomial at refuted_at
 
     @property
     def verdict(self):
@@ -361,21 +348,28 @@ def hierarchy_check(R, k, p_max=6, tol=None):
 
     p = 1 is the Ricci test.  Any eigenvalue below ``-tol`` (default
     ``1e-9 * max(|R|_2, |k|)``) refutes ``sec >= k``; all-nonnegative
-    rows are necessary-condition passes only, never a certification.
+    rows are necessary-condition passes only, never a certification.  At
+    the first refuting level the eigenpolynomial of the most negative
+    eigenvalue is kept as ``witness``.
     """
     if tol is None:
         tol = _eig_tol(R, k)
     n = R.n
     S = CurvatureOperator(n, R.mat - k * np.eye(R.N))
     rows = []
-    refuted_at = None
+    refuted_at = witness = None
     for p in range(1, p_max + 1):
-        lam = wz.curvature_term(S, ml.build_traceless(n, p)).lambda_min()
+        space = ml.build_traceless(n, p)
+        K = wz.curvature_term(S, space)
+        lam = K.lambda_min()
         rows.append((p, lam))
         if refuted_at is None and lam < -tol:
             refuted_at = p
+            vals, vecs = np.linalg.eigh(K.mat)
+            witness = Witness(p=p, value=float(vals[0]),
+                              poly=ml.coords_to_polynomial(space, vecs[:, 0]))
     return HierarchyResult(n=n, k=k, p_max=p_max, rows=rows,
-                          refuted_at=refuted_at, tol=tol)
+                          refuted_at=refuted_at, tol=tol, witness=witness)
 
 
 @dataclass
@@ -394,33 +388,22 @@ class Witness:
 
 
 def witness_search(R, k, p_max=6, tol=None):
-    """First hierarchy level with a negative direction, as a polynomial.
-
-    Returns the eigenpolynomial of the most negative eigenvalue of
-    K(R - k Id, Harm^p) at the first level below ``-tol`` (default as in
-    ``hierarchy_check``), or None if every level up to p_max passes.
-    """
-    if tol is None:
-        tol = _eig_tol(R, k)
-    n = R.n
-    S = CurvatureOperator(n, R.mat - k * np.eye(R.N))
-    for p in range(1, p_max + 1):
-        space = ml.build_traceless(n, p)
-        K = wz.curvature_term(S, space)
-        lam, vec = np.linalg.eigh(K.mat)
-        if lam[0] < -tol:
-            return Witness(p=p, value=float(lam[0]),
-                          poly=ml.coords_to_polynomial(space, vec[:, 0]))
-    return None
+    """The hierarchy's witness polynomial, or None if every level passes."""
+    return hierarchy_check(R, k, p_max=p_max, tol=tol).witness
 
 
 def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     """Top-level bound decision for an operator.
 
-    For n = 4 the star-shift criterion decides the question.  For other n
-    the bound is certified when ``lambda_min(R - k Id) >= -tol`` (``> tol``
-    if strict; method ``psd_shift``); otherwise a plane below ``k - tol``
-    or the hierarchy can refute, and an all-pass is inconclusive.
+    The shift engine computes ``mu = max_omega lambda_min(R - k Id + omega)``
+    over four-forms omega, which ``sec`` cannot see: multiples of the Hodge
+    star at n = 4 (method ``thorpe_exact``, where the test is exact), and
+    omega = 0 otherwise (``psd_shift``, sufficient only).  The bound is
+    certified when ``mu > tol``, or ``mu >= -tol`` if not strict; a strict
+    query inside that band is inconclusive, since equality cannot be told
+    from a strict margin at working precision.  Below the band, n = 4 is
+    refuted by the plane read off the optimum; other n try a plane below
+    ``k - tol`` and then the hierarchy, and an all-pass is inconclusive.
     ``direction="le"`` is handled by negating the operator and the bound.
     """
     if direction not in ("ge", "le"):
@@ -439,45 +422,37 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
             method=inner.method, strict=strict, witness=witness,
             tolerances=inner.tolerances,
         )
-    if R.n == 4:
-        return thorpe_certify(R, k, strict=strict, witness_seed=seed)
     tol = _eig_tol(R, k)
-    lam = float(np.linalg.eigvalsh(R.mat - k * np.eye(R.N))[0])
-    if lam >= -tol:
-        # the non-strict bound holds; as in thorpe_certify, a strict query
-        # inside the boundary band cannot be told from equality
-        verdict = ("certified" if lam > tol or not strict
-                   else "inconclusive_for_certification")
+    S = CurvatureOperator(R.n, R.mat - k * np.eye(R.N))
+    tolerances = {"eig_tol": tol}
+    if R.n == 4:
+        mu, t_star = thorpe_sec_min(S)
+        method, witness = "thorpe_exact", {"t_star": t_star, "mu_max": mu}
+        tolerances["t_tol"] = _T_TOL
+    else:
+        mu = float(np.linalg.eigvalsh(S.mat)[0])
+        method, witness = "psd_shift", {"lambda_min": mu}
+
+    def decide(verdict, how=method, **more_tolerances):
         return Certificate(
-            n=R.n, k=k, direction="ge", verdict=verdict,
-            method="psd_shift", strict=strict,
-            witness={"lambda_min": lam}, tolerances={"eig_tol": tol},
+            n=R.n, k=k, direction="ge", verdict=verdict, method=how,
+            strict=strict, witness=witness,
+            tolerances=dict(tolerances, **more_tolerances),
         )
+
+    if mu > tol or (mu >= -tol and not strict):
+        return decide("certified")
+    if mu >= -tol:
+        return decide("inconclusive_for_certification")
+    if R.n == 4:
+        witness["plane"] = _plane_doc(R, _thorpe_plane(S, t_star, tol))
+        return decide("refuted")
     hier = hierarchy_check(R, k, p_max=p_max, tol=tol)
-    wit = {"hierarchy": hier.to_dict()}
-    found = _plane_witness(R, k - tol, seed=seed)
-    if found is not None:
-        plane, value = found
-        wit["plane"] = {"x": plane.x.tolist(), "y": plane.y.tolist(),
-                        "sec": value}
-        return Certificate(
-            n=R.n, k=k, direction="ge", verdict="refuted",
-            method="grassmann_opt", strict=strict, witness=wit,
-            tolerances={"eig_tol": tol, "plane_margin": tol},
-        )
-    if hier.refuted_at is not None:
-        ws = witness_search(R, k, p_max=p_max, tol=tol)
-        if ws is not None:
-            wit["eigen_direction"] = ws.to_dict()
-        return Certificate(
-            n=R.n, k=k, direction="ge", verdict="refuted",
-            method="hierarchy", strict=strict, witness=wit,
-            tolerances={"eig_tol": tol},
-        )
-    return Certificate(
-        n=R.n, k=k, direction="ge",
-        verdict="inconclusive_for_certification",
-        method="hierarchy", strict=strict,
-        witness={"hierarchy": hier.to_dict()},
-        tolerances={"eig_tol": tol},
-    )
+    witness["hierarchy"] = hier.to_dict()
+    ext = sec_extremes(R, restarts=40, seed=seed)
+    if ext.min_value < k - tol:
+        witness["plane"] = _plane_doc(R, ext.min_plane)
+        return decide("refuted", "grassmann_opt", plane_margin=tol)
+    if hier.witness is not None:
+        witness["eigen_direction"] = hier.witness.to_dict()
+    return decide(hier.verdict, "hierarchy")

@@ -189,16 +189,22 @@ def cmd_decompose(args):
     return 0
 
 
-def _build_dimension(rep, n, p):
-    """Largest basis the requested build materializes, without building it.
+def _check_build_dimension(rep, n, p):
+    """Refuse a build whose largest basis exceeds ``MAX_KTERM_DIM``.
 
     The traceless space is carved out of the full symmetric power, so its
     build cost is governed by the ambient symmetric dimension, not by the
-    (smaller) harmonic dimension.
+    (smaller) harmonic dimension.  Nothing is built here.
     """
-    if rep == "wedge":
-        return math.comb(n, p)
-    return math.comb(n + p - 1, p)
+    if p < 0:
+        raise InputError(f"degree {p} (rep={rep}): expected an integer >= 0")
+    dim = math.comb(n, p) if rep == "wedge" else math.comb(n + p - 1, p)
+    if dim > MAX_KTERM_DIM:
+        raise InputError(
+            f"space of dimension {dim} exceeds the CLI limit "
+            f"{MAX_KTERM_DIM} (n={n}, rep={rep}, p={p}); "
+            f"use the library API for spaces this large"
+        )
 
 
 def cmd_kterm(args):
@@ -208,13 +214,7 @@ def cmd_kterm(args):
         "sym": ml.build_symmetric,
         "sym0": ml.build_traceless,
     }
-    dim = _build_dimension(args.rep, R.n, args.p)
-    if dim > MAX_KTERM_DIM:
-        raise InputError(
-            f"space of dimension {dim} exceeds the CLI limit "
-            f"{MAX_KTERM_DIM} (n={R.n}, rep={args.rep}, p={args.p}); "
-            f"use the library API for spaces this large"
-        )
+    _check_build_dimension(args.rep, R.n, args.p)
     space = builders[args.rep](R.n, args.p)
     K = wz.curvature_term(R, space)
     spectrum = np.sort(np.linalg.eigvalsh(K.mat))
@@ -296,6 +296,9 @@ def cmd_certify(args):
     if not math.isfinite(args.k):
         raise InputError(f"--k: expected a finite number, got {args.k!r}")
     R = load_operator(args.input, args.n)
+    if R.n != 4:
+        # the hierarchy builds Harm^p up to p = pmax for n != 4
+        _check_build_dimension("sym0", R.n, args.pmax)
     cert = certify_bound(
         R, args.k, direction=args.direction, strict=args.strict,
         p_max=args.pmax, seed=args.seed,
@@ -364,7 +367,8 @@ def build_parser():
     p_cert.add_argument("--strict", action="store_true",
                         help="require strict inequality")
     p_cert.add_argument("--pmax", type=int, default=6,
-                        help="hierarchy depth for n != 4 (default 6)")
+                        help="hierarchy depth for n != 4 (default 6); "
+                             "refused past the kterm size limit")
     p_cert.set_defaults(func=cmd_certify)
     return parser
 

@@ -262,9 +262,9 @@ def test_a8_exact_vs_optimized_minimum(certification_batch):
 
     # verdicts around the product-of-spheres boundary
     s2xs2 = fixture_operator("s2xs2", 4)
-    if not ce.thorpe_certify(s2xs2, 0.0).certified:
+    if not ce.certify_bound(s2xs2, 0.0).certified:
         problems.append("s2xs2 not certified at 0")
-    refutation = ce.thorpe_certify(s2xs2, 0.01, witness_seed=3)
+    refutation = ce.certify_bound(s2xs2, 0.01)
     if not refutation.refuted:
         problems.append("s2xs2 not refuted at 0.01")
     else:
@@ -276,8 +276,8 @@ def test_a8_exact_vs_optimized_minimum(certification_batch):
 
     # verdict coherence just below and above the true minimum (subsample)
     for e in certification_batch[:10]:
-        below = ce.thorpe_certify(e.R, e.exact_min - 2e-6, witness_seed=5)
-        above = ce.thorpe_certify(e.R, e.exact_min + 2e-6, witness_seed=5)
+        below = ce.certify_bound(e.R, e.exact_min - 2e-6)
+        above = ce.certify_bound(e.R, e.exact_min + 2e-6)
         if not below.certified:
             problems.append("bound below the minimum not certified")
         if not above.refuted:
@@ -326,7 +326,7 @@ def test_a9_certified_bounds_pass_hierarchy(certification_batch):
               (fixture_operator("hodge-star", 4), -2e-6),
               (fixture_operator("s2xs2", 4), -2e-6)]
     for R, k in cases:
-        if not ce.thorpe_certify(R, k).certified:
+        if not ce.certify_bound(R, k).certified:
             failures += 1
             continue
         checked += 1

@@ -1,5 +1,8 @@
 """Star-shift certification, Grassmannian optimization, hierarchy checks."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -170,7 +173,7 @@ def test_extremes_deterministic_for_fixed_seed(rng):
 
 
 def test_certify_identity_interior_bound():
-    cert = ce.thorpe_certify(fixture_operator("identity", 4), 0.5)
+    cert = ce.certify_bound(fixture_operator("identity", 4), 0.5)
     assert cert.certified and cert.verdict == "certified"
     assert cert.method == "thorpe_exact"
     assert cert.witness["mu_max"] == pytest.approx(0.5, abs=1e-9)
@@ -178,16 +181,16 @@ def test_certify_identity_interior_bound():
 
 def test_certify_boundary_strict_vs_nonstrict():
     R = fixture_operator("identity", 4)
-    assert ce.thorpe_certify(R, 1.0, strict=False).certified
-    strict = ce.thorpe_certify(R, 1.0, strict=True)
+    assert ce.certify_bound(R, 1.0, strict=False).certified
+    strict = ce.certify_bound(R, 1.0, strict=True)
     # the non-strict bound holds, so a strict query at the boundary cannot
     # honestly be refuted either -- it is inconclusive
     assert strict.verdict == "inconclusive_for_certification"
     assert not strict.certified and not strict.refuted
     # well inside the interior, strict certification goes through
-    assert ce.thorpe_certify(R, 0.5, strict=True).certified
+    assert ce.certify_bound(R, 0.5, strict=True).certified
     # and a strictly violated bound is still refuted in strict mode
-    assert ce.thorpe_certify(R, 1.5, strict=True).refuted
+    assert ce.certify_bound(R, 1.5, strict=True).refuted
 
 
 def test_certify_verdict_is_scale_invariant(rng):
@@ -212,8 +215,8 @@ def test_certify_verdict_is_scale_invariant(rng):
 
 def test_certify_refutation_carries_sound_plane():
     R = fixture_operator("s2xs2", 4)
-    assert ce.thorpe_certify(R, 0.0).certified
-    cert = ce.thorpe_certify(R, 0.01)
+    assert ce.certify_bound(R, 0.0).certified
+    cert = ce.certify_bound(R, 0.01)
     assert cert.refuted
     plane = cert.witness["plane"]
     value = cv.sec(R, cv.TwoPlane(np.array(plane["x"]), np.array(plane["y"])))
@@ -221,8 +224,29 @@ def test_certify_refutation_carries_sound_plane():
     assert value < 0.01 - 1e-9
 
 
+def test_n4_refutations_read_the_plane_off_the_optimum(monkeypatch):
+    # the degenerate fixtures have 4- and 6-dimensional bottom eigenspaces
+    # at the optimum; the plane still comes without any plane search
+    def no_search(*args, **kwargs):
+        raise AssertionError("the plane optimizer ran at n = 4")
+
+    monkeypatch.setattr(ce, "_descend", no_search)
+    for name, k, direction, extreme in (
+        ("identity", 1.5, "ge", 1.0), ("identity", 0.5, "le", 1.0),
+        ("hodge-star", 0.01, "ge", 0.0), ("s2xs2", 0.01, "ge", 0.0),
+    ):
+        R = fixture_operator(name, 4)
+        cert = ce.certify_bound(R, k, direction=direction)
+        assert cert.refuted and cert.method == "thorpe_exact"
+        plane = cert.witness["plane"]
+        value = cv.sec(R, cv.TwoPlane(np.array(plane["x"]),
+                                      np.array(plane["y"])))
+        assert value == pytest.approx(extreme, abs=1e-12)
+        assert plane["sec"] == pytest.approx(value, abs=1e-12)
+
+
 def test_certificate_serialization():
-    cert = ce.thorpe_certify(fixture_operator("identity", 4), 0.25)
+    cert = ce.certify_bound(fixture_operator("identity", 4), 0.25)
     d = cert.to_dict()
     assert d["verdict"] == "certified" and d["direction"] == "ge"
     assert set(d) == {"n", "k", "direction", "verdict", "method", "strict",
@@ -345,6 +369,25 @@ def test_certify_bound_refutes_by_plane_outside_dim_four():
         value = cv.sec(R, cv.TwoPlane(np.array(plane["x"]),
                                       np.array(plane["y"])))
         assert value < 0.5 - 1e-9
+
+
+def test_hierarchy_refutation_carries_its_own_witness(monkeypatch):
+    # with the plane search out of the way the hierarchy refutes; its
+    # witness comes from the same assembly, one K(R) per level
+    R = fixture_operator("identity", 5)
+    monkeypatch.setattr(ce, "sec_extremes", lambda *args, **kwargs:
+                        SimpleNamespace(min_value=math.inf))
+    assembled = []
+    real = wz.curvature_term
+    monkeypatch.setattr(wz, "curvature_term", lambda S, space: (
+        assembled.append(space.p) or real(S, space)))
+    cert = ce.certify_bound(R, 1.05, p_max=3)
+    assert cert.refuted and cert.method == "hierarchy"
+    assert assembled == [1, 2, 3]
+    direction = cert.witness["eigen_direction"]
+    assert direction["p"] == 1
+    assert direction["value"] == pytest.approx(-0.05 * 4, abs=1e-10)
+    assert ce.hierarchy_check(R, 1.05, p_max=3).witness.to_dict() == direction
 
 
 def test_certify_bound_rejects_bad_direction():

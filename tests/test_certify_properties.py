@@ -1,0 +1,86 @@
+"""Invariants of the n = 4 certificates, as property tests.
+
+Bounds are drawn at ``k = min sec + offset * |R|_2`` with the offset
+either 0 (inside the tolerance band) or at least 1e-6 away from it, so a
+verdict never rests on rounding at the edge of the band.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curvelab import certify as ce
+from curvelab import curvature as cv
+
+from conftest import random_operator, random_rotation
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+seeds = st.integers(0, 2**32 - 1)
+scales = st.sampled_from([1e-12, 1.0, 1e8])
+offsets = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]),
+              st.floats(1e-6, 1.0)),
+)
+
+
+def query(seed, scale, offset):
+    R = random_operator(4, np.random.default_rng(seed), scale=scale)
+    norm = float(np.linalg.norm(R.mat, 2))
+    exact, _ = ce.thorpe_sec_min(R)
+    return R, norm, exact, exact + offset * norm
+
+
+def plane_sec(R, cert):
+    plane = cert.witness["plane"]
+    return cv.sec(R, cv.TwoPlane(np.array(plane["x"]), np.array(plane["y"])))
+
+
+@PROPERTY
+@given(seeds, scales, offsets, st.booleans())
+def test_refutation_plane_attains_the_exact_minimum(seed, scale, offset,
+                                                    strict):
+    R, norm, exact, k = query(seed, scale, offset)
+    cert = ce.certify_bound(R, k, strict=strict)
+    if not cert.refuted:
+        return
+    value = plane_sec(R, cert)          # TwoPlane checks orthonormality
+    assert value < k
+    assert abs(value - exact) <= 1e-10 * norm
+    assert cert.witness["plane"]["sec"] == pytest.approx(value, abs=1e-12 * norm)
+
+
+@PROPERTY
+@given(seeds, scales, offsets, st.booleans())
+def test_le_on_minus_r_mirrors_ge(seed, scale, offset, strict):
+    R, _, _, k = query(seed, scale, offset)
+    ge = ce.certify_bound(R, k, strict=strict)
+    le = ce.certify_bound(cv.CurvatureOperator(4, -R.mat), -k,
+                          direction="le", strict=strict)
+    assert le.verdict == ge.verdict and le.method == ge.method
+    if ge.refuted:
+        assert le.witness["plane"]["sec"] == -ge.witness["plane"]["sec"]
+
+
+@PROPERTY
+@given(seeds, scales, offsets, st.booleans(), st.booleans())
+def test_verdict_is_rotation_invariant(seed, scale, offset, strict, reflect):
+    R, _, _, k = query(seed, scale, offset)
+    Q = random_rotation(4, np.random.default_rng([seed, 1]))
+    if reflect:
+        Q[:, 0] = -Q[:, 0]
+    L = cv.lambda2_matrix(4, Q)
+    rotated = cv.CurvatureOperator(4, L @ R.mat @ L.T)
+    assert (ce.certify_bound(rotated, k, strict=strict).verdict
+            == ce.certify_bound(R, k, strict=strict).verdict)
+
+
+@PROPERTY
+@given(seeds, scales, offsets, seeds)
+def test_seed_changes_no_n4_certificate(seed, scale, offset, other):
+    R, _, _, k = query(seed, scale, offset)
+    for direction in ("ge", "le"):
+        assert (ce.certify_bound(R, k, direction=direction, seed=other).to_dict()
+                == ce.certify_bound(R, k, direction=direction).to_dict())

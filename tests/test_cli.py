@@ -183,6 +183,24 @@ def test_kterm_oversized_space_exits_two(capsys):
     assert "exceeds the CLI limit" in err
 
 
+def test_certify_oversized_hierarchy_exits_two(capsys, monkeypatch):
+    # Harm^6 R^5 is carved out of Sym^6 R^5, of dimension 210
+    monkeypatch.setattr(cli, "MAX_KTERM_DIM", 100)
+    code, out, err = run(capsys, "certify", "RL", "--n", "5", "--k", "-0.9",
+                         "--pmax", "6")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the CLI limit" in err
+    code, _, err = run(capsys, "certify", "RL", "--n", "5", "--k", "-0.9",
+                       "--pmax", "-1")
+    assert code == 2
+    assert "expected an integer >= 0" in err
+    # n = 4 runs no hierarchy, so --pmax is not limited there
+    code, _, _ = run(capsys, "certify", "identity", "--n", "4", "--k", "0.5",
+                     "--pmax", "99")
+    assert code == 0
+
+
 def test_kterm_invalid_degree_exits_two(capsys):
     code, _, err = run(capsys, "kterm", "identity", "--rep", "wedge",
                        "--p", "9", "--n", "4")
