@@ -12,15 +12,16 @@ Three engines cooperate:
   optimum's bottom eigenspace.  For other n the engine takes omega = 0,
   which is sufficient only.
 
-* ``sec_extremes`` (refutations for n != 4): minimization of the
+* the plane search (refutations for n != 4): minimization of the
   sectional curvature over the Grassmannian of 2-planes by alternating
   exact eigen-steps, batched over random restarts.  With x fixed,
   sec(x, .) is the quadratic form of the Jacobi matrix ``L_x^T R L_x``
   (``L_x y = x ^ y``), so the best y is its bottom eigenvector on
   x^perp; then x and y swap roles.  The value never increases and there
-  is no step size.  Produces extremal planes as witnesses.
+  is no step size.  ``certify_bound`` runs the minimizing search only;
+  ``sec_extremes`` also runs it on -R and reports both extremal planes.
 
-* ``hierarchy_check`` (n != 4, beside the plane search): nonnegativity of
+* ``hierarchy_check`` (n != 4, when no plane refutes): nonnegativity of
   the curvature terms ``K(R - k Id, Harm^p)`` for p = 1, 2, ... is
   necessary for ``sec >= k`` (p = 1 is the Ricci test).  A negative
   eigenvalue at any level refutes the bound, with its eigenpolynomial as
@@ -185,26 +186,31 @@ def _random_frames(n, count, rng):
     return np.ascontiguousarray(q[:, :, 0]), np.ascontiguousarray(q[:, :, 1])
 
 
+def _sec_min(R, restarts, rng):
+    """Lowest sec reached by ``_descend`` from ``restarts`` random frames
+    drawn from rng: (value, plane, converged starts), where value is
+    ``sec`` of the returned orthonormal plane."""
+    x, y = _random_frames(R.n, restarts, rng)
+    f, x, y, converged = _descend(R.mat, x, y)
+    b = int(np.argmin(f))
+    plane = TwoPlane.orthonormalized(x[b], y[b])
+    return sec(R, plane), plane, converged
+
+
 def sec_extremes(R, restarts=100, seed=None):
     """Extremal sectional curvatures with extremal planes as witnesses.
 
     Alternating exact eigen-steps from ``restarts`` random frames: one
-    run on R for the minimum, one on -R for the maximum.  Each reported
-    value is ``sec`` of the reported plane.
+    run on R for the minimum, then one on -R for the maximum.  Each
+    reported value is ``sec`` of the reported plane.
     """
     rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-
-    def run(mat):
-        x, y = _random_frames(R.n, restarts, rng)
-        f, x, y, converged = _descend(mat, x, y)
-        b = int(np.argmin(f))
-        return TwoPlane.orthonormalized(x[b], y[b]), converged
-
-    min_plane, conv_min = run(R.mat)
-    max_plane, conv_max = run(-R.mat)
+    min_value, min_plane, conv_min = _sec_min(R, restarts, rng)
+    neg_max, max_plane, conv_max = _sec_min(
+        CurvatureOperator(R.n, -R.mat), restarts, rng)
     return SecExtremes(
-        min_value=sec(R, min_plane),
-        max_value=sec(R, max_plane),
+        min_value=min_value,
+        max_value=-neg_max,
         min_plane=min_plane,
         max_plane=max_plane,
         restarts=restarts,
@@ -392,6 +398,10 @@ def witness_search(R, k, p_max=6, tol=None):
     return hierarchy_check(R, k, p_max=p_max, tol=tol).witness
 
 
+# Random starts of the plane search in ``certify_bound`` (n != 4).
+_PLANE_RESTARTS = 40
+
+
 def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     """Top-level bound decision for an operator.
 
@@ -402,8 +412,10 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     certified when ``mu > tol``, or ``mu >= -tol`` if not strict; a strict
     query inside that band is inconclusive, since equality cannot be told
     from a strict margin at working precision.  Below the band, n = 4 is
-    refuted by the plane read off the optimum; other n try a plane below
-    ``k - tol`` and then the hierarchy, and an all-pass is inconclusive.
+    refuted by the plane read off the optimum.  Other n first search for
+    a plane below ``k - tol`` (a minimizing run only) and refute with it,
+    with no ``hierarchy`` in the witness; only when no plane refutes does
+    the hierarchy run, and its all-pass is inconclusive.
     ``direction="le"`` is handled by negating the operator and the bound.
     """
     if direction not in ("ge", "le"):
@@ -447,12 +459,13 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     if R.n == 4:
         witness["plane"] = _plane_doc(R, _thorpe_plane(S, t_star, tol))
         return decide("refuted")
+    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+    value, plane, _ = _sec_min(R, _PLANE_RESTARTS, rng)
+    if value < k - tol:
+        witness["plane"] = _plane_doc(R, plane)
+        return decide("refuted", "grassmann_opt", plane_margin=tol)
     hier = hierarchy_check(R, k, p_max=p_max, tol=tol)
     witness["hierarchy"] = hier.to_dict()
-    ext = sec_extremes(R, restarts=40, seed=seed)
-    if ext.min_value < k - tol:
-        witness["plane"] = _plane_doc(R, ext.min_plane)
-        return decide("refuted", "grassmann_opt", plane_margin=tol)
     if hier.witness is not None:
         witness["eigen_direction"] = hier.witness.to_dict()
     return decide(hier.verdict, "hierarchy")

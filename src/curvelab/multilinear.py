@@ -1,8 +1,8 @@
 """Representation spaces of so(n) and their infinitesimal generator matrices.
 
 Three families of orthogonal representations are supported, each with an
-explicit orthonormal basis; the first two carry sparse skew-symmetric
-generator matrices ``D[(i, j)]`` for the standard basis of so(n):
+explicit orthonormal basis; the first two carry the skew-symmetric
+generator matrices ``D_a`` of the standard basis ``a = (i, j)`` of so(n):
 
 * exterior powers of R^n, with the wedge basis ``e_{i1} ^ ... ^ e_{ip}``
   over strictly increasing index tuples in lexicographic order;
@@ -15,7 +15,9 @@ generator matrices ``D[(i, j)]`` for the standard basis of so(n):
   the ambient ones restricted to it and are not stored.
 
 On the first two, the generators have pairwise disjoint supports, so all
-of them share one sparse pattern (``RepSpace.pattern``).
+of them are stored once, as one shared pattern (``RepSpace.pattern``):
+row m lists the entries ``D_a[m, i]`` of every generator, each with its
+column i, its value and the generator a that owns it.
 
 The generator ``A[(i, j)]`` of so(n) is the matrix with ``+1`` in entry
 ``(i, j)`` and ``-1`` in entry ``(j, i)``, so ``A e_j = e_i`` and
@@ -31,9 +33,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +358,20 @@ def harmonic_projection(poly):
 # representation spaces
 
 
+class Pattern(NamedTuple):
+    """All generators of a space in row-padded form, each of shape (dim, w).
+
+    Slot s of row m holds one entry ``D_a[m, i]``: ``cols[m, s] = i``,
+    ``vals[m, s]`` its value and ``pair[m, s] = a``.  w is the largest
+    number of entries in a row; shorter rows are padded with ``val = 0``
+    (and column and pair 0).
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+    pair: np.ndarray
+
+
 class RepSpace:
     """An orthogonal representation of so(n) on an explicit orthonormal basis.
 
@@ -371,18 +387,12 @@ class RepSpace:
         Wedge index tuples or monomial exponent tuples.  For "traceless"
         this is the monomial basis of the ambient symmetric power.
     pairs : list of (i, j)
-        so(n) basis labels, aligned with ``action_list``.
-    action : dict or None
-        ``(i, j) -> scipy.sparse.csr_matrix`` skew generator matrices.
+        so(n) basis labels; ``pattern.pair`` indexes into this list.
+    pattern : Pattern or None
+        The generators ``D_a``, stored once: their supports are pairwise
+        disjoint, so each position belongs to at most one generator.
         None for "traceless": its generators are the ambient ones
         restricted by ``change_of_basis``, and are never formed.
-    pattern : scipy.sparse.csr_matrix or None
-        Sum of all generators.  Their supports are pairwise disjoint, so
-        every combination ``sum_a c_a D_a`` is this matrix with its data
-        multiplied by ``c[pattern_pair]``.
-    pattern_pair : ndarray or None
-        For each stored entry of ``pattern``, the position in ``pairs`` of
-        the one generator it belongs to.
     change_of_basis : ndarray or None
         For "traceless": rows are the orthonormal harmonic basis vectors in
         normalized-monomial coordinates of the ambient symmetric power.
@@ -397,42 +407,34 @@ class RepSpace:
         self.basis = basis
         self.pairs = pair_basis(n)
         self.change_of_basis = change_of_basis
-        self.action = self.action_list = None
-        self.pattern = self.pattern_pair = None
+        self.pattern = None
         if entries is not None:
-            self._set_generators(*entries)
+            self._set_pattern(*entries)
 
-    def _set_generators(self, rows, cols, vals, pair):
-        """Per-pair generators and their shared pattern from COO entries.
+    def _set_pattern(self, rows, cols, vals, pair):
+        """The shared row-padded pattern from COO entries.
 
-        ``pair[e]`` is the generator of entry e; entries arrive grouped by
-        generator in ``pairs`` order.  Raises if two entries share a
-        position, which would break the shared-pattern assembly.
+        ``pair[e]`` is the generator of entry e.  Raises if two entries
+        share a position, which would break the shared-pattern assembly.
         """
         rows, cols, pair = (np.asarray(a, dtype=np.int64)
                             for a in (rows, cols, pair))
         vals = np.asarray(vals, dtype=float)
-        shape = (self.dim, self.dim)
-        bounds = np.searchsorted(pair, np.arange(len(self.pairs) + 1))
-        self.action_list = [
-            sparse.csr_matrix((vals[lo:hi], (rows[lo:hi], cols[lo:hi])),
-                              shape=shape)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        self.action = dict(zip(self.pairs, self.action_list))
         order = np.lexsort((cols, rows))
-        key = rows[order] * self.dim + cols[order]
+        rows, cols, vals, pair = (a[order] for a in (rows, cols, vals, pair))
+        key = rows * self.dim + cols
         if np.any(key[1:] == key[:-1]):
             raise RuntimeError(
                 f"generator supports overlap on {self!r}; the shared "
                 "pattern needs pairwise disjoint supports"
             )
-        indptr = np.zeros(self.dim + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
-        self.pattern = sparse.csr_matrix(
-            (vals[order], cols[order], indptr), shape=shape
-        )
-        self.pattern_pair = pair[order]
+        counts = np.bincount(rows, minlength=self.dim)
+        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        shape = (self.dim, int(counts.max(initial=0)))
+        self.pattern = Pattern(np.zeros(shape, dtype=np.int64),
+                               np.zeros(shape), np.zeros(shape, dtype=np.int64))
+        for padded, entry in zip(self.pattern, (cols, vals, pair)):
+            padded[rows, slot] = entry
 
     def __repr__(self):
         return f"RepSpace({self.kind}, n={self.n}, p={self.p}, dim={self.dim})"
@@ -447,7 +449,7 @@ def _check_np(n, p):
 
 @lru_cache(maxsize=None)
 def build_exterior(n, p):
-    """Exterior power with wedge basis and sparse generator matrices."""
+    """Exterior power with wedge basis and its generator pattern."""
     _check_np(n, p)
     if p > n:
         raise ValueError(f"exterior power needs p <= n, got p={p}, n={n}")
@@ -513,23 +515,21 @@ def build_symmetric(n, p):
                     (rows, cols, vals, pair))
 
 
-@lru_cache(maxsize=None)
 def r2_multiplication_matrix(n, p):
-    """Multiplication by r^2 from Sym^p to Sym^{p+2}, orthonormal coordinates."""
+    """Multiplication by r^2 from Sym^p to Sym^{p+2}, orthonormal coordinates.
+
+    Dense, and not cached, so no copy outlives its caller.
+    """
     src = monomial_basis(n, p)
     dst = monomial_basis(n, p + 2)
     index = {exps: k for k, exps in enumerate(dst)}
-    rows, cols, vals = [], [], []
+    M = np.zeros((len(dst), len(src)))
     for col, exps in enumerate(src):
         for i in range(n):
             tgt = list(exps)
             tgt[i] += 2
-            rows.append(index[tuple(tgt)])
-            cols.append(col)
-            vals.append(math.sqrt((exps[i] + 1) * (exps[i] + 2)))
-    return sparse.csr_matrix(
-        (np.array(vals), (rows, cols)), shape=(len(dst), len(src))
-    )
+            M[index[tuple(tgt)], col] = math.sqrt((exps[i] + 1) * (exps[i] + 2))
+    return M
 
 
 @lru_cache(maxsize=None)
@@ -548,7 +548,7 @@ def build_traceless(n, p):
     if p < 2:
         C = np.eye(amb.dim)
     else:
-        M = r2_multiplication_matrix(n, p - 2).toarray()
+        M = r2_multiplication_matrix(n, p - 2)
         U = np.linalg.svd(M, full_matrices=True)[0]
         C = U[:, M.shape[1] :].T  # rows: orthonormal basis of the complement
     dim = C.shape[0]

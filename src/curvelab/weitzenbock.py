@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import multilinear as ml
 from .curvature import ricci
@@ -51,26 +50,39 @@ class SymmetricEndomorphism:
         )
 
 
-def _assemble(Rmat, space):
-    """Dense matrix of -sum_ab R_ab D_a D_b from sparse generators.
+# Products per gather/scatter in ``_assemble`` (rows of K times w^2): its
+# transients, a few arrays of this many 8-byte entries, stay at a few MB
+# whatever the space.
+_CHUNK_PRODUCTS = 1 << 16
 
-    The generators have pairwise disjoint supports, so for each b the
-    combination ``Y_b = sum_a R_ab D_a`` is the space's shared pattern
-    with its data scaled entrywise; no sparse sums are formed.
+
+def _assemble(Rmat, space):
+    """Dense matrix of -sum_ab R_ab D_a D_b from the shared pattern.
+
+    The generators are skew, so the sum is ``sum_m A_m^T R A_m`` with
+    ``A_m[a, i] = D_a[m, i]``, row m of every generator.  Supports are
+    disjoint, so A_m has at most one entry per column i, owned by one
+    generator ``a = pair_mi``, and
+
+        K[i, j] = sum_m v_mi v_mj R[pair_mi, pair_mj].
+
+    Skewness also gives the m with ``v_mi != 0``: they are the columns of
+    pattern row i, with ``v_mi = -D[i, m]``.  So a chunk of rows of K is
+    one gather (pattern rows i, the rows m they list, and R) and one
+    scatter into those rows of K alone.
     """
-    S = space.pattern
-    label = space.pattern_pair
-    K = np.zeros((space.dim, space.dim))
-    for b, D in enumerate(space.action_list):
-        coeff = Rmat[label, b]
-        if not coeff.any():
-            continue
-        Y = sparse.csr_matrix((S.data * coeff, S.indices, S.indptr),
-                              shape=S.shape)
-        # a sparse product stores each position once, so the scatter
-        # below never drops a repeated index
-        P = (Y @ D).tocoo()
-        K[P.row, P.col] -= P.data
+    cols, vals, pair = space.pattern
+    dim, N = space.dim, Rmat.shape[0]
+    R = Rmat.ravel()
+    K = np.empty((dim, dim))
+    step = max(1, _CHUNK_PRODUCTS // max(1, cols.shape[1]) ** 2)
+    for lo in range(0, dim, step):
+        m, v, p = (a[lo:lo + step] for a in (cols, vals, pair))
+        rows = m.shape[0]
+        W = -v[:, :, None] * vals[m] * R[p[:, :, None] * N + pair[m]]
+        at = np.arange(rows)[:, None, None] * dim + cols[m]
+        K[lo:lo + rows] = np.bincount(at.ravel(), W.ravel(),
+                                      rows * dim).reshape(rows, dim)
     return K
 
 
@@ -78,7 +90,7 @@ def curvature_term(R, space):
     """Assemble K(R, V) on a representation space as a symmetric matrix.
 
     For traceless spaces the sum is assembled on the ambient symmetric
-    power (where the generators are sparse) and conjugated onto the
+    power (where the generators are stored) and conjugated onto the
     harmonic basis, which the generators preserve.
     """
     if R.n != space.n:
@@ -136,7 +148,7 @@ def _tower_transform(n, p):
         cols = ml.build_traceless(n, k).change_of_basis.T
         j = k
         while j < p:
-            cols = ml.r2_multiplication_matrix(n, j).toarray() @ cols
+            cols = ml.r2_multiplication_matrix(n, j) @ cols
             j += 2
         q = np.linalg.qr(cols)[0]
         blocks.append(q)

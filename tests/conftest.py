@@ -21,6 +21,17 @@ def random_rotation(n, rng):
     return Q
 
 
+def dense_generators(space):
+    """Dense generators D_a, one per so(n) pair, rebuilt from a space's
+    row-padded pattern; padding slots (value 0) are skipped."""
+    cols, vals, pair = space.pattern
+    rows = np.broadcast_to(np.arange(space.dim)[:, None], cols.shape)
+    real = vals != 0
+    gens = np.zeros((len(space.pairs), space.dim, space.dim))
+    gens[pair[real], rows[real], cols[real]] = vals[real]
+    return gens
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC04A7)

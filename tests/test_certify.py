@@ -1,7 +1,6 @@
 """Star-shift certification, Grassmannian optimization, hierarchy checks."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -375,8 +374,8 @@ def test_hierarchy_refutation_carries_its_own_witness(monkeypatch):
     # with the plane search out of the way the hierarchy refutes; its
     # witness comes from the same assembly, one K(R) per level
     R = fixture_operator("identity", 5)
-    monkeypatch.setattr(ce, "sec_extremes", lambda *args, **kwargs:
-                        SimpleNamespace(min_value=math.inf))
+    monkeypatch.setattr(ce, "_sec_min", lambda *args, **kwargs:
+                        (math.inf, None, 0))
     assembled = []
     real = wz.curvature_term
     monkeypatch.setattr(wz, "curvature_term", lambda S, space: (

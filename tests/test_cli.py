@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -352,3 +354,35 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert stdout == ""
     doc = json.loads(out_path.read_text())
     assert doc["lambda_min"] == pytest.approx(4.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# process start
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from curvelab import cli
+codes = []
+for argv in (["decompose", "s2xs2"],
+             ["kterm", "RL", "--n", "5", "--rep", "sym0", "--p", "3"],
+             ["certify", "RL", "--n", "5", "--k", "-0.9"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_cli_commands_never_import_scipy():
+    # scipy costs a CLI process more than its own work does; none of these
+    # commands (K(R) on Harm^p and an n = 5 plane refutation included)
+    # may load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 1]
+    assert result["scipy"] == []

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from curvelab import multilinear as ml
 
-from conftest import random_rotation
+from conftest import dense_generators, random_rotation
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def _as_dense(space):
         C = space.change_of_basis
         amb = _as_dense(ml.build_symmetric(space.n, space.p))
         return {pair: C @ D @ C.T for pair, D in amb.items()}
-    return {pair: space.action[pair].toarray() for pair in space.pairs}
+    return dict(zip(space.pairs, dense_generators(space)))
 
 
 @pytest.mark.parametrize("build,n,p", [
@@ -295,7 +295,7 @@ def test_symmetric_generator_entries_match_ladder_formula():
     # moving one power from slot j to slot i carries sqrt(l_j (l_i + 1))
     n, p = 3, 2
     space = ml.build_symmetric(n, p)
-    D = np.asarray(space.action[(1, 2)].todense())
+    D = _as_dense(space)[(1, 2)]
     basis = ml.monomial_basis(n, p)
     src = basis.index((1, 1, 0))
     dst = basis.index((2, 0, 0))
@@ -319,8 +319,7 @@ def test_harmonic_subspace_is_invariant(n, p):
     sym = ml.build_symmetric(n, p)
     tr = ml.build_traceless(n, p)
     P = tr.change_of_basis.T @ tr.change_of_basis
-    for pair in sym.pairs:
-        D = np.asarray(sym.action[pair].todense())
+    for D in dense_generators(sym):
         leak = (np.eye(sym.dim) - P) @ D @ P
         assert np.abs(leak).max() < 1e-10
 
@@ -330,8 +329,7 @@ def test_casimir_is_scalar_on_irreducibles():
     n = 4
     for p in (1, 2, 3):
         space = ml.build_exterior(n, p)
-        cas = sum(-np.asarray((space.action[q] @ space.action[q]).todense())
-                  for q in space.pairs)
+        cas = sum(-D @ D for D in dense_generators(space))
         np.testing.assert_allclose(cas, p * (n - p) * np.eye(space.dim),
                                    atol=1e-12)
     for p in (1, 2, 3):

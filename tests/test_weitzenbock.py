@@ -12,7 +12,7 @@ from curvelab.curvature import CurvatureOperator, ricci
 from curvelab.fixtures import fixture_operator
 from curvelab.multilinear import pair_index
 
-from conftest import random_operator, random_rotation
+from conftest import dense_generators, random_operator, random_rotation
 
 
 def test_output_is_symmetric_with_recorded_defect(rng):
@@ -60,7 +60,7 @@ def _random_mat(n, rng):
 
 def _dense_reference(Rmat, space):
     """-sum_ab R_ab D_a D_b from dense copies of the generators."""
-    gens = [D.toarray() for D in space.action_list]
+    gens = dense_generators(space)
     K = np.zeros((space.dim, space.dim))
     for a, Da in enumerate(gens):
         for b, Db in enumerate(gens):
@@ -100,6 +100,19 @@ def test_traceless_assembly_matches_dense_reference(n, p, rng):
 
 
 @pytest.mark.parametrize("build,n,p", [
+    (ml.build_exterior, 6, 3), (ml.build_symmetric, 4, 3),
+])
+def test_assembly_in_row_chunks_matches_dense_reference(build, n, p, rng,
+                                                         monkeypatch):
+    # one row of K per gather/scatter, as on spaces with wide pattern rows
+    monkeypatch.setattr(wz, "_CHUNK_PRODUCTS", 1)
+    space = build(n, p)
+    R = CurvatureOperator(n, _random_mat(n, rng))
+    _assert_matches(wz.curvature_term(R, space).mat,
+                    _dense_reference(R.mat, space))
+
+
+@pytest.mark.parametrize("build,n,p", [
     (ml.build_exterior, 5, 2), (ml.build_exterior, 6, 3),
     (ml.build_symmetric, 2, 3), (ml.build_symmetric, 4, 3),
 ])
@@ -107,14 +120,16 @@ def test_generator_supports_are_pairwise_disjoint(build, n, p):
     # the shared-pattern assembly relies on this: every entry of the
     # pattern belongs to exactly one generator
     space = build(n, p)
-    gens = [D.toarray() for D in space.action_list]
+    gens = dense_generators(space)
     owners = sum((D != 0).astype(int) for D in gens)
     assert owners.max() == 1
-    np.testing.assert_array_equal(space.pattern.toarray(), sum(gens))
-    rows = np.repeat(np.arange(space.dim), np.diff(space.pattern.indptr))
-    for r, c, v, a in zip(rows, space.pattern.indices, space.pattern.data,
-                          space.pattern_pair):
-        assert gens[a][r, c] == v
+    # no position is stored twice, and every stored entry is its owner's
+    cols, vals, pair = space.pattern
+    rows = np.broadcast_to(np.arange(space.dim)[:, None], cols.shape)
+    real = vals != 0
+    assert real.sum() == owners.sum()
+    np.testing.assert_array_equal(gens[pair[real], rows[real], cols[real]],
+                                  vals[real])
 
 
 def test_overlapping_generator_supports_rejected():
