@@ -23,10 +23,13 @@ Three engines cooperate:
 
 * ``hierarchy_check`` (n != 4, when no plane refutes): nonnegativity of
   the curvature terms ``K(R - k Id, Harm^p)`` for p = 1, 2, ... is
-  necessary for ``sec >= k`` (p = 1 is the Ricci test).  A negative
-  eigenvalue at any level refutes the bound, with its eigenpolynomial as
-  witness; an all-pass is only a necessary-condition pass and is
-  reported as ``inconclusive_for_certification``.
+  necessary for ``sec >= k`` (p = 1 is the Ricci test).  Since
+  ``K(Id, Harm^p) = p (p + n - 2) Id``, level p is
+  ``lambda_min K(R, Harm^p) - k p (p + n - 2)``: the assembly and the
+  eigensolve do not depend on k.  A negative row at any level refutes
+  the bound, with its eigenpolynomial as witness; an all-pass is only a
+  necessary-condition pass and is reported as
+  ``inconclusive_for_certification``.
 
 Every eigenvalue test uses ``tol = 1e-9 * max(|R|_2, |k|)``.
 """
@@ -40,37 +43,18 @@ import numpy as np
 
 from . import multilinear as ml
 from . import weitzenbock as wz
-from .curvature import CurvatureOperator, TwoPlane, sec
-from .multilinear import pair_index
+from .curvature import CurvatureOperator, TwoPlane, four_form_matrix, sec
 
 DEFAULT_SEED = 0xC04A7
 
 
 # ---------------------------------------------------------------------------
-# Hodge star and self-dual splitting (n = 4)
+# Hodge star (n = 4)
 
 
 def hodge_star_matrix():
     """Matrix of the Hodge star on two-forms of R^4 in the pair basis."""
-    star = np.zeros((6, 6))
-    for (a, b, s) in (
-        ((1, 2), (3, 4), 1.0),
-        ((1, 3), (2, 4), -1.0),
-        ((1, 4), (2, 3), 1.0),
-    ):
-        ia, ib = pair_index(4, *a), pair_index(4, *b)
-        star[ia, ib] = s
-        star[ib, ia] = s
-    return star
-
-
-def selfdual_split(alpha):
-    """Split a two-form of R^4 into self-dual and anti-self-dual parts."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (6,):
-        raise ValueError("expected a 6-vector in the pair basis")
-    sa = hodge_star_matrix() @ alpha
-    return 0.5 * (alpha + sa), 0.5 * (alpha - sa)
+    return four_form_matrix(4)
 
 
 # ---------------------------------------------------------------------------
@@ -352,27 +336,29 @@ class HierarchyResult:
 def hierarchy_check(R, k, p_max=6, tol=None):
     """Least eigenvalues of K(R - k Id, Harm^p) for p = 1..p_max.
 
-    p = 1 is the Ricci test.  Any eigenvalue below ``-tol`` (default
+    ``K(Id, Harm^p) = p (p + n - 2) Id``, so each row is
+    ``lambda_min K(R, Harm^p) - k p (p + n - 2)``, and R - k Id is never
+    formed.  p = 1 is the Ricci test.  Any row below ``-tol`` (default
     ``1e-9 * max(|R|_2, |k|)``) refutes ``sec >= k``; all-nonnegative
     rows are necessary-condition passes only, never a certification.  At
-    the first refuting level the eigenpolynomial of the most negative
-    eigenvalue is kept as ``witness``.
+    the first refuting level the eigenpolynomial of the least eigenvalue
+    is kept as ``witness``.
     """
     if tol is None:
         tol = _eig_tol(R, k)
     n = R.n
-    S = CurvatureOperator(n, R.mat - k * np.eye(R.N))
     rows = []
     refuted_at = witness = None
     for p in range(1, p_max + 1):
         space = ml.build_traceless(n, p)
-        K = wz.curvature_term(S, space)
-        lam = K.lambda_min()
+        K = wz.curvature_term(R, space)
+        shift = k * p * (p + n - 2)
+        lam = K.lambda_min() - shift
         rows.append((p, lam))
         if refuted_at is None and lam < -tol:
             refuted_at = p
             vals, vecs = np.linalg.eigh(K.mat)
-            witness = Witness(p=p, value=float(vals[0]),
+            witness = Witness(p=p, value=float(vals[0]) - shift,
                               poly=ml.coords_to_polynomial(space, vecs[:, 0]))
     return HierarchyResult(n=n, k=k, p_max=p_max, rows=rows,
                           refuted_at=refuted_at, tol=tol, witness=witness)

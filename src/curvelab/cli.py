@@ -42,7 +42,7 @@ from .closedform import random_operator, verify_thmB
 from .curvature import CurvatureOperator, decompose
 from .fixtures import ALIASES, FIXTURES, fixture_operator
 from .littlewood import verify_lemma_sym, verify_lemma_wedge
-from .spherical import c_constant, verify_integral_formula
+from .spherical import verify_integral_formula
 
 BASIS_TAG = "lex-pairs"
 CONVENTION_TAG = "sec(X∧Y)=R(X∧Y,X∧Y)"
@@ -138,7 +138,7 @@ def load_operator(source, n):
 
 
 def emit(doc, out_path):
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    text = json.dumps(doc, allow_nan=False)
     if out_path is None:
         sys.stdout.write(text + "\n")
         return
@@ -198,7 +198,7 @@ def _check_build_dimension(rep, n, p):
     """
     if p < 0:
         raise InputError(f"degree {p} (rep={rep}): expected an integer >= 0")
-    dim = math.comb(n, p) if rep == "wedge" else math.comb(n + p - 1, p)
+    dim = ml.dim_exterior(n, p) if rep == "wedge" else ml.dim_symmetric(n, p)
     if dim > MAX_KTERM_DIM:
         raise InputError(
             f"space of dimension {dim} exceeds the CLI limit "
@@ -209,13 +209,8 @@ def _check_build_dimension(rep, n, p):
 
 def cmd_kterm(args):
     R = load_operator(args.input, args.n)
-    builders = {
-        "wedge": ml.build_exterior,
-        "sym": ml.build_symmetric,
-        "sym0": ml.build_traceless,
-    }
     _check_build_dimension(args.rep, R.n, args.p)
-    space = builders[args.rep](R.n, args.p)
+    space = kn.space_for(args.rep, R.n, args.p)
     K = wz.curvature_term(R, space)
     spectrum = np.sort(np.linalg.eigvalsh(K.mat))
     doc = {
@@ -228,7 +223,7 @@ def cmd_kterm(args):
         "lambda_min": float(spectrum[0]),
     }
     if args.rep == "sym":
-        bs = wz.block_structure(R, args.p)
+        bs = wz.block_structure(R, K)
         doc["blocks"] = {
             "degrees": bs.degrees,
             "dims": bs.block_dims,
@@ -263,7 +258,7 @@ def cmd_verify(args):
             worst = max(worst, rep.worst)
             ok = ok and rep.passed
             rows.append({"p": p, "worst_rel": rep.worst, "passed": rep.passed,
-                         "c_constant": c_constant(args.n, p)})
+                         "c_constant": rep.c})
         doc.update({"n": args.n, "rows": rows, "worst_rel": worst,
                     "tol": 1e-7, "passed": ok})
     elif args.suite == "lemmas":

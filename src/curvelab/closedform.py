@@ -30,35 +30,18 @@ from . import weitzenbock as wz
 from .curvature import CurvatureOperator, decompose
 
 
-@dataclass(frozen=True)
-class ThmBCoefficients:
-    """Coefficient sets of the two closed forms at a given (n, p)."""
-
-    n: int
-    p: int
-    wedge: tuple | None  # (A', B', C', D') or None outside 2 <= p <= n-2
-    sym: tuple           # (A, B, C)
-
-    @classmethod
-    def for_np(cls, n, p):
-        if p < 2:
-            raise ValueError("closed forms need p >= 2")
-        w = None
-        if 2 <= p <= n - 2:
-            w = (2.0 * (n - p) / (p - 1), (n - 2.0 * p) / (p - 1), -2.0, 4.0)
-        s = ((n + p - 2.0) / (n * (p - 1)), (n + 2.0 * p - 4) / (n * (p - 1)), 1.0)
-        return cls(n=n, p=p, wedge=w, sym=s)
-
-
 def wedge_coefficients(n, p):
-    c = ThmBCoefficients.for_np(n, p).wedge
-    if c is None:
+    """(A', B', C', D') of the exterior closed form, for 2 <= p <= n-2."""
+    if not 2 <= p <= n - 2:
         raise ValueError(f"wedge closed form needs 2 <= p <= n-2, got p={p}, n={n}")
-    return c
+    return (2.0 * (n - p) / (p - 1), (n - 2.0 * p) / (p - 1), -2.0, 4.0)
 
 
 def sym_coefficients(n, p):
-    return ThmBCoefficients.for_np(n, p).sym
+    """(A, B, C) of the traceless symmetric closed form, for p >= 2."""
+    if p < 2:
+        raise ValueError("closed forms need p >= 2")
+    return ((n + p - 2.0) / (n * (p - 1)), (n + 2.0 * p - 4) / (n * (p - 1)), 1.0)
 
 
 def thmB_wedge_rhs(R, p):
@@ -68,7 +51,7 @@ def thmB_wedge_rhs(R, p):
     d = decompose(R)
     bracket = A * d.r_u + B * d.r_l + C * d.r_w + D * d.r_w4
     elt = kn.KNElement("wedge", n, 2, bracket)
-    out = kn.kn_wedge(elt, kn.identity_element("wedge", n, p - 2))
+    out = kn.kn_product(elt, kn.identity_element("wedge", n, p - 2))
     return wz.SymmetricEndomorphism(ml.build_exterior(n, p), out.mat)
 
 
@@ -84,8 +67,8 @@ def thmB_sym_rhs(R, p):
         + C * wz.curvature_term(CurvatureOperator(n, d.r_w), harm2).mat
     )
     elt = kn.KNElement("sym0", n, 2, combined)
-    out = kn.kn_vee(elt, kn.identity_element("sym0", n, p - 2))
-    return wz.SymmetricEndomorphism(harm2 if p == 2 else ml.build_traceless(n, p), out.mat)
+    out = kn.kn_product(elt, kn.identity_element("sym0", n, p - 2))
+    return wz.SymmetricEndomorphism(ml.build_traceless(n, p), out.mat)
 
 
 def _spectral_distance(a, b):
@@ -161,25 +144,17 @@ def verify_thmB(n_values=(4, 5, 6), p_values=(2, 3, 4), trials=10, seed=0,
             if p < 2:
                 continue
             ops = [random_operator(n, rng) for _ in range(trials)]
-            if 2 <= p <= n - 2:
+            cases = [("sym0", ml.build_traceless(n, p), thmB_sym_rhs)]
+            if p <= n - 2:
+                cases.insert(0, ("wedge", ml.build_exterior(n, p), thmB_wedge_rhs))
+            for rep, space, closed_form in cases:
                 worst_abs = worst_spec = 0.0
-                space = ml.build_exterior(n, p)
                 for R in ops:
                     lhs = wz.curvature_term(R, space).mat
-                    rhs = thmB_wedge_rhs(R, p).mat
+                    rhs = closed_form(R, p).mat
                     worst_abs = max(worst_abs, float(np.max(np.abs(lhs - rhs))))
                     worst_spec = max(worst_spec, _spectral_distance(lhs, rhs))
                 report.rows.append(
-                    ThmBRow(n, p, "wedge", trials, worst_abs, worst_spec)
+                    ThmBRow(n, p, rep, trials, worst_abs, worst_spec)
                 )
-            worst_abs = worst_spec = 0.0
-            space = ml.build_traceless(n, p)
-            for R in ops:
-                lhs = wz.curvature_term(R, space).mat
-                rhs = thmB_sym_rhs(R, p).mat
-                worst_abs = max(worst_abs, float(np.max(np.abs(lhs - rhs))))
-                worst_spec = max(worst_spec, _spectral_distance(lhs, rhs))
-            report.rows.append(
-                ThmBRow(n, p, "sym0", trials, worst_abs, worst_spec)
-            )
     return report

@@ -70,9 +70,6 @@ class CurvatureOperator:
             k, l, s = l, k, -s
         return s * self.mat[pair_index(self.n, i, j), pair_index(self.n, k, l)]
 
-    def apply(self, omega):
-        return self.mat @ np.asarray(omega, dtype=float)
-
     def __add__(self, other):
         return CurvatureOperator(self.n, self.mat + other.mat)
 
@@ -187,6 +184,28 @@ def metric_kulkarni(n, h, k=None):
     return 0.5 * (out + out.T)
 
 
+def _four_form_entries(n, quad):
+    """Pair-basis positions (a, c) and signs of the four-form on ``quad``.
+
+    The four-form ``e_i ^ e_j ^ e_k ^ e_l`` (i < j < k < l) couples the
+    two-forms ij with kl (+1), ik with jl (-1) and il with jk (+1); at
+    n = 4 and quad = (1, 2, 3, 4) it is the Hodge star.
+    """
+    i, j, k, l = quad
+    return [(pair_index(n, *p1), pair_index(n, *p2), s) for p1, p2, s in (
+        ((i, j), (k, l), 1.0), ((i, k), (j, l), -1.0), ((i, l), (j, k), 1.0))]
+
+
+def four_form_matrix(n):
+    """The four-form e_1 ^ e_2 ^ e_3 ^ e_4 on two-forms of R^n (n >= 4),
+    in the pair basis; at n = 4 the Hodge star."""
+    N = n * (n - 1) // 2
+    out = np.zeros((N, N))
+    for a, c, s in _four_form_entries(n, (1, 2, 3, 4)):
+        out[a, c] = out[c, a] = s
+    return out
+
+
 def four_form_projection(R):
     """Orthogonal projection onto the alternating four-form summand.
 
@@ -197,13 +216,7 @@ def four_form_projection(R):
     out = np.zeros_like(R.mat)
     for (i, j, k, l) in combinations(range(1, n + 1), 4):
         b = (R.entry(i, j, k, l) - R.entry(i, k, j, l) + R.entry(i, l, j, k)) / 3.0
-        for (p1, p2, s) in (
-            ((i, j), (k, l), 1.0),
-            ((i, k), (j, l), -1.0),
-            ((i, l), (j, k), 1.0),
-        ):
-            a = pair_index(n, *p1)
-            c = pair_index(n, *p2)
+        for a, c, s in _four_form_entries(n, (i, j, k, l)):
             out[a, c] += s * b
             out[c, a] += s * b
     return out

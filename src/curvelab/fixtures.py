@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .certify import hodge_star_matrix
-from .curvature import CurvatureOperator, metric_kulkarni
+from .curvature import CurvatureOperator, four_form_matrix, metric_kulkarni
 from .multilinear import pair_index
 
 
@@ -35,7 +34,7 @@ def hodge_star_operator(n=4):
     """The Hodge star of R^4 as a curvature operator (pure four-form part)."""
     if n != 4:
         raise ValueError("the Hodge star fixture exists only for n = 4")
-    return CurvatureOperator(4, hodge_star_matrix())
+    return CurvatureOperator(4, four_form_matrix(4))
 
 
 def product_spheres_operator(n=4):
@@ -74,14 +73,7 @@ def four_form_operator(n):
     """
     if n < 4:
         raise ValueError("the four-form fixture needs n >= 4")
-    N = n * (n - 1) // 2
-    mat = np.zeros((N, N))
-    for (a, b, s) in (((1, 2), (3, 4), 1.0), ((1, 3), (2, 4), -1.0),
-                      ((1, 4), (2, 3), 1.0)):
-        ia, ib = pair_index(n, *a), pair_index(n, *b)
-        mat[ia, ib] = s
-        mat[ib, ia] = s
-    return CurvatureOperator(n, mat)
+    return CurvatureOperator(n, four_form_matrix(n))
 
 
 def weyl_type_operator(n):

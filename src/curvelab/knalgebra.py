@@ -158,58 +158,43 @@ def _eig_dyads(mat, rel_tol=1e-13):
     return lam[keep], vec[:, keep]
 
 
-def _check_product(a, b, algebra):
-    for x in (a, b):
-        if x.algebra != algebra:
-            raise ValueError(f"expected a {algebra!r} element, got {x.algebra!r}")
+def kn_product(a, b):
+    """Product of two elements of one algebra via eigen-dyad slot products.
+
+    Every pair of eigenvectors is multiplied slotwise through the
+    algebra's table: wedged in ``"wedge"``, multiplied as polynomials in
+    ``"sym"``.  ``"sym0"`` factors are lifted to the ambient symmetric
+    powers by ``C^T`` and their products projected back by ``C``
+    (``C = change_of_basis``), i.e. the product is taken in the quotient
+    by the trace ideal.
+    """
+    if a.algebra != b.algebra:
+        raise ValueError(
+            f"factors from different algebras: {a.algebra!r}, {b.algebra!r}"
+        )
     if a.n != b.n:
         raise ValueError("n mismatch")
-    if a.grade + b.grade > GRADE_CUTOFF:
-        raise ValueError(
-            f"product grade {a.grade + b.grade} exceeds cutoff {GRADE_CUTOFF}"
-        )
-
-
-def kn_wedge(a, b):
-    """Product in the wedge algebra via eigen-dyad slotwise wedging."""
-    _check_product(a, b, "wedge")
     n, p = a.n, a.grade + b.grade
-    if p > n:
-        raise ValueError(f"grade {p} exceeds n={n} in the wedge algebra")
-    la, Va = _eig_dyads(a.mat)
-    lb, Vb = _eig_dyads(b.mat)
-    dim_out = ml.dim_exterior(n, p)
-    U = _pairwise_products(_wedge_table(n, a.grade, b.grade), dim_out, Va, Vb)
-    w = np.outer(la, lb).ravel()
-    return KNElement("wedge", n, p, (U * w) @ U.T)
-
-
-def kn_vee(a, b):
-    """Product in the symmetric algebras via eigen-dyad slot multiplication.
-
-    For ``"sym0"`` elements the slot products are harmonically projected,
-    i.e. the product is taken in the quotient by the trace ideal.
-    """
-    if a.algebra not in ("sym", "sym0"):
-        raise ValueError(f"kn_vee needs sym or sym0 elements, got {a.algebra!r}")
-    _check_product(a, b, a.algebra)
-    n, p = a.n, a.grade + b.grade
+    if p > GRADE_CUTOFF:
+        raise ValueError(f"product grade {p} exceeds cutoff {GRADE_CUTOFF}")
+    if a.algebra == "wedge":
+        if p > n:
+            raise ValueError(f"grade {p} exceeds n={n} in the wedge algebra")
+        table = _wedge_table(n, a.grade, b.grade)
+        dim_out = ml.dim_exterior(n, p)
+    else:
+        table = _sym_table(n, a.grade, b.grade)
+        dim_out = ml.dim_symmetric(n, p)
     la, Va = _eig_dyads(a.mat)
     lb, Vb = _eig_dyads(b.mat)
     if a.algebra == "sym0":
-        Va = space_for("sym0", n, a.grade).change_of_basis.T @ Va
-        Vb = space_for("sym0", n, b.grade).change_of_basis.T @ Vb
-    dim_amb = ml.dim_symmetric(n, p)
-    U = _pairwise_products(_sym_table(n, a.grade, b.grade), dim_amb, Va, Vb)
+        Va = a.space.change_of_basis.T @ Va
+        Vb = b.space.change_of_basis.T @ Vb
+    U = _pairwise_products(table, dim_out, Va, Vb)
     if a.algebra == "sym0":
         U = space_for("sym0", n, p).change_of_basis @ U
     w = np.outer(la, lb).ravel()
     return KNElement(a.algebra, n, p, (U * w) @ U.T)
-
-
-def kn_product(a, b):
-    """Dispatch on the algebra of the factors."""
-    return kn_wedge(a, b) if a.algebra == "wedge" else kn_vee(a, b)
 
 
 def project_traceless(a):

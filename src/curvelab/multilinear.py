@@ -30,7 +30,6 @@ See ``docs/bases.md`` for the frozen ordering and normalization rules.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -150,22 +149,6 @@ class Polynomial:
             clean[exps] = clean.get(exps, 0) + c
         self.coeffs = {k: v for k, v in clean.items() if v != 0}
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
-    def monomial(cls, n, exps, coeff=1):
-        return cls(n, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, n, i):
-        exps = [0] * n
-        exps[i - 1] = 1
-        return cls(n, {tuple(exps): 1})
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -174,9 +157,6 @@ class Polynomial:
         for exps in self.coeffs:
             return sum(exps)
         return None
-
-    def is_zero(self, tol=0.0):
-        return all(abs(c) <= tol for c in self.coeffs.values())
 
     def __repr__(self):
         terms = sorted(self.coeffs.items(), reverse=True)
@@ -220,17 +200,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def partial(self, i):
-        """d/dx_i, 1-based."""
-        out = {}
-        for exps, c in self.coeffs.items():
-            e = exps[i - 1]
-            if e == 0:
-                continue
-            key = exps[: i - 1] + (e - 1,) + exps[i:]
-            out[key] = out.get(key, 0) + e * c
-        return Polynomial(self.n, out)
-
     def laplacian(self):
         out = {}
         for exps, c in self.coeffs.items():
@@ -258,23 +227,6 @@ class Polynomial:
                 key = tuple(key)
                 out[key] = out.get(key, 0) - li * c
         return Polynomial(self.n, out)
-
-    def substitute_linear(self, Q):
-        """Substitute x -> Q^T x, i.e. the rotation action of Q in O(n)."""
-        Q = np.asarray(Q)
-        xs = [
-            Polynomial(self.n, {tuple(int(k == m) for m in range(self.n)): Q[k, i]
-                                for k in range(self.n) if Q[k, i] != 0})
-            for i in range(self.n)
-        ]
-        total = Polynomial.zero(self.n)
-        for exps, c in self.coeffs.items():
-            term = Polynomial(self.n, {(0,) * self.n: c})
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * xs[i]
-            total = total + term
-        return total
 
     # -- inner product and evaluation --------------------------------------
 
@@ -326,32 +278,15 @@ def circle_harmonic(n, p):
 def harmonic_projection(poly):
     """Orthogonal projection onto harmonic polynomials of the same degree.
 
-    Writes ``poly = h + r^2 * q`` with ``h`` harmonic and solves for ``q``
-    from ``Lap(r^2 q) = Lap(poly)``, a square linear system on Sym^{p-2}
-    since ``r^2 *`` is injective and the decomposition is orthogonal for
-    the differential-operator pairing.
+    Harm^p is the row space of ``C = build_traceless(n, p).change_of_basis``
+    in normalized-monomial coordinates, where the differential-operator
+    pairing is the Euclidean one, so the projection is ``C^T C``.
     """
-    p = poly.degree
-    if p is None or p < 2:
-        return Polynomial(poly.n, dict(poly.coeffs))
-    n = poly.n
-    basis = monomial_basis(n, p - 2)
-    index = {exps: k for k, exps in enumerate(basis)}
-    r2 = r_squared(n)
-    cols = []
-    for exps in basis:
-        img = (r2 * Polynomial.monomial(n, exps)).laplacian()
-        col = np.zeros(len(basis))
-        for e2, c in img.coeffs.items():
-            col[index[e2]] = float(c)
-        cols.append(col)
-    A = np.column_stack(cols)
-    rhs = np.zeros(len(basis))
-    for e2, c in poly.laplacian().coeffs.items():
-        rhs[index[e2]] = float(c)
-    qvec = np.linalg.solve(A, rhs)
-    q = Polynomial(n, {exps: qvec[k] for k, exps in enumerate(basis)})
-    return poly - r2 * q
+    if poly.degree is None:
+        return Polynomial(poly.n, {})
+    space = build_traceless(poly.n, poly.degree)
+    coords = polynomial_coords(space, poly, check=False)
+    return coords_to_polynomial(space, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -627,26 +562,3 @@ def wedge_coords(space, terms):
                     inv += 1
         v[index[srt]] += coeff * (-1 if inv % 2 else 1)
     return v
-
-
-def rep_matrix(space, Q):
-    """Matrix of the O(n) element Q acting on the representation space."""
-    Q = np.asarray(Q, dtype=float)
-    if space.kind == "exterior":
-        out = np.empty((space.dim, space.dim))
-        for col, I in enumerate(space.basis):
-            ci = [i - 1 for i in I]
-            for row, J in enumerate(space.basis):
-                rj = [j - 1 for j in J]
-                out[row, col] = np.linalg.det(Q[np.ix_(rj, ci)]) if I else 1.0
-        return out
-    if space.kind == "symmetric":
-        cols = []
-        for exps in space.basis:
-            img = Polynomial.monomial(space.n, exps).substitute_linear(Q)
-            v = polynomial_coords(build_symmetric(space.n, space.p), img)
-            cols.append(v / math.sqrt(_factorial_prod(exps)))
-        return np.column_stack(cols)
-    amb = rep_matrix(build_symmetric(space.n, space.p), Q)
-    C = space.change_of_basis
-    return C @ amb @ C.T

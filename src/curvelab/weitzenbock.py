@@ -157,16 +157,24 @@ def _tower_transform(n, p):
     return degrees, blocks
 
 
-def block_structure(R, p, offdiag_tol=1e-9, spectrum_tol=1e-8):
-    """Conjugate K(R, Sym^p) into the harmonic tower and verify the blocks.
+def block_structure(R, K, offdiag_tol=1e-9, spectrum_tol=1e-8):
+    """Conjugate K = K(R, Sym^p) into the harmonic tower and verify the blocks.
 
-    Raises if any off-diagonal block exceeds ``offdiag_tol`` or if a
-    diagonal block's spectrum differs from the directly assembled
-    K(R, Harm^k) by more than ``spectrum_tol``.
+    ``K`` is the caller's ``curvature_term(R, build_symmetric(n, p))``, so
+    the ambient power is assembled once.  Each diagonal block's spectrum
+    is compared with its reference: for the top block, Harm^p itself, the
+    spectrum of ``C K C^T`` (``C`` its ``change_of_basis``); for every
+    lower degree k, the directly assembled K(R, Harm^k).  Raises if any
+    off-diagonal block exceeds ``offdiag_tol`` or a block's spectrum
+    differs from its reference by more than ``spectrum_tol`` (both
+    relative to ``max(1, max|K|)``).
     """
-    n = R.n
-    amb = ml.build_symmetric(n, p)
-    K = curvature_term(R, amb).mat
+    n, p = K.space.n, K.space.p
+    if K.space.kind != "symmetric" or R.n != n:
+        raise ValueError(
+            f"block_structure needs K(R, Sym^p) with n={R.n}, got {K!r}"
+        )
+    K = K.mat
     degrees, blocks = _tower_transform(n, p)
     T = np.hstack(blocks)
     KT = T.T @ K @ T
@@ -182,7 +190,11 @@ def block_structure(R, p, offdiag_tol=1e-9, spectrum_tol=1e-8):
             off_max = max(off_max, float(np.max(np.abs(KT[sl_a, sl_b]))))
         block_eigs = np.linalg.eigvalsh(KT[sl_a, sl_a])
         spectra[ka] = block_eigs
-        direct = curvature_term(R, ml.build_traceless(n, ka)).eigenvalues()
+        if ka == p:
+            C = ml.build_traceless(n, p).change_of_basis
+            direct = np.linalg.eigvalsh(C @ K @ C.T)
+        else:
+            direct = curvature_term(R, ml.build_traceless(n, ka)).eigenvalues()
         if direct.size:
             mismatch = max(mismatch, float(np.max(np.abs(block_eigs - direct))))
     scale = max(1.0, float(np.max(np.abs(K))))

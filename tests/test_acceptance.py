@@ -22,7 +22,7 @@ from curvelab import spherical as sp
 from curvelab import weitzenbock as wz
 from curvelab.fixtures import fixture_operator
 
-from conftest import acceptance_line, random_operator
+from conftest import acceptance_line, random_operator, selfdual_split
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def test_a8_exact_vs_optimized_minimum(certification_batch):
     rng = np.random.default_rng(71)
     sd_worst = 0.0
     for _ in range(25):
-        plus, _ = ce.selfdual_split(rng.standard_normal(6))
+        plus, _ = selfdual_split(rng.standard_normal(6))
         sd_worst = max(sd_worst, abs(
             float(plus @ Kstar @ plus) - 4.0 * float(plus @ plus)))
     if sd_worst > 1e-10:

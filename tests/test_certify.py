@@ -11,7 +11,7 @@ from curvelab import multilinear as ml
 from curvelab import weitzenbock as wz
 from curvelab.fixtures import fixture_operator
 
-from conftest import random_operator
+from conftest import random_operator, selfdual_split
 
 
 # ---------------------------------------------------------------------------
@@ -25,6 +25,7 @@ def test_star_matrix_hand_values():
     expected[1, 4] = expected[4, 1] = -1.0
     expected[2, 3] = expected[3, 2] = 1.0
     assert np.array_equal(ce.hodge_star_matrix(), expected)
+    assert np.array_equal(fixture_operator("four-form", 4).mat, expected)
 
 
 def test_star_is_a_symmetric_involution():
@@ -37,7 +38,7 @@ def test_star_is_a_symmetric_involution():
 def test_selfdual_split_example():
     alpha = np.zeros(6)
     alpha[0] = 1.0                       # the (1,2) coordinate plane
-    plus, minus = ce.selfdual_split(alpha)
+    plus, minus = selfdual_split(alpha)
     assert np.allclose(plus, [0.5, 0, 0, 0, 0, 0.5])
     assert np.allclose(minus, [0.5, 0, 0, 0, 0, -0.5])
     s = ce.hodge_star_matrix()
@@ -50,7 +51,7 @@ def test_selfdual_basis_is_orthonormal_eigenbasis():
     # the split halves of the planes (1,2), (1,3), (1,4), rescaled by
     # sqrt 2, are orthonormal bases of the +1 and -1 eigenspaces
     star = ce.hodge_star_matrix()
-    halves = [ce.selfdual_split(e) for e in np.eye(6)[:3]]
+    halves = [selfdual_split(e) for e in np.eye(6)[:3]]
     plus = np.sqrt(2.0) * np.array([h[0] for h in halves])
     minus = np.sqrt(2.0) * np.array([h[1] for h in halves])
     for rows, sign in ((plus, 1.0), (minus, -1.0)):
@@ -62,7 +63,7 @@ def test_selfdual_basis_is_orthonormal_eigenbasis():
 
 def test_selfdual_split_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        ce.selfdual_split(np.zeros(5))
+        selfdual_split(np.zeros(5))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +307,28 @@ def test_witness_polynomial_realizes_negative_value(rng):
     assert rayleigh < 0
 
 
+def test_hierarchy_rows_match_the_shifted_assembly(rng):
+    # rows come from K(R, Harm^p) shifted by k p (p + n - 2); the reference
+    # assembles K(R - k Id, Harm^p) itself
+    for n in (3, 5, 6):
+        for scale in (1e-6, 1.0, 1e6):
+            R = random_operator(n, rng, scale=scale)
+            refuted = []
+            for k in (-2.0 * scale, -0.5 * scale, 0.3 * scale, 1.5 * scale):
+                res = ce.hierarchy_check(R, k, p_max=5)
+                S = cv.CurvatureOperator(n, R.mat - k * np.eye(R.N))
+                tol = 1e-12 * max(np.linalg.norm(R.mat, 2), abs(k))
+                ref = [wz.curvature_term(S, ml.build_traceless(n, p))
+                       for p, _ in res.rows]
+                for (p, lam), K in zip(res.rows, ref):
+                    assert abs(lam - K.lambda_min()) <= tol
+                if res.witness is not None:
+                    K = ref[res.refuted_at - 1]
+                    assert abs(res.witness.value - K.lambda_min()) <= tol
+                refuted.append(res.witness is not None)
+            assert any(refuted)         # the witness rows were compared too
+
+
 # ---------------------------------------------------------------------------
 # the combined front end
 
@@ -430,7 +453,7 @@ def test_selfdual_energy_identity_and_lower_bound(rng):
                               ml.build_exterior(4, 2))
     for _ in range(5):
         raw = rng.standard_normal(6)
-        plus, _ = ce.selfdual_split(raw)
+        plus, _ = selfdual_split(raw)
         assert float(plus @ Kstar.mat @ plus) == pytest.approx(
             4.0 * float(plus @ plus), abs=1e-10)
 

@@ -243,6 +243,23 @@ def test_kterm_symmetric_blocks(capsys):
     assert np.allclose(blocks["spectra"]["1"], 3.0, atol=1e-9)
 
 
+def test_kterm_sym_assembles_the_ambient_power_once(capsys, monkeypatch):
+    # the block check reuses the reported K(R, Sym^p); only the lower
+    # tower degrees are assembled again
+    from curvelab import weitzenbock as wz
+    assemble, spaces = wz._assemble, []
+
+    def counted(Rmat, space):
+        spaces.append((space.kind, space.p))
+        return assemble(Rmat, space)
+
+    monkeypatch.setattr(wz, "_assemble", counted)
+    doc = run_json(capsys, "kterm", "RL", "--n", "5", "--rep", "sym",
+                   "--p", "4")
+    assert doc["blocks"]["degrees"] == [4, 2, 0]
+    assert spaces.count(("symmetric", 4)) == 1
+
+
 # ---------------------------------------------------------------------------
 # verify
 

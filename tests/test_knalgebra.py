@@ -44,7 +44,7 @@ def test_wedge_product_of_rank_one_dyads(rng):
     space2 = kn.space_for("wedge", n, 2)
     a = rng.standard_normal(space1.dim)
     b = rng.standard_normal(space1.dim)
-    prod = kn.kn_wedge(_rank_one("wedge", n, 1, a), _rank_one("wedge", n, 1, b))
+    prod = kn.kn_product(_rank_one("wedge", n, 1, a), _rank_one("wedge", n, 1, b))
     ab = ml.wedge_coords(space2, [
         (a[i] * b[j], (i + 1, j + 1))
         for i in range(n) for j in range(n) if i != j
@@ -103,7 +103,7 @@ def test_bilinearity(rng):
 
 def test_metric_squared_is_twice_identity_on_two_forms():
     g = kn.g_element("wedge", 5)
-    gg = kn.kn_wedge(g, g)
+    gg = kn.kn_product(g, g)
     np.testing.assert_allclose(gg.mat, 2.0 * np.eye(10), atol=1e-12)
 
 
@@ -115,7 +115,7 @@ def test_wedge_product_with_metric_matches_kulkarni_construction(rng):
     h = 0.5 * (h + h.T)
     g = kn.g_element("wedge", n)
     hel = kn.KNElement("wedge", n, 1, h)
-    prod = kn.kn_wedge(g, hel)
+    prod = kn.kn_product(g, hel)
     np.testing.assert_allclose(prod.mat, metric_kulkarni(n, h), atol=1e-10)
 
 
@@ -136,7 +136,7 @@ def test_rank_one_squares_vanish_in_wedge(rng):
     n = 4
     a = rng.standard_normal(4)
     el = _rank_one("wedge", n, 1, a)
-    sq = kn.kn_wedge(el, el)
+    sq = kn.kn_product(el, el)
     assert np.abs(sq.mat).max() < 1e-12
 
 
@@ -172,7 +172,7 @@ def test_vee_on_traceless_is_project_of_ambient_product(rng):
     n = 4
     a0 = _random_element("sym0", n, 2, rng)
     b0 = _random_element("sym0", n, 1, rng)
-    prod = kn.kn_vee(a0, b0)
+    prod = kn.kn_product(a0, b0)
     C2 = kn.space_for("sym0", n, 2).change_of_basis
     C1 = kn.space_for("sym0", n, 1).change_of_basis
     a_amb = kn.KNElement("sym", n, 2, C2.T @ a0.mat @ C2)

@@ -12,7 +12,8 @@ from curvelab.curvature import CurvatureOperator, ricci
 from curvelab.fixtures import fixture_operator
 from curvelab.multilinear import pair_index
 
-from conftest import dense_generators, random_operator, random_rotation
+from conftest import (dense_generators, random_operator, random_rotation,
+                      rep_matrix)
 
 
 def test_output_is_symmetric_with_recorded_defect(rng):
@@ -277,7 +278,7 @@ def test_equivariance_under_rotations(rng):
     RQ = CurvatureOperator(n, L.T @ R.mat @ L)
     for build, p in ((ml.build_exterior, 2), (ml.build_symmetric, 2)):
         space = build(n, p)
-        rho = ml.rep_matrix(space, Q)
+        rho = rep_matrix(space, Q)
         K = wz.curvature_term(R, space).mat
         KQ = wz.curvature_term(RQ, space).mat
         assert np.abs(KQ - rho.T @ K @ rho).max() < 1e-8
@@ -287,8 +288,13 @@ def test_equivariance_under_rotations(rng):
 # block structure of the full symmetric power
 
 
+def _ambient_term(R, p):
+    return wz.curvature_term(R, ml.build_symmetric(R.n, p))
+
+
 def test_block_structure_dimensions_and_offdiagonal(rng):
-    bs = wz.block_structure(random_operator(5, rng), 4)
+    R = random_operator(5, rng)
+    bs = wz.block_structure(R, _ambient_term(R, 4))
     assert bs.degrees == [4, 2, 0]
     assert bs.block_dims == [55, 14, 1]
     assert bs.offdiag_max < 1e-9
@@ -299,9 +305,9 @@ def test_block_structure_spectrum_is_union_of_blocks(rng):
     # per-degree block spectra
     n, p = 4, 3
     R = random_operator(n, rng)
-    bs = wz.block_structure(R, p)
-    K = wz.curvature_term(R, ml.build_symmetric(n, p)).mat
-    full = np.sort(np.linalg.eigvalsh(K))
+    K = _ambient_term(R, p)
+    bs = wz.block_structure(R, K)
+    full = np.sort(np.linalg.eigvalsh(K.mat))
     merged = np.sort(np.concatenate([bs.spectra[d] for d in bs.degrees]))
     np.testing.assert_allclose(full, merged, atol=1e-8)
 
@@ -309,12 +315,20 @@ def test_block_structure_spectrum_is_union_of_blocks(rng):
 def test_block_structure_blocks_match_direct_assembly(rng):
     n, p = 4, 4
     R = random_operator(n, rng)
-    bs = wz.block_structure(R, p)
+    bs = wz.block_structure(R, _ambient_term(R, p))
     for d in bs.degrees:
         direct = wz.curvature_term(R, ml.build_traceless(n, d)).mat
         got = np.sort(np.asarray(bs.spectra[d]))
         want = np.sort(np.linalg.eigvalsh(direct))
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+def test_block_structure_rejects_a_term_off_the_ambient_power(rng):
+    R = random_operator(4, rng)
+    with pytest.raises(ValueError):
+        wz.block_structure(R, wz.curvature_term(R, ml.build_traceless(4, 3)))
+    with pytest.raises(ValueError):
+        wz.block_structure(random_operator(5, rng), _ambient_term(R, 3))
 
 
 # ---------------------------------------------------------------------------
