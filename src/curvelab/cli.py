@@ -17,7 +17,8 @@ Inputs are a file path, ``-`` for stdin, or a named fixture keyword
 
 Exit codes: 0 success, 1 verification failure (a verify suite with a
 residual beyond tolerance, or a certify query that does not certify the
-requested bound), 2 input error.
+requested bound), 2 input error, 3 internal error (``{"error": ...}`` on
+stdout, no traceback).
 Numbers serialize through Python's shortest round-trip decimal repr, so
 every emitted matrix re-ingests to bit-identical doubles.  Output is
 accumulated fully and written once (atomically when ``--out`` is used).
@@ -376,6 +377,9 @@ def main(argv=None):
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
+        return 3
 
 
 if __name__ == "__main__":

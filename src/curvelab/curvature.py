@@ -283,18 +283,3 @@ def decompose(R):
         reconstruction_residual=recon,
         orthogonality_residual=ortho,
     )
-
-
-def lambda2_matrix(n, Q):
-    """Induced matrix of Q in O(n) on two-forms in the pair basis."""
-    Q = np.asarray(Q, dtype=float)
-    pairs = pair_basis(n)
-    N = len(pairs)
-    out = np.empty((N, N))
-    for b, (i, j) in enumerate(pairs):
-        for a, (k, l) in enumerate(pairs):
-            out[a, b] = (
-                Q[k - 1, i - 1] * Q[l - 1, j - 1]
-                - Q[l - 1, i - 1] * Q[k - 1, j - 1]
-            )
-    return out

@@ -13,16 +13,17 @@ space; the product of ``alpha (x) beta`` and ``gamma (x) delta`` wedges
   is well defined because the trace terms form an ideal.
 
 Products are computed through the eigen-dyad decomposition of each
-factor, which keeps positive semidefiniteness manifest.  The identity
-``g^p = p! * Id`` on the grade-p space holds in all three algebras and is
-available in closed form alongside the iterated product.
+factor, which keeps positive semidefiniteness manifest; the slots are
+multiplied through ``multilinear.product_table``, the one place the
+wedge sign and the ``x^l / sqrt(l!)`` normalization are written.  The
+identity ``g^p = p! * Id`` on the grade-p space holds in all three
+algebras and is available in closed form alongside the iterated product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,57 +90,7 @@ def g_power(algebra, n, p):
 
 
 # ---------------------------------------------------------------------------
-# slotwise multiplication tables on coordinate vectors
-
-
-@lru_cache(maxsize=None)
-def _wedge_table(n, pa, pb):
-    """COO table of the wedge map: (out, ia, ib, sign) quadruples."""
-    ba = ml.wedge_basis(n, pa)
-    bb = ml.wedge_basis(n, pb)
-    index = {I: k for k, I in enumerate(ml.wedge_basis(n, pa + pb))}
-    out, ia, ib, val = [], [], [], []
-    for a, I in enumerate(ba):
-        set_i = set(I)
-        for b, J in enumerate(bb):
-            if set_i & set(J):
-                continue
-            inv = sum(1 for i in I for j in J if i > j)
-            out.append(index[tuple(sorted(I + J))])
-            ia.append(a)
-            ib.append(b)
-            val.append(-1.0 if inv % 2 else 1.0)
-    return (
-        np.array(out, dtype=np.intp),
-        np.array(ia, dtype=np.intp),
-        np.array(ib, dtype=np.intp),
-        np.array(val),
-    )
-
-
-@lru_cache(maxsize=None)
-def _sym_table(n, pa, pb):
-    """COO table of polynomial multiplication in normalized coordinates."""
-    ba = ml.monomial_basis(n, pa)
-    bb = ml.monomial_basis(n, pb)
-    index = {e: k for k, e in enumerate(ml.monomial_basis(n, pa + pb))}
-    out, ia, ib, val = [], [], [], []
-    for a, ea in enumerate(ba):
-        for b, eb in enumerate(bb):
-            tot = tuple(x + y for x, y in zip(ea, eb))
-            c = 1.0
-            for x, y in zip(ea, eb):
-                c *= math.comb(x + y, x)
-            out.append(index[tot])
-            ia.append(a)
-            ib.append(b)
-            val.append(math.sqrt(c))
-    return (
-        np.array(out, dtype=np.intp),
-        np.array(ia, dtype=np.intp),
-        np.array(ib, dtype=np.intp),
-        np.array(val),
-    )
+# slotwise products on coordinate vectors
 
 
 def _pairwise_products(table, dim_out, Va, Vb):
@@ -180,11 +131,10 @@ def kn_product(a, b):
     if a.algebra == "wedge":
         if p > n:
             raise ValueError(f"grade {p} exceeds n={n} in the wedge algebra")
-        table = _wedge_table(n, a.grade, b.grade)
-        dim_out = ml.dim_exterior(n, p)
+        kind, dim_out = "exterior", ml.dim_exterior(n, p)
     else:
-        table = _sym_table(n, a.grade, b.grade)
-        dim_out = ml.dim_symmetric(n, p)
+        kind, dim_out = "symmetric", ml.dim_symmetric(n, p)
+    table = ml.product_table(kind, n, a.grade, b.grade)
     la, Va = _eig_dyads(a.mat)
     lb, Vb = _eig_dyads(b.mat)
     if a.algebra == "sym0":
@@ -195,14 +145,6 @@ def kn_product(a, b):
         U = space_for("sym0", n, p).change_of_basis @ U
     w = np.outer(la, lb).ravel()
     return KNElement(a.algebra, n, p, (U * w) @ U.T)
-
-
-def project_traceless(a):
-    """Apply slotwise harmonic projection to a ``"sym"`` element."""
-    if a.algebra != "sym":
-        raise ValueError("project_traceless expects a 'sym' element")
-    C = space_for("sym0", a.n, a.grade).change_of_basis
-    return KNElement("sym0", a.n, a.grade, C @ a.mat @ C.T)
 
 
 def iterated_g_power(algebra, n, p):

@@ -24,6 +24,11 @@ The generator ``A[(i, j)]`` of so(n) is the matrix with ``+1`` in entry
 ``A e_i = -e_j``; the family over ``i < j`` is orthonormal.  On
 polynomials it acts as ``x_i d/dx_j - x_j d/dx_i``.
 
+``product_table`` is the one place basis vectors are multiplied (the
+wedge sign, the ``x^l / sqrt(l!)`` normalization).  With ``M_i`` the
+product by the i-th degree-one basis vector, adjoint to ``i_{e_i}`` on
+the wedge and ``d/dx_i`` on polynomials, ``D_(i,j) = M_i M_j^T - M_j M_i^T``.
+
 See ``docs/bases.md`` for the frozen ordering and normalization rules.
 """
 
@@ -51,14 +56,6 @@ def pair_index(n, i, j):
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j}) with n={n}")
     return (i - 1) * n - (i - 1) * i // 2 + (j - i - 1)
-
-
-def so_generator(n, i, j):
-    """Dense n x n matrix of the generator with +1 at (i, j), -1 at (j, i)."""
-    a = np.zeros((n, n))
-    a[i - 1, j - 1] = 1.0
-    a[j - 1, i - 1] = -1.0
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +112,37 @@ def _factorial_prod(exps):
     for e in exps:
         out *= math.factorial(e)
     return out
+
+
+@lru_cache(maxsize=None)
+def product_table(kind, n, pa, pb):
+    """Products of the degree-pa and degree-pb basis vectors, as a COO table.
+
+    Returns arrays ``(out, ia, ib, val)``: basis vector ``ia`` of degree pa
+    times basis vector ``ib`` of degree pb is ``val`` times basis vector
+    ``out`` of degree pa + pb, with entries ordered by ia, then ib.  On
+    "exterior" ``e_I ^ e_J = (-1)^inv e_{I u J}``, inv the number of pairs
+    i in I, j in J with i > j, and products with a repeated index are left
+    out.  On "symmetric" (basis ``u_l = x^l / sqrt(l!)``) every product is
+    present: ``u_a u_b = sqrt(prod_k binom(a_k + b_k, a_k)) u_{a+b}``.
+    """
+    basis = {"exterior": wedge_basis, "symmetric": monomial_basis}[kind]
+    index = {e: k for k, e in enumerate(basis(n, pa + pb))}
+    entries = []
+    for a, ea in enumerate(basis(n, pa)):
+        for b, eb in enumerate(basis(n, pb)):
+            if kind == "symmetric":
+                key = tuple(x + y for x, y in zip(ea, eb))
+                val = math.sqrt(math.prod(math.comb(x + y, x)
+                                          for x, y in zip(ea, eb)))
+            elif set(ea).isdisjoint(eb):
+                key = tuple(sorted(ea + eb))
+                val = (-1.0) ** sum(i > j for i in ea for j in eb)
+            else:
+                continue
+            entries.append((index[key], a, b, val))
+    out, ia, ib, val = np.array(entries, dtype=float).reshape(-1, 4).T
+    return out.astype(np.intp), ia.astype(np.intp), ib.astype(np.intp), val
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +227,6 @@ class Polynomial:
         return Polynomial(self.n, out)
 
     __rmul__ = __mul__
-
-    def laplacian(self):
-        out = {}
-        for exps, c in self.coeffs.items():
-            for i, e in enumerate(exps):
-                if e >= 2:
-                    key = exps[:i] + (e - 2,) + exps[i + 1 :]
-                    out[key] = out.get(key, 0) + e * (e - 1) * c
-        return Polynomial(self.n, out)
 
     def rotation_action(self, i, j):
         """Apply the generator (i, j): ``x_i d/dx_j - x_j d/dx_i``."""
@@ -382,6 +401,30 @@ def _check_np(n, p):
         raise ValueError(f"need p >= 0, got {p}")
 
 
+def _generator_entries(kind, n, p):
+    """COO entries (rows, cols, vals, pair) of every generator on degree p.
+
+    With ``M_i`` the product by the i-th degree-one basis vector, from
+    degree p - 1, ``D_(i,j) = M_i M_j^T - M_j M_i^T``.  Column y of the
+    ``(n, 1, p - 1)`` table holds ``M_i[z, y]`` for every i with a nonzero
+    product (n on Sym, n - p + 1 on the wedge), so each ordered pair of its
+    entries ``(i, z), (j, x)`` gives ``sign(j - i) M_i[z, y] M_j[x, y]`` at
+    ``D_(i,j)[z, x]`` (``D_(j,i)`` for i > j).
+    """
+    if p == 0:
+        return (), (), (), ()
+    out, i, y, val = product_table(kind, n, 1, p - 1)
+    order = np.argsort(y, kind="stable")
+    width = y.size // (y.max() + 1)
+    z, i, v = (a[order].reshape(-1, width, 1) for a in (out, i, val))
+    x, j, w = (a.transpose(0, 2, 1) for a in (z, i, v))
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    pair = lo * n - lo * (lo + 1) // 2 + hi - lo - 1   # pair_index, 0-based
+    keep = i != j
+    return tuple(np.broadcast_to(a, pair.shape)[keep]
+                 for a in (z, x, np.sign(j - i) * v * w, pair))
+
+
 @lru_cache(maxsize=None)
 def build_exterior(n, p):
     """Exterior power with wedge basis and its generator pattern."""
@@ -389,81 +432,31 @@ def build_exterior(n, p):
     if p > n:
         raise ValueError(f"exterior power needs p <= n, got p={p}, n={n}")
     basis = wedge_basis(n, p)
-    index = {I: k for k, I in enumerate(basis)}
-    rows, cols, vals, pair = [], [], [], []
-    for a, (i, j) in enumerate(pair_basis(n)):
-        for col, I in enumerate(basis):
-            for t, it in enumerate(I):
-                # generator sends e_j -> e_i and e_i -> -e_j
-                if it == j:
-                    new, sgn = i, 1
-                elif it == i:
-                    new, sgn = j, -1
-                else:
-                    continue
-                rest = I[:t] + I[t + 1 :]
-                if new in rest:
-                    continue
-                pos = sum(1 for r in rest if r < new)
-                sgn *= -1 if (t - pos) % 2 else 1
-                J = rest[:pos] + (new,) + rest[pos:]
-                rows.append(index[J])
-                cols.append(col)
-                vals.append(sgn)
-                pair.append(a)
     return RepSpace("exterior", n, p, len(basis), basis,
-                    (rows, cols, vals, pair))
+                    _generator_entries("exterior", n, p))
 
 
 @lru_cache(maxsize=None)
 def build_symmetric(n, p):
-    """Symmetric power on the normalized monomial basis x^l / sqrt(l!).
-
-    Entries are assembled from the exact integer action on monomials,
-    ``l_j x^{l+e_i-e_j} - l_i x^{l-e_i+e_j}``, then rescaled, giving
-    ``sqrt(l_j (l_i + 1))`` and ``-sqrt(l_i (l_j + 1))`` coefficients.
-    """
+    """Symmetric power on the normalized monomial basis x^l / sqrt(l!)."""
     _check_np(n, p)
     basis = monomial_basis(n, p)
-    index = {exps: k for k, exps in enumerate(basis)}
-    rows, cols, vals, pair = [], [], [], []
-    for a, (i, j) in enumerate(pair_basis(n)):
-        for col, exps in enumerate(basis):
-            li, lj = exps[i - 1], exps[j - 1]
-            if lj:
-                tgt = list(exps)
-                tgt[i - 1] += 1
-                tgt[j - 1] -= 1
-                rows.append(index[tuple(tgt)])
-                cols.append(col)
-                vals.append(math.sqrt(lj * (li + 1)))
-                pair.append(a)
-            if li:
-                tgt = list(exps)
-                tgt[i - 1] -= 1
-                tgt[j - 1] += 1
-                rows.append(index[tuple(tgt)])
-                cols.append(col)
-                vals.append(-math.sqrt(li * (lj + 1)))
-                pair.append(a)
     return RepSpace("symmetric", n, p, len(basis), basis,
-                    (rows, cols, vals, pair))
+                    _generator_entries("symmetric", n, p))
 
 
 def r2_multiplication_matrix(n, p):
     """Multiplication by r^2 from Sym^p to Sym^{p+2}, orthonormal coordinates.
 
+    ``sum_i M_i M_i``: ``x_i u_col = first u_mid``, and ``x_i u_mid`` is
+    entry ``i dim + mid`` of the next table, which lists every product.
     Dense, and not cached, so no copy outlives its caller.
     """
-    src = monomial_basis(n, p)
-    dst = monomial_basis(n, p + 2)
-    index = {exps: k for k, exps in enumerate(dst)}
-    M = np.zeros((len(dst), len(src)))
-    for col, exps in enumerate(src):
-        for i in range(n):
-            tgt = list(exps)
-            tgt[i] += 2
-            M[index[tuple(tgt)], col] = math.sqrt((exps[i] + 1) * (exps[i] + 2))
+    mid, i, col, first = product_table("symmetric", n, 1, p)
+    out, _, _, second = product_table("symmetric", n, 1, p + 1)
+    then = i * dim_symmetric(n, p + 1) + mid
+    M = np.zeros((dim_symmetric(n, p + 2), dim_symmetric(n, p)))
+    M[out[then], col] = first * second[then]
     return M
 
 
@@ -536,29 +529,3 @@ def coords_to_polynomial(space, vec):
         if vec[k] != 0.0:
             coeffs[exps] = vec[k] / math.sqrt(_factorial_prod(exps))
     return Polynomial(space.n, coeffs)
-
-
-def wedge_coords(space, terms):
-    """Vector of a linear combination of wedge monomials.
-
-    ``terms`` is an iterable of ``(coeff, indices)`` with 1-based indices;
-    unsorted index tuples are normalized with the sign of the sorting
-    permutation, repeated indices contribute zero.
-    """
-    if space.kind != "exterior":
-        raise ValueError("wedge_coords needs an exterior space")
-    index = {I: k for k, I in enumerate(space.basis)}
-    v = np.zeros(space.dim)
-    for coeff, idxs in terms:
-        idxs = tuple(idxs)
-        if len(set(idxs)) != len(idxs):
-            continue
-        srt = tuple(sorted(idxs))
-        perm = sorted(range(len(idxs)), key=lambda t: idxs[t])
-        inv = 0
-        for a in range(len(perm)):
-            for b in range(a + 1, len(perm)):
-                if perm[a] > perm[b]:
-                    inv += 1
-        v[index[srt]] += coeff * (-1 if inv % 2 else 1)
-    return v

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multilinear as ml
-from .curvature import ricci
 
 
 @dataclass
@@ -217,39 +216,3 @@ def block_structure(R, K, offdiag_tol=1e-9, spectrum_tol=1e-8):
         spectra=spectra,
         spectrum_mismatch=mismatch,
     )
-
-
-# ---------------------------------------------------------------------------
-# Ricci eigenbasis diagonal on traceless two-tensors
-
-
-def berger_diagonal(R, tol=1e-8):
-    """Evaluate K(R, Harm^2) on the Ricci eigenbasis diagonal.
-
-    For each unit Ricci eigenvector v with eigenvalue lam, the quadratic
-    form at ``(v . x)^2 - r^2/n`` equals ``4 lam``; this is asserted to
-    ``tol`` (relative to the operator scale) and the table is returned as
-    a list of ``(lam, v, value)``.
-    """
-    n = R.n
-    space = ml.build_traceless(n, 2)
-    K = curvature_term(R, space)
-    lams, vecs = np.linalg.eigh(ricci(R))
-    r2n = ml.r_squared(n).scale(1.0 / n)
-    out = []
-    scale = max(1.0, float(np.max(np.abs(R.mat))))
-    for m in range(n):
-        v = vecs[:, m]
-        lin = ml.Polynomial(
-            n, {tuple(int(i == k) for k in range(n)): v[i] for i in range(n)}
-        )
-        phi = lin * lin - r2n
-        coords = ml.polynomial_coords(space, phi)
-        val = quadratic_form(K, coords)
-        if abs(val - 4.0 * lams[m]) > tol * scale:
-            raise RuntimeError(
-                f"diagonal value {val:.12e} != 4*{lams[m]:.12e} "
-                f"(defect {abs(val - 4 * lams[m]):.3e})"
-            )
-        out.append((float(lams[m]), v, val))
-    return out

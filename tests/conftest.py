@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from curvelab import knalgebra as kn
 from curvelab import multilinear as ml
+from curvelab import weitzenbock as wz
 from curvelab.certify import hodge_star_matrix
-from curvelab.curvature import CurvatureOperator
+from curvelab.curvature import CurvatureOperator, ricci
 
 
 def random_operator(n, rng, scale=1.0):
@@ -86,6 +88,98 @@ def rep_matrix(space, Q):
         return rho
     C = space.change_of_basis
     return C @ rho @ C.T
+
+
+def so_generator(n, i, j):
+    """Dense n x n matrix of the generator with +1 at (i, j), -1 at (j, i)."""
+    a = np.zeros((n, n))
+    a[i - 1, j - 1] = 1.0
+    a[j - 1, i - 1] = -1.0
+    return a
+
+
+def lambda2_matrix(n, Q):
+    """Induced matrix of Q in O(n) on two-forms in the pair basis."""
+    Q = np.asarray(Q, dtype=float)
+    pairs = ml.pair_basis(n)
+    out = np.empty((len(pairs), len(pairs)))
+    for b, (i, j) in enumerate(pairs):
+        for a, (k, l) in enumerate(pairs):
+            out[a, b] = (Q[k - 1, i - 1] * Q[l - 1, j - 1]
+                         - Q[l - 1, i - 1] * Q[k - 1, j - 1])
+    return out
+
+
+def laplacian(poly):
+    """Laplacian of a polynomial, term by term on the monomials."""
+    out = {}
+    for exps, c in poly.coeffs.items():
+        for i, e in enumerate(exps):
+            if e >= 2:
+                key = exps[:i] + (e - 2,) + exps[i + 1:]
+                out[key] = out.get(key, 0) + e * (e - 1) * c
+    return ml.Polynomial(poly.n, out)
+
+
+def wedge_coords(space, terms):
+    """Vector of a linear combination of wedge monomials.
+
+    ``terms`` is an iterable of ``(coeff, indices)`` with 1-based indices;
+    unsorted index tuples are normalized with the sign of the sorting
+    permutation, repeated indices contribute zero.
+    """
+    if space.kind != "exterior":
+        raise ValueError("wedge_coords needs an exterior space")
+    index = {I: k for k, I in enumerate(space.basis)}
+    v = np.zeros(space.dim)
+    for coeff, idxs in terms:
+        idxs = tuple(idxs)
+        if len(set(idxs)) != len(idxs):
+            continue
+        perm = sorted(range(len(idxs)), key=lambda t: idxs[t])
+        inv = sum(perm[a] > perm[b] for a in range(len(perm))
+                  for b in range(a + 1, len(perm)))
+        v[index[tuple(sorted(idxs))]] += coeff * (-1 if inv % 2 else 1)
+    return v
+
+
+def project_traceless(a):
+    """Apply slotwise harmonic projection to a ``"sym"`` element."""
+    if a.algebra != "sym":
+        raise ValueError("project_traceless expects a 'sym' element")
+    C = kn.space_for("sym0", a.n, a.grade).change_of_basis
+    return kn.KNElement("sym0", a.n, a.grade, C @ a.mat @ C.T)
+
+
+def berger_diagonal(R, tol=1e-8):
+    """Evaluate K(R, Harm^2) on the Ricci eigenbasis diagonal.
+
+    For each unit Ricci eigenvector v with eigenvalue lam, the quadratic
+    form at ``(v . x)^2 - r^2/n`` equals ``4 lam``; this is asserted to
+    ``tol`` (relative to the operator scale) and the table is returned as
+    a list of ``(lam, v, value)``.
+    """
+    n = R.n
+    space = ml.build_traceless(n, 2)
+    K = wz.curvature_term(R, space)
+    lams, vecs = np.linalg.eigh(ricci(R))
+    r2n = ml.r_squared(n).scale(1.0 / n)
+    out = []
+    scale = max(1.0, float(np.max(np.abs(R.mat))))
+    for m in range(n):
+        v = vecs[:, m]
+        lin = ml.Polynomial(
+            n, {tuple(int(i == k) for k in range(n)): v[i] for i in range(n)}
+        )
+        coords = ml.polynomial_coords(space, lin * lin - r2n)
+        val = wz.quadratic_form(K, coords)
+        if abs(val - 4.0 * lams[m]) > tol * scale:
+            raise RuntimeError(
+                f"diagonal value {val:.12e} != 4*{lams[m]:.12e} "
+                f"(defect {abs(val - 4 * lams[m]):.3e})"
+            )
+        out.append((float(lams[m]), v, val))
+    return out
 
 
 @pytest.fixture

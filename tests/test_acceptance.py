@@ -22,7 +22,8 @@ from curvelab import spherical as sp
 from curvelab import weitzenbock as wz
 from curvelab.fixtures import fixture_operator
 
-from conftest import acceptance_line, random_operator, selfdual_split
+from conftest import (acceptance_line, random_operator, selfdual_split,
+                      wedge_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +50,10 @@ def test_a1_reference_element_scalars():
                 worst, abs(phi.norm_sq() - 2.0 ** (p - 1) * factorial(p)))
             if 2 <= p <= n - 2:
                 wspace = ml.build_exterior(n, p)
-                beta = ml.wedge_coords(
+                beta = wedge_coords(
                     wspace, [(1.0, tuple(range(1, p + 1)))])
                 tail = tuple(range(5, p + 3))
-                gamma = ml.wedge_coords(
+                gamma = wedge_coords(
                     wspace, [(1.0, (1, 2) + tail), (1.0, (3, 4) + tail)])
                 for name, vec, expect in (
                     ("scal-part", beta, float(p * (n - p))),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from curvelab import certify as ce
 from curvelab import curvature as cv
 
-from conftest import random_operator, random_rotation
+from conftest import lambda2_matrix, random_operator, random_rotation
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -71,7 +71,7 @@ def test_verdict_is_rotation_invariant(seed, scale, offset, strict, reflect):
     Q = random_rotation(4, np.random.default_rng([seed, 1]))
     if reflect:
         Q[:, 0] = -Q[:, 0]
-    L = cv.lambda2_matrix(4, Q)
+    L = lambda2_matrix(4, Q)
     rotated = cv.CurvatureOperator(4, L @ R.mat @ L.T)
     assert (ce.certify_bound(rotated, k, strict=strict).verdict
             == ce.certify_bound(R, k, strict=strict).verdict)

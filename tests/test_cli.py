@@ -336,6 +336,19 @@ def test_certify_deterministic_output(capsys):
     assert first == second
 
 
+def test_internal_error_exits_three_with_json(capsys, monkeypatch):
+    # an internal failure must not share exit 1 with a refuted bound
+    def broken(*args, **kwargs):
+        raise RuntimeError("golden search lost concavity")
+
+    monkeypatch.setattr(cli, "certify_bound", broken)
+    code, out, err = run(capsys, "certify", "s2xs2", "--n", "4", "--k", "0")
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "RuntimeError: golden search lost concavity"}
+    assert "Traceback" not in out + err
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

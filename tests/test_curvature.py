@@ -9,7 +9,6 @@ from curvelab.curvature import (
     TwoPlane,
     decompose,
     four_form_projection,
-    lambda2_matrix,
     metric_kulkarni,
     ricci,
     scalar_curvature,
@@ -17,7 +16,7 @@ from curvelab.curvature import (
 )
 from curvelab.fixtures import fixture_operator
 
-from conftest import random_operator, random_rotation
+from conftest import lambda2_matrix, random_operator, random_rotation
 
 
 # ---------------------------------------------------------------------------

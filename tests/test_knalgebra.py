@@ -9,7 +9,7 @@ from curvelab import knalgebra as kn
 from curvelab import multilinear as ml
 from curvelab.curvature import metric_kulkarni
 
-from conftest import random_operator
+from conftest import project_traceless, random_operator, wedge_coords
 
 
 def _rank_one(algebra, n, p, vec):
@@ -45,7 +45,7 @@ def test_wedge_product_of_rank_one_dyads(rng):
     a = rng.standard_normal(space1.dim)
     b = rng.standard_normal(space1.dim)
     prod = kn.kn_product(_rank_one("wedge", n, 1, a), _rank_one("wedge", n, 1, b))
-    ab = ml.wedge_coords(space2, [
+    ab = wedge_coords(space2, [
         (a[i] * b[j], (i + 1, j + 1))
         for i in range(n) for j in range(n) if i != j
     ])
@@ -143,7 +143,7 @@ def test_rank_one_squares_vanish_in_wedge(rng):
 def test_traceless_projection_roundtrip(rng):
     n, p = 4, 2
     sym = _random_element("sym", n, p, rng)
-    projected = kn.project_traceless(sym)
+    projected = project_traceless(sym)
     assert projected.algebra == "sym0"
     C = kn.space_for("sym0", n, p).change_of_basis
     np.testing.assert_allclose(projected.mat, C @ sym.mat @ C.T, atol=1e-12)

@@ -9,8 +9,8 @@ import scipy.linalg
 
 from curvelab import multilinear as ml
 
-from conftest import (dense_generators, random_rotation, rep_matrix,
-                      substitute_linear)
+from conftest import (dense_generators, laplacian, random_rotation, rep_matrix,
+                      so_generator, substitute_linear, wedge_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,7 @@ def test_so_generator_action_on_basis_vectors():
     # the generator for the pair (i, j) sends e_j to e_i and e_i to -e_j
     for n in (3, 5):
         for (i, j) in ml.pair_basis(n):
-            E = ml.so_generator(n, i, j)
+            E = so_generator(n, i, j)
             np.testing.assert_array_equal(E @ np.eye(n)[j - 1], np.eye(n)[i - 1])
             np.testing.assert_array_equal(E @ np.eye(n)[i - 1], -np.eye(n)[j - 1])
             np.testing.assert_array_equal(E + E.T, np.zeros((n, n)))
@@ -42,7 +42,7 @@ def test_so_generator_action_on_basis_vectors():
 def test_generator_commutators_close():
     # [E_ij, E_kl] is again a (signed) generator or zero; check by expansion
     n = 5
-    basis = {pair: ml.so_generator(n, *pair) for pair in ml.pair_basis(n)}
+    basis = {pair: so_generator(n, *pair) for pair in ml.pair_basis(n)}
     flat = np.array([basis[p].ravel() for p in ml.pair_basis(n)])
     for (a, Ea) in basis.items():
         for (b, Eb) in basis.items():
@@ -114,7 +114,7 @@ def test_rotation_action_is_derivative_of_rotation_flow(rng):
         n, {e: rng.standard_normal() for e in ml.monomial_basis(n, p)})
     x = rng.standard_normal(n)
     for (i, j) in ((1, 2), (2, 4), (3, 4)):
-        E = ml.so_generator(n, i, j)
+        E = so_generator(n, i, j)
         num = (f.evaluate(scipy.linalg.expm(h * E) @ x)
                - f.evaluate(scipy.linalg.expm(-h * E) @ x)) / (2 * h)
         Df = f.rotation_action(i, j)
@@ -137,11 +137,11 @@ def test_rotation_actions_satisfy_bracket(rng):
 def test_laplacian_small_cases():
     n = 3
     f = ml.Polynomial(n, {(2, 0, 0): 1.0})          # x1^2
-    assert f.laplacian().coeffs == {(0, 0, 0): pytest.approx(2.0)}
+    assert laplacian(f).coeffs == {(0, 0, 0): pytest.approx(2.0)}
     r2 = ml.r_squared(n)
-    assert r2.laplacian().coeffs == {(0, 0, 0): pytest.approx(2.0 * n)}
+    assert laplacian(r2).coeffs == {(0, 0, 0): pytest.approx(2.0 * n)}
     h = ml.Polynomial(n, {(1, 1, 0): 1.0})          # harmonic
-    assert h.laplacian().coeffs == {}
+    assert laplacian(h).coeffs == {}
 
 
 def test_substitute_linear_matches_pointwise(rng):
@@ -162,7 +162,7 @@ def test_circle_harmonic_is_real_part_of_complex_power(rng):
             x = rng.standard_normal(4)
             expect = ((x[0] + 1j * x[1]) ** p).real
             assert f.evaluate(x) == pytest.approx(expect, rel=1e-12)
-        assert f.laplacian().coeffs == {}
+        assert laplacian(f).coeffs == {}
 
 
 @pytest.mark.parametrize("p", range(1, 9))
@@ -196,7 +196,7 @@ def test_harmonic_projection_properties(rng):
     f = ml.Polynomial(
         n, {e: rng.standard_normal() for e in ml.monomial_basis(n, p)})
     proj = ml.harmonic_projection(f)
-    lap = proj.laplacian()
+    lap = laplacian(proj)
     assert max((abs(c) for c in lap.coeffs.values()), default=0.0) < 1e-10
     again = ml.harmonic_projection(proj)
     for e in set(proj.coeffs) | set(again.coeffs):
@@ -247,7 +247,7 @@ def test_bracket_compatibility(build, n, p):
     # [D_a, D_b] must represent the so(n) bracket [E_a, E_b]
     space = build(n, p)
     dense = _as_dense(space)
-    gens = {pair: ml.so_generator(n, *pair) for pair in space.pairs}
+    gens = {pair: so_generator(n, *pair) for pair in space.pairs}
     flat = np.array([gens[q].ravel() for q in space.pairs])
     for a in space.pairs:
         for b in space.pairs:
@@ -285,7 +285,7 @@ def test_exponential_equivariance(build, n, p, tol, rng):
     space = build(n, p)
     dense = _as_dense(space)
     coeffs = rng.standard_normal(len(space.pairs))
-    A = sum(c * ml.so_generator(n, *q) for c, q in zip(coeffs, space.pairs))
+    A = sum(c * so_generator(n, *q) for c, q in zip(coeffs, space.pairs))
     D = sum(c * dense[q] for c, q in zip(coeffs, space.pairs))
     lhs = scipy.linalg.expm(D)
     rhs = rep_matrix(space, scipy.linalg.expm(A))
@@ -342,6 +342,60 @@ def test_casimir_is_scalar_on_irreducibles():
 
 
 # ---------------------------------------------------------------------------
+# product table
+
+
+def _dense_table(kind, n, pa, pb):
+    """T[:, a, b]: coordinates of the product of basis vectors a and b."""
+    dim = ml.dim_exterior if kind == "exterior" else ml.dim_symmetric
+    out, ia, ib, val = ml.product_table(kind, n, pa, pb)
+    T = np.zeros((dim(n, pa + pb), dim(n, pa), dim(n, pb)))
+    T[out, ia, ib] = val
+    return T, ia * dim(n, pb) + ib
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+@pytest.mark.parametrize("pa,pb", [(1, 0), (1, 1), (1, 3), (2, 2), (3, 1)])
+def test_symmetric_products_match_polynomial_multiplication(n, pa, pb):
+    # degree one (pa = 1) is multiplication by x_i; every product is listed,
+    # ordered by the first factor, then the second
+    T, order = _dense_table("symmetric", n, pa, pb)
+    np.testing.assert_array_equal(order, np.arange(order.size))
+    sa, sb = ml.build_symmetric(n, pa), ml.build_symmetric(n, pb)
+    out = ml.build_symmetric(n, pa + pb)
+    for a in range(sa.dim):
+        ua = ml.coords_to_polynomial(sa, np.eye(sa.dim)[a])
+        for b in range(sb.dim):
+            ub = ml.coords_to_polynomial(sb, np.eye(sb.dim)[b])
+            np.testing.assert_allclose(T[:, a, b],
+                                       ml.polynomial_coords(out, ua * ub),
+                                       rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n,pa,pb", [(3, 1, 1), (4, 1, 2), (5, 2, 2),
+                                     (5, 3, 1), (6, 2, 3), (4, 0, 3)])
+def test_wedge_products_match_sort_inversion_sign(n, pa, pb):
+    T, order = _dense_table("exterior", n, pa, pb)
+    assert np.all(np.diff(order) > 0)
+    out = ml.build_exterior(n, pa + pb)
+    for a, I in enumerate(ml.wedge_basis(n, pa)):
+        for b, J in enumerate(ml.wedge_basis(n, pb)):
+            np.testing.assert_array_equal(
+                T[:, a, b], wedge_coords(out, [(1.0, I + J)]))
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (3, 0), (3, 2), (4, 3), (5, 1)])
+def test_r2_map_multiplies_by_r_squared(n, p):
+    src, dst = ml.build_symmetric(n, p), ml.build_symmetric(n, p + 2)
+    M = ml.r2_multiplication_matrix(n, p)
+    for col in range(src.dim):
+        u = ml.coords_to_polynomial(src, np.eye(src.dim)[col])
+        np.testing.assert_allclose(
+            M[:, col], ml.polynomial_coords(dst, ml.r_squared(n) * u),
+            rtol=0, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # coordinates
 
 
@@ -375,15 +429,15 @@ def test_polynomial_coords_rejects_nonharmonic_for_traceless(rng):
 def test_wedge_coords_signs():
     n = 4
     space = ml.build_exterior(n, 2)
-    v = ml.wedge_coords(space, [(1.0, (1, 2))])
-    w = ml.wedge_coords(space, [(1.0, (2, 1))])
+    v = wedge_coords(space, [(1.0, (1, 2))])
+    w = wedge_coords(space, [(1.0, (2, 1))])
     np.testing.assert_array_equal(v, -w)
-    x = ml.wedge_coords(space, [(1.0, (1, 1))])
+    x = wedge_coords(space, [(1.0, (1, 1))])
     np.testing.assert_array_equal(x, np.zeros(space.dim))
     # permutation parity in higher degree
     space3 = ml.build_exterior(n, 3)
-    a = ml.wedge_coords(space3, [(2.0, (1, 2, 3))])
-    b = ml.wedge_coords(space3, [(2.0, (2, 3, 1))])
+    a = wedge_coords(space3, [(2.0, (1, 2, 3))])
+    b = wedge_coords(space3, [(2.0, (2, 3, 1))])
     np.testing.assert_allclose(a, b, atol=1e-15)
-    c = ml.wedge_coords(space3, [(2.0, (2, 1, 3))])
+    c = wedge_coords(space3, [(2.0, (2, 1, 3))])
     np.testing.assert_allclose(a, -c, atol=1e-15)

@@ -12,8 +12,9 @@ from curvelab.curvature import CurvatureOperator, ricci
 from curvelab.fixtures import fixture_operator
 from curvelab.multilinear import pair_index
 
-from conftest import (dense_generators, random_operator, random_rotation,
-                      rep_matrix)
+from conftest import (berger_diagonal, dense_generators, lambda2_matrix,
+                      random_operator, random_rotation, rep_matrix,
+                      wedge_coords)
 
 
 def test_output_is_symmetric_with_recorded_defect(rng):
@@ -219,7 +220,7 @@ def test_decomposable_wedge_quadratic_form_round_case():
         R = fixture_operator("scal-part", n)
         space = ml.build_exterior(n, p)
         K = wz.curvature_term(R, space)
-        v = ml.wedge_coords(space, [(1.0, tuple(range(1, p + 1)))])
+        v = wedge_coords(space, [(1.0, tuple(range(1, p + 1)))])
         assert wz.quadratic_form(K, v) == pytest.approx(p * (n - p), abs=1e-9)
 
 
@@ -270,7 +271,6 @@ def test_positive_operators_give_positive_terms(rng):
 
 
 def test_equivariance_under_rotations(rng):
-    from curvelab.curvature import lambda2_matrix
     n = 4
     R = random_operator(n, rng)
     Q = random_rotation(n, rng)
@@ -341,7 +341,7 @@ def test_ricci_eigen_diagonal(rng):
     n = 4
     for _ in range(5):
         R = random_operator(n, rng)
-        rows = wz.berger_diagonal(R)
+        rows = berger_diagonal(R)
         lams = np.sort([lam for (lam, _, _) in rows])
         np.testing.assert_allclose(lams, np.sort(np.linalg.eigvalsh(ricci(R))),
                                    atol=1e-10)
@@ -350,7 +350,7 @@ def test_ricci_eigen_diagonal(rng):
 
 
 def test_ricci_eigen_diagonal_identity_operator():
-    rows = wz.berger_diagonal(fixture_operator("identity", 5))
+    rows = berger_diagonal(fixture_operator("identity", 5))
     for (lam, vec, val) in rows:
         assert lam == pytest.approx(4.0)
         assert val == pytest.approx(16.0, abs=1e-10)
