@@ -37,7 +37,7 @@ Every eigenvalue test uses ``tol = 1e-9 * max(|R|_2, |k|)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,15 +46,6 @@ from . import weitzenbock as wz
 from .curvature import CurvatureOperator, TwoPlane, four_form_matrix, sec
 
 DEFAULT_SEED = 0xC04A7
-
-
-# ---------------------------------------------------------------------------
-# Hodge star (n = 4)
-
-
-def hodge_star_matrix():
-    """Matrix of the Hodge star on two-forms of R^4 in the pair basis."""
-    return four_form_matrix(4)
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +112,16 @@ _MAX_SWEEPS = 500
 _STALL = 1e-15
 
 
-def _partner(Rmat, x, I, J):
+def _partner(Rmat, x, E):
     """Best unit partners y of the unit vectors x_b, with their values.
 
-    ``L_x y = x ^ y`` in the pair basis, so sec(x, y) is the quadratic
-    form of the Jacobi matrix ``L_x^T R L_x`` at y.  Restricted to an
-    orthonormal basis P of x^perp, its bottom eigenvector is the y that
-    minimizes sec(x, .).
+    ``L_x y = x ^ y`` in the pair basis, with ``L_x = x . E`` for the skew
+    matrices ``E = two_forms(n)``, so sec(x, y) is the quadratic form of
+    the Jacobi matrix ``L_x^T R L_x`` at y.  Restricted to an orthonormal
+    basis P of x^perp, its bottom eigenvector is the y that minimizes
+    sec(x, .).
     """
-    B, n = x.shape
-    L = np.zeros((B, I.size, n))
-    rows = np.arange(I.size)
-    L[:, rows, J] = x[:, I]
-    L[:, rows, I] = -x[:, J]
+    L = np.tensordot(x, E, (1, 1))
     P = np.linalg.qr(x[:, :, None], mode="complete")[0][:, :, 1:]
     LP = L @ P
     w, V = np.linalg.eigh(np.swapaxes(LP, 1, 2) @ Rmat @ LP)
@@ -149,13 +137,13 @@ def _descend(Rmat, x, y):
     its value.  Returns the final values and frames and the number of
     starts that stopped within ``_MAX_SWEEPS``.
     """
-    I, J = np.triu_indices(x.shape[1], 1)      # the lex-ordered pair basis
+    E = ml.two_forms(x.shape[1])
     stall = _STALL * np.linalg.norm(Rmat, 2)
     value = np.full(x.shape[0], np.inf)
     active = np.arange(x.shape[0])
     for _ in range(_MAX_SWEEPS):
-        _, y[active] = _partner(Rmat, x[active], I, J)
-        f, x[active] = _partner(Rmat, y[active], I, J)
+        _, y[active] = _partner(Rmat, x[active], E)
+        f, x[active] = _partner(Rmat, y[active], E)
         lowered = f < value[active] - stall
         value[active] = f
         active = active[lowered]
@@ -228,16 +216,7 @@ class Certificate:
         return self.verdict == "refuted"
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "direction": self.direction,
-            "verdict": self.verdict,
-            "method": self.method,
-            "strict": self.strict,
-            "witness": self.witness,
-            "tolerances": self.tolerances,
-        }
+        return asdict(self)
 
 
 def _eig_tol(R, k):
@@ -261,7 +240,7 @@ def thorpe_sec_min(R):
     """
     if R.n != 4:
         raise ValueError("the star-shift argument needs n = 4")
-    star = hodge_star_matrix()
+    star = four_form_matrix(4)
     norm = float(np.linalg.norm(R.mat, 2))
     if norm == 0.0:
         return 0.0, 0.0
@@ -284,7 +263,7 @@ def _thorpe_plane(S, t_star, tol):
     That is the Pluecker relation at n = 4: v is decomposable, and its
     plane is the top singular pair of v's 4 x 4 skew matrix.
     """
-    star = hodge_star_matrix()
+    star = four_form_matrix(4)
     lam, vec = np.linalg.eigh(S.mat + t_star * star)
     B = vec[:, lam <= lam[0] + tol]
     w, W = np.linalg.eigh(B.T @ star @ B)
@@ -292,11 +271,7 @@ def _thorpe_plane(S, t_star, tol):
     # cos^2 lo + sin^2 hi = 0, clipped where rounding left 0 just outside
     cos2 = float(np.clip(hi / (hi - lo), 0.0, 1.0)) if hi > lo else 1.0
     v = B @ (math.sqrt(cos2) * W[:, 0] + math.sqrt(1.0 - cos2) * W[:, -1])
-    I, J = np.triu_indices(4, 1)               # the lex-ordered pair basis
-    X = np.zeros((4, 4))
-    X[I, J] = v
-    X[J, I] = -v
-    U = np.linalg.svd(X)[0]
+    U = np.linalg.svd(np.tensordot(v, ml.two_forms(4), 1))[0]
     return TwoPlane.orthonormalized(U[:, 0], U[:, 1])
 
 

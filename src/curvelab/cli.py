@@ -261,7 +261,7 @@ def cmd_verify(args):
             rows.append({"p": p, "worst_rel": rep.worst, "passed": rep.passed,
                          "c_constant": rep.c})
         doc.update({"n": args.n, "rows": rows, "worst_rel": worst,
-                    "tol": 1e-7, "passed": ok})
+                    "tol": rep.tol if rows else None, "passed": ok})
     elif args.suite == "lemmas":
         rows = []
         for p in range(2, args.pmax + 1):
@@ -273,16 +273,17 @@ def cmd_verify(args):
     elif args.suite == "gpowers":
         rows = []
         worst = 0.0
+        tol = 1e-10
         for algebra in ("wedge", "sym", "sym0"):
             for p in range(2, min(args.pmax, 4) + 1):
                 it = kn.iterated_g_power(algebra, args.n, p)
                 expect = kn.g_power(algebra, args.n, p)
                 res = float(np.abs(it.mat - expect.mat).max())
                 worst = max(worst, res)
-                ok = ok and res <= 1e-10
+                ok = ok and res <= tol
                 rows.append({"algebra": algebra, "p": p, "residual": res})
         doc.update({"n": args.n, "rows": rows, "worst": worst,
-                    "tol": 1e-10, "passed": ok})
+                    "tol": tol, "passed": ok})
     doc["passed"] = ok
     emit(doc, args.out)
     return 0 if ok else 1
@@ -374,12 +375,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:    # a ValueError, but not bad input
+        error = exc
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
-        return 3
+        error = exc
+    print(json.dumps({"error": f"{type(error).__name__}: {error}"}))
+    return 3
 
 
 if __name__ == "__main__":

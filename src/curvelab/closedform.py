@@ -20,7 +20,7 @@ products and compared against the directly assembled double sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,14 +87,7 @@ class ThmBRow:
     max_spectral: float
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "p": self.p,
-            "rep": self.rep,
-            "trials": self.trials,
-            "max_abs": self.max_abs,
-            "max_spectral": self.max_spectral,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -16,16 +16,18 @@ The four mutually orthogonal summands are
 
 For n = 3 the last two summands vanish identically; decomposition then
 runs in a degraded two-part mode and says so in the result.
+
+The wedge sign is not written here: the code below contracts with
+``multilinear.two_forms`` or reads ``multilinear.product_table``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 
-from .multilinear import pair_basis, pair_index
+from .multilinear import pair_index, product_table, two_forms
 
 
 def _as_matrix(mat, n):
@@ -50,7 +52,6 @@ class CurvatureOperator:
         m = _as_matrix(mat, self.n)
         self.asymmetry = float(np.max(np.abs(m - m.T)) / 2) if m.size else 0.0
         self.mat = 0.5 * (m + m.T)
-        self.pairs = pair_basis(self.n)
 
     @property
     def N(self):
@@ -117,14 +118,7 @@ class TwoPlane:
 
     def coords(self):
         """Coordinates of x ^ y in the pair basis."""
-        n = self.n
-        out = np.empty(n * (n - 1) // 2)
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[k] = self.x[i] * self.y[j] - self.x[j] * self.y[i]
-                k += 1
-        return out
+        return two_forms(self.n) @ self.y @ self.x
 
     def __repr__(self):
         return f"TwoPlane(n={self.n})"
@@ -139,17 +133,10 @@ def sec(R, plane, y=None):
 
 
 def ricci(R):
-    """Ricci form Ric(e_p, e_q) = sum_i R_{piqi} as an n x n matrix."""
-    n = R.n
-    out = np.zeros((n, n))
-    for p in range(1, n + 1):
-        for q in range(p, n + 1):
-            tot = 0.0
-            for i in range(1, n + 1):
-                tot += R.entry(p, i, q, i)
-            out[p - 1, q - 1] = tot
-            out[q - 1, p - 1] = tot
-    return out
+    """Ricci form Ric(e_p, e_q) = sum_i R(e_p ^ e_i, e_q ^ e_i) as an n x n
+    matrix: column p of ``two_forms(n)[:, :, i]`` is e_p ^ e_i.  Each term
+    is an exact signed gather of R, so the sum is exactly symmetric."""
+    return sum(M.T @ R.mat @ M for M in two_forms(R.n).transpose(2, 0, 1))
 
 
 def scalar_curvature(R):
@@ -161,65 +148,44 @@ def metric_kulkarni(n, h, k=None):
     """Matrix on two-forms of the classical product of two symmetric forms.
 
     ``(h ? k)(ei^ej, ek^el) = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il``
-    with the convention that makes ``g ? g`` act as twice the identity.
-    If ``k`` is omitted the metric is used for the second slot.
+    with the convention that makes ``g ? g`` act as twice the identity:
+    entry (a, b) is ``<h^T E_a k, E_b>`` for the skew matrices E of
+    ``two_forms``.  If ``k`` is omitted the metric is used for the second
+    slot.
     """
     h = np.asarray(h, dtype=float)
     k = np.eye(n) if k is None else np.asarray(k, dtype=float)
-    pairs = pair_basis(n)
-    N = len(pairs)
-    out = np.empty((N, N))
-    for a, (i, j) in enumerate(pairs):
-        i -= 1
-        j -= 1
-        for b, (kk, ll) in enumerate(pairs):
-            kk -= 1
-            ll -= 1
-            out[a, b] = (
-                h[i, kk] * k[j, ll]
-                + h[j, ll] * k[i, kk]
-                - h[i, ll] * k[j, kk]
-                - h[j, kk] * k[i, ll]
-            )
+    E = two_forms(n)
+    out = np.tensordot(h.T @ E @ k, E, ((1, 2), (1, 2)))
     return 0.5 * (out + out.T)
-
-
-def _four_form_entries(n, quad):
-    """Pair-basis positions (a, c) and signs of the four-form on ``quad``.
-
-    The four-form ``e_i ^ e_j ^ e_k ^ e_l`` (i < j < k < l) couples the
-    two-forms ij with kl (+1), ik with jl (-1) and il with jk (+1); at
-    n = 4 and quad = (1, 2, 3, 4) it is the Hodge star.
-    """
-    i, j, k, l = quad
-    return [(pair_index(n, *p1), pair_index(n, *p2), s) for p1, p2, s in (
-        ((i, j), (k, l), 1.0), ((i, k), (j, l), -1.0), ((i, l), (j, k), 1.0))]
 
 
 def four_form_matrix(n):
     """The four-form e_1 ^ e_2 ^ e_3 ^ e_4 on two-forms of R^n (n >= 4),
-    in the pair basis; at n = 4 the Hodge star."""
+    in the pair basis; at n = 4 the Hodge star.  Its entries are the
+    products of two-forms that land on (1, 2, 3, 4), the first four-form."""
+    if n < 4:
+        raise ValueError(f"a four-form needs n >= 4, got n={n}")
     N = n * (n - 1) // 2
-    out = np.zeros((N, N))
-    for a, c, s in _four_form_entries(n, (1, 2, 3, 4)):
-        out[a, c] = out[c, a] = s
-    return out
+    out, a, c, val = product_table("exterior", n, 2, 2)
+    W = np.zeros((N, N))
+    first = out == 0
+    W[a[first], c[first]] = val[first]
+    return W
 
 
 def four_form_projection(R):
     """Orthogonal projection onto the alternating four-form summand.
 
-    Built from the orthonormal family indexed by i < j < k < l whose
-    matrix has entries +-1/sqrt(6) on the six pair-positions of the
-    quadruple; equivalently the Bianchi-defect component."""
-    n = R.n
-    out = np.zeros_like(R.mat)
-    for (i, j, k, l) in combinations(range(1, n + 1), 4):
-        b = (R.entry(i, j, k, l) - R.entry(i, k, j, l) + R.entry(i, l, j, k)) / 3.0
-        for a, c, s in _four_form_entries(n, (i, j, k, l)):
-            out[a, c] += s * b
-            out[c, a] += s * b
-    return out
+    Four-form e_q has entry ``val`` at each product ``e_a ^ e_c = val e_q``
+    (six entries +-1), so the projection is ``sum_q b_q e_q`` with
+    ``b_q = <e_q, R> / 6``: R is symmetric, so the three a < c terms / 3."""
+    out, a, c, val = product_table("exterior", R.n, 2, 2)
+    upper = a < c
+    b = np.bincount(out[upper], val[upper] * R.mat[a[upper], c[upper]]) / 3.0
+    W = np.zeros_like(R.mat)
+    W[a, c] += val * b[out]         # 0.0 + -0.0: a zero b_q reads as 0.0
+    return W
 
 
 @dataclass

@@ -28,6 +28,8 @@ polynomials it acts as ``x_i d/dx_j - x_j d/dx_i``.
 wedge sign, the ``x^l / sqrt(l!)`` normalization).  With ``M_i`` the
 product by the i-th degree-one basis vector, adjoint to ``i_{e_i}`` on
 the wedge and ``d/dx_i`` on polynomials, ``D_(i,j) = M_i M_j^T - M_j M_i^T``.
+``two_forms`` reads the degree-one wedge products as the skew matrices of
+the pair basis.
 
 See ``docs/bases.md`` for the frozen ordering and normalization rules.
 """
@@ -56,6 +58,16 @@ def pair_index(n, i, j):
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= n, got ({i}, {j}) with n={n}")
     return (i - 1) * n - (i - 1) * i // 2 + (j - i - 1)
+
+
+def two_forms(n):
+    """The pair basis as skew matrices, shape (N, n, n): slice a is
+    ``e_i ^ e_j`` with +1 at (i, j) and -1 at (j, i), scattered from the
+    ``(n, 1, 1)`` wedge table, so ``two_forms(n) @ y @ x`` is x ^ y."""
+    out, i, j, val = product_table("exterior", n, 1, 1)
+    E = np.zeros((dim_exterior(n, 2), n, n))
+    E[out, i, j] = val
+    return E
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ used, which is checked over several choices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -159,8 +159,7 @@ class IntegralRow:
     rel_err: float
 
     def to_dict(self):
-        return {"trial": self.trial, "lhs": self.lhs, "rhs": self.rhs,
-                "rel_err": self.rel_err}
+        return asdict(self)
 
 
 @dataclass

@@ -8,8 +8,7 @@ import pytest
 from curvelab import knalgebra as kn
 from curvelab import multilinear as ml
 from curvelab import weitzenbock as wz
-from curvelab.certify import hodge_star_matrix
-from curvelab.curvature import CurvatureOperator, ricci
+from curvelab.curvature import CurvatureOperator, four_form_matrix, ricci
 
 
 def random_operator(n, rng, scale=1.0):
@@ -43,7 +42,7 @@ def selfdual_split(alpha):
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (6,):
         raise ValueError("expected a 6-vector in the pair basis")
-    sa = hodge_star_matrix() @ alpha
+    sa = four_form_matrix(4) @ alpha
     return 0.5 * (alpha + sa), 0.5 * (alpha - sa)
 
 

@@ -337,16 +337,19 @@ def test_certify_deterministic_output(capsys):
 
 
 def test_internal_error_exits_three_with_json(capsys, monkeypatch):
-    # an internal failure must not share exit 1 with a refuted bound
-    def broken(*args, **kwargs):
-        raise RuntimeError("golden search lost concavity")
+    # an internal failure must not share exit 1 with a refuted bound, nor
+    # exit 2 with bad input (LinAlgError is a ValueError)
+    for exc in (RuntimeError("golden search lost concavity"),
+                np.linalg.LinAlgError("Eigenvalues did not converge")):
+        def broken(*args, **kwargs):
+            raise exc
 
-    monkeypatch.setattr(cli, "certify_bound", broken)
-    code, out, err = run(capsys, "certify", "s2xs2", "--n", "4", "--k", "0")
-    assert code == 3
-    assert json.loads(out) == {
-        "error": "RuntimeError: golden search lost concavity"}
-    assert "Traceback" not in out + err
+        monkeypatch.setattr(cli, "certify_bound", broken)
+        code, out, err = run(capsys, "certify", "s2xs2", "--n", "4",
+                             "--k", "0")
+        assert code == 3
+        assert json.loads(out) == {"error": f"{type(exc).__name__}: {exc}"}
+        assert "Traceback" not in out + err
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from curvelab.curvature import (
     CurvatureOperator,
     TwoPlane,
     decompose,
+    four_form_matrix,
     four_form_projection,
     metric_kulkarni,
     ricci,
@@ -61,6 +62,30 @@ def test_two_plane_validation(rng):
     plane = TwoPlane.orthonormalized(x, y)
     assert abs(np.dot(plane.x, plane.y)) < 1e-12
     assert np.linalg.norm(plane.x) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_coords_are_the_wedge_formula(rng):
+    # oracle: x ^ y has x_i y_j - x_j y_i at the lex slot of (i, j)
+    for n in range(3, 8):
+        plane = TwoPlane.orthonormalized(rng.standard_normal(n),
+                                         rng.standard_normal(n))
+        x, y = plane.x, plane.y
+        expect = [x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+                  for (i, j) in ml.pair_basis(n)]
+        np.testing.assert_allclose(plane.coords(), expect, atol=1e-15)
+
+
+def test_jacobi_map_is_wedge_with_x(rng):
+    # L_x = x . two_forms(n), batched over x, maps y to the coords of x ^ y
+    for n in range(3, 8):
+        planes = [TwoPlane.orthonormalized(rng.standard_normal(n),
+                                           rng.standard_normal(n))
+                  for _ in range(4)]
+        L = np.tensordot(np.array([p.x for p in planes]), ml.two_forms(n),
+                         (1, 1))
+        for Lx, plane in zip(L, planes):
+            np.testing.assert_allclose(Lx @ plane.y, plane.coords(),
+                                       atol=1e-15)
 
 
 def test_sec_constant_curvature(rng):
@@ -119,14 +144,14 @@ def test_ricci_identity_operator():
 
 def test_ricci_against_entry_loop(rng):
     # oracle: assemble the trace directly from tensor entries
-    n = 5
-    R = random_operator(n, rng)
-    ric = ricci(R)
-    for p in range(1, n + 1):
-        for q in range(p, n + 1):
-            expect = sum(R.entry(p, i, q, i) for i in range(1, n + 1))
-            assert ric[p - 1, q - 1] == pytest.approx(expect, abs=1e-12)
-            assert ric[q - 1, p - 1] == pytest.approx(expect, abs=1e-12)
+    for n in range(3, 8):
+        R = random_operator(n, rng)
+        ric = ricci(R)
+        for p in range(1, n + 1):
+            for q in range(p, n + 1):
+                expect = sum(R.entry(p, i, q, i) for i in range(1, n + 1))
+                assert ric[p - 1, q - 1] == pytest.approx(expect, abs=1e-12)
+                assert ric[q - 1, p - 1] == pytest.approx(expect, abs=1e-12)
 
 
 def test_scalar_is_twice_matrix_trace(rng):
@@ -140,20 +165,20 @@ def test_scalar_is_twice_matrix_trace(rng):
 
 def test_metric_kulkarni_against_coordinate_formula(rng):
     # oracle: (h ok k)_{ijkl} = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il
-    n = 5
-    h = rng.standard_normal((n, n))
-    h = 0.5 * (h + h.T)
-    k = rng.standard_normal((n, n))
-    k = 0.5 * (k + k.T)
-    direct = metric_kulkarni(n, h, k)
-    R = CurvatureOperator(n, direct)
-    for (i, j, kk, ll) in ((1, 2, 1, 2), (1, 2, 3, 4), (2, 4, 3, 5),
-                           (1, 3, 1, 4)):
-        expect = (h[i - 1, kk - 1] * k[j - 1, ll - 1]
-                  + h[j - 1, ll - 1] * k[i - 1, kk - 1]
-                  - h[i - 1, ll - 1] * k[j - 1, kk - 1]
-                  - h[j - 1, kk - 1] * k[i - 1, ll - 1])
-        assert R.entry(i, j, kk, ll) == pytest.approx(expect, abs=1e-12)
+    for n in range(3, 8):
+        h = rng.standard_normal((n, n))
+        h = 0.5 * (h + h.T)
+        k = rng.standard_normal((n, n))
+        k = 0.5 * (k + k.T)
+        R = CurvatureOperator(n, metric_kulkarni(n, h, k))
+        for (i, j) in ml.pair_basis(n):
+            for (kk, ll) in ml.pair_basis(n):
+                expect = (h[i - 1, kk - 1] * k[j - 1, ll - 1]
+                          + h[j - 1, ll - 1] * k[i - 1, kk - 1]
+                          - h[i - 1, ll - 1] * k[j - 1, kk - 1]
+                          - h[j - 1, kk - 1] * k[i - 1, ll - 1])
+                assert R.entry(i, j, kk, ll) == pytest.approx(expect,
+                                                              abs=1e-12)
 
 
 def test_metric_kulkarni_with_metric_is_twice_identity():
@@ -191,14 +216,35 @@ def test_four_form_projection_is_projection(rng):
 
 
 def test_four_form_entry_is_bianchi_symmetrization(rng):
-    # oracle: b_{ijkl} = (R_{ijkl} - R_{ikjl} + R_{iljk}) / 3
-    n = 5
-    R = random_operator(n, rng)
-    B = CurvatureOperator(n, four_form_projection(R))
-    for (i, j, k, l) in ((1, 2, 3, 4), (1, 2, 3, 5), (2, 3, 4, 5)):
-        expect = (R.entry(i, j, k, l) - R.entry(i, k, j, l)
-                  + R.entry(i, l, j, k)) / 3.0
-        assert B.entry(i, j, k, l) == pytest.approx(expect, abs=1e-12)
+    # oracle: b_{ijkl} = (R_{ijkl} - R_{ikjl} + R_{iljk}) / 3 on four
+    # distinct indices, and 0 where the two pairs share an index
+    for n in range(3, 8):
+        R = random_operator(n, rng)
+        B = CurvatureOperator(n, four_form_projection(R))
+        for (i, j) in ml.pair_basis(n):
+            for (k, l) in ml.pair_basis(n):
+                expect = 0.0
+                if len({i, j, k, l}) == 4:
+                    expect = (R.entry(i, j, k, l) - R.entry(i, k, j, l)
+                              + R.entry(i, l, j, k)) / 3.0
+                assert B.entry(i, j, k, l) == pytest.approx(expect,
+                                                            abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_four_form_matrix_hand_entries(n):
+    # e_1 ^ e_2 ^ e_3 ^ e_4 couples 12|34 (+1), 13|24 (-1), 14|23 (+1)
+    expect = np.zeros((n * (n - 1) // 2,) * 2)
+    for p, q, s in (((1, 2), (3, 4), 1.0), ((1, 3), (2, 4), -1.0),
+                    ((1, 4), (2, 3), 1.0)):
+        a, c = ml.pair_index(n, *p), ml.pair_index(n, *q)
+        expect[a, c] = expect[c, a] = s
+    assert np.array_equal(four_form_matrix(n), expect)
+
+
+def test_four_form_matrix_needs_four_dimensions():
+    with pytest.raises(ValueError):
+        four_form_matrix(3)
 
 
 # ---------------------------------------------------------------------------
