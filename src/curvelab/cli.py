@@ -238,6 +238,9 @@ def cmd_kterm(args):
 
 
 def cmd_verify(args):
+    if args.pmax < 2:
+        # every suite starts at degree 2: below it, nothing would be checked
+        raise InputError(f"--pmax: expected an integer >= 2, got {args.pmax}")
     doc = {"suite": args.suite, "seed": args.seed}
     ok = True
     if args.suite == "thmB":
@@ -261,7 +264,7 @@ def cmd_verify(args):
             rows.append({"p": p, "worst_rel": rep.worst, "passed": rep.passed,
                          "c_constant": rep.c})
         doc.update({"n": args.n, "rows": rows, "worst_rel": worst,
-                    "tol": rep.tol if rows else None, "passed": ok})
+                    "tol": rep.tol, "passed": ok})
     elif args.suite == "lemmas":
         rows = []
         for p in range(2, args.pmax + 1):

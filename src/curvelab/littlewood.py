@@ -107,7 +107,7 @@ def _as_partition(x):
     return x if isinstance(x, Partition) else Partition(x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _lr_cached(lam, mu, nu):
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if lam.size + mu.size != nu.size:
@@ -181,7 +181,7 @@ def even_partitions_of(m):
     return [tuple(2 * x for x in q) for q in partitions_of(m // 2)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def restriction_multiplicity(nu, lbar):
     """Stable multiplicity of the orthogonal label lbar inside S_nu.
 

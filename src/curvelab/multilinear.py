@@ -94,13 +94,13 @@ def dim_traceless(n, p):
 # basis enumeration
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def wedge_basis(n, p):
     """Strictly increasing p-tuples from {1..n}, lexicographically sorted."""
     return tuple(combinations(range(1, n + 1), p))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def monomial_basis(n, p):
     """Exponent tuples of total degree p, descending lexicographic order.
 
@@ -126,7 +126,45 @@ def _factorial_prod(exps):
     return out
 
 
-@lru_cache(maxsize=None)
+def _binomials(rows, cols):
+    """``math.comb(a, b)`` for a < rows, b < cols as int64.  Entries above
+    2**62 are clipped: a basis rank reads only binomials that count basis
+    vectors of one space, and those fit."""
+    return np.array([[min(math.comb(a, b), 1 << 62) for b in range(cols)]
+                     for a in range(rows)], dtype=np.int64)
+
+
+def _basis_rows(kind, n, p):
+    """The degree-p basis as an int (dim, n) array: exponent tuples on
+    "symmetric", 0/1 membership of the index set on "exterior"."""
+    if kind == "symmetric":
+        basis = monomial_basis(n, p)
+        return np.array(basis, dtype=np.int64).reshape(len(basis), n)
+    basis = wedge_basis(n, p)
+    index = np.array(basis, dtype=np.intp).reshape(len(basis), p)
+    rows = np.zeros((len(basis), n), dtype=np.int64)
+    np.put_along_axis(rows, index - 1, 1, axis=1)
+    return rows
+
+
+def _basis_rank(kind, n, p, rows, binom):
+    """Position of each row (as ``_basis_rows`` writes it) in the degree-p
+    basis, with ``binom`` from ``_binomials``.
+
+    Sym (descending lex): sum_{t < n-1} binom(s_t + n - t - 2, n - t - 1)
+    exponent tuples come before l, s_t = sum_{u > t} l_u.  Wedge (lex):
+    sum_t binom(n - c_t, p - t + 1) index sets come after
+    ``{c_1 < ... < c_p}``.
+    """
+    if kind == "symmetric":
+        s = p - np.cumsum(rows, axis=1)[:, :-1]
+        m = np.arange(n - 1, 0, -1)
+        return binom[s + m - 1, m].sum(axis=1)
+    after = rows * binom[np.arange(n - 1, -1, -1), p + 1 - np.cumsum(rows, 1)]
+    return math.comb(n, p) - 1 - after.sum(axis=1)
+
+
+@lru_cache(maxsize=64)
 def product_table(kind, n, pa, pb):
     """Products of the degree-pa and degree-pb basis vectors, as a COO table.
 
@@ -138,22 +176,20 @@ def product_table(kind, n, pa, pb):
     out.  On "symmetric" (basis ``u_l = x^l / sqrt(l!)``) every product is
     present: ``u_a u_b = sqrt(prod_k binom(a_k + b_k, a_k)) u_{a+b}``.
     """
-    basis = {"exterior": wedge_basis, "symmetric": monomial_basis}[kind]
-    index = {e: k for k, e in enumerate(basis(n, pa + pb))}
-    entries = []
-    for a, ea in enumerate(basis(n, pa)):
-        for b, eb in enumerate(basis(n, pb)):
-            if kind == "symmetric":
-                key = tuple(x + y for x, y in zip(ea, eb))
-                val = math.sqrt(math.prod(math.comb(x + y, x)
-                                          for x, y in zip(ea, eb)))
-            elif set(ea).isdisjoint(eb):
-                key = tuple(sorted(ea + eb))
-                val = (-1.0) ** sum(i > j for i in ea for j in eb)
-            else:
-                continue
-            entries.append((index[key], a, b, val))
-    out, ia, ib, val = np.array(entries, dtype=float).reshape(-1, 4).T
+    if kind not in ("exterior", "symmetric"):
+        raise KeyError(kind)
+    A, B = _basis_rows(kind, n, pa), _basis_rows(kind, n, pb)
+    binom = _binomials(n + pa + pb + 1, max(n, pa + pb) + 2)
+    if kind == "symmetric":
+        ia, ib = (g.ravel() for g in np.indices((len(A), len(B))))
+        val = np.sqrt(binom[A[ia] + B[ib], A[ia]].prod(axis=1).astype(float))
+    else:
+        ia, ib = np.nonzero(A @ B.T == 0)
+        # inv = sum_j B_j #{i in I : i > j}
+        later = A.sum(axis=1, keepdims=True) - np.cumsum(A, axis=1)
+        inv = (later[ia] * B[ib]).sum(axis=1)
+        val = np.where(inv % 2 == 1, -1.0, 1.0)
+    out = _basis_rank(kind, n, pa + pb, A[ia] + B[ib], binom)
     return out.astype(np.intp), ia.astype(np.intp), ib.astype(np.intp), val
 
 
@@ -362,10 +398,15 @@ class RepSpace:
     change_of_basis : ndarray or None
         For "traceless": rows are the orthonormal harmonic basis vectors in
         normalized-monomial coordinates of the ambient symmetric power.
+    reflectors : (V, T) or None
+        For "traceless": the k Householder reflectors of the r^2 map,
+        k = dim Sym^{p-2}, in compact WY form: ``Q = I - V T V^T`` is
+        orthogonal, V (ambient dim x k) unit lower trapezoidal, T (k x k)
+        upper triangular, and ``change_of_basis = Q[:, k:].T``.
     """
 
     def __init__(self, kind, n, p, dim, basis, entries=None,
-                 change_of_basis=None):
+                 change_of_basis=None, reflectors=None):
         self.kind = kind
         self.n = n
         self.p = p
@@ -373,6 +414,7 @@ class RepSpace:
         self.basis = basis
         self.pairs = pair_basis(n)
         self.change_of_basis = change_of_basis
+        self.reflectors = reflectors
         self.pattern = None
         if entries is not None:
             self._set_pattern(*entries)
@@ -437,7 +479,7 @@ def _generator_entries(kind, n, p):
                  for a in (z, x, np.sign(j - i) * v * w, pair))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def build_exterior(n, p):
     """Exterior power with wedge basis and its generator pattern."""
     _check_np(n, p)
@@ -448,7 +490,7 @@ def build_exterior(n, p):
                     _generator_entries("exterior", n, p))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def build_symmetric(n, p):
     """Symmetric power on the normalized monomial basis x^l / sqrt(l!)."""
     _check_np(n, p)
@@ -472,31 +514,56 @@ def r2_multiplication_matrix(n, p):
     return M
 
 
-@lru_cache(maxsize=None)
+def _block_reflector(V, tau):
+    """T of ``H_1 ... H_k = I - V T V^T``, ``H_i = I - tau_i v_i v_i^T``.
+
+    The forward columnwise recurrence of LAPACK's ``larft``: column i is
+    ``-tau_i T[:i, :i] V[:, :i]^T v_i`` above ``tau_i``.  It never divides
+    by tau, which is 0 for a reflector that is the identity.
+    """
+    k = tau.size
+    G = V.T @ V
+    T = np.zeros((k, k))
+    for i in range(k):
+        T[:i, i] = -tau[i] * (T[:i, :i] @ G[:i, i])
+        T[i, i] = tau[i]
+    return T
+
+
+@lru_cache(maxsize=32)
 def build_traceless(n, p):
     """Harmonic part of the symmetric power, on a computed orthonormal basis.
 
     The basis is the orthogonal complement of the column space of the r^2
-    multiplication map, obtained from a full SVD; it is orthonormal but not
-    canonical.  The space carries no generators of its own: the ambient
-    ones preserve it, so its generators are ``C D C^T`` with
-    ``C = change_of_basis``, and ``weitzenbock.curvature_term`` assembles
-    on the ambient power and conjugates the result once.
+    map M (ambient dim x k, full column rank).  ``qr(M, mode="raw")`` gives
+    k Householder reflectors with product ``Q = I - V T V^T`` and
+    ``M = Q[:, :k] R``, so the last dim - k columns of Q span the
+    complement: ``C = Q[:, k:]^T = I[k:, :] - V_2 T^T V^T`` (V_2 the rows k
+    onward of V).  The basis is orthonormal but not canonical.  The space
+    carries no generators of its own: the ambient ones preserve it, so its
+    generators are ``C D C^T``; ``weitzenbock.curvature_term`` assembles on
+    the ambient power and moves the result onto the basis by a rank-2k
+    update with ``(V, T)``, never forming C K C^T.
     """
     _check_np(n, p)
     amb = build_symmetric(n, p)
     if p < 2:
-        C = np.eye(amb.dim)
+        V, T = np.zeros((amb.dim, 0)), np.zeros((0, 0))
     else:
-        M = r2_multiplication_matrix(n, p - 2)
-        U = np.linalg.svd(M, full_matrices=True)[0]
-        C = U[:, M.shape[1] :].T  # rows: orthonormal basis of the complement
+        h, tau = np.linalg.qr(r2_multiplication_matrix(n, p - 2), mode="raw")
+        V = np.tril(h.T, -1)   # h is the transposed LAPACK geqrf storage
+        np.fill_diagonal(V, 1.0)
+        T = _block_reflector(V, tau)
+    k = T.shape[0]
+    C = (V[k:] @ -T.T) @ V.T
     dim = C.shape[0]
+    C[np.arange(dim), np.arange(k, amb.dim)] += 1.0
     if dim != dim_traceless(n, p):
         raise RuntimeError(
             f"harmonic basis has dim {dim}, expected {dim_traceless(n, p)}"
         )
-    return RepSpace("traceless", n, p, dim, amb.basis, change_of_basis=C)
+    return RepSpace("traceless", n, p, dim, amb.basis, change_of_basis=C,
+                    reflectors=(V, T))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def integrate_polynomial(poly):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _gram(n, p):
     """Matrix of int x^{a+b} over raw-coefficient vectors of Sym^p."""
     basis = ml.monomial_basis(n, p)

@@ -26,7 +26,8 @@ class SymmetricEndomorphism:
     """Symmetric matrix acting on a representation space.
 
     ``sym_defect`` is the largest asymmetry removed when the assembled
-    matrix was symmetrized."""
+    matrix was symmetrized: on a traceless space, the ambient K(R, Sym^p)
+    before it is moved onto the harmonic basis."""
 
     space: ml.RepSpace
     mat: np.ndarray
@@ -89,19 +90,31 @@ def curvature_term(R, space):
     """Assemble K(R, V) on a representation space as a symmetric matrix.
 
     For traceless spaces the sum is assembled on the ambient symmetric
-    power (where the generators are stored) and conjugated onto the
-    harmonic basis, which the generators preserve.
+    power (where the generators are stored) and moved onto the harmonic
+    basis, which the generators preserve.  With ``Q = I - V T V^T`` from
+    ``space.reflectors``, ``Q^T K Q = K - (Y V^T + V Y^T)`` for ``W = K V``
+    and ``Y = W T - V (T^T V^T W T) / 2``; its rows and columns k onward
+    are ``K_22 - (X + X^T)`` with ``X = V_2 Y_2^T``, exactly symmetric
+    whenever K is.  ``sym_defect`` is measured on the assembled K, which
+    is symmetrized only when the defect is nonzero.
     """
     if R.n != space.n:
         raise ValueError(f"operator has n={R.n}, space has n={space.n}")
-    if space.kind == "traceless":
-        K = _assemble(R.mat, ml.build_symmetric(space.n, space.p))
-        C = space.change_of_basis
-        K = C @ K @ C.T
-    else:
-        K = _assemble(R.mat, space)
-    defect = float(np.max(np.abs(K - K.T)) / 2) if K.size else 0.0
-    return SymmetricEndomorphism(space, 0.5 * (K + K.T), defect)
+    traceless = space.kind == "traceless"
+    K = _assemble(R.mat, ml.build_symmetric(space.n, space.p) if traceless
+                  else space)
+    D = K - K.T
+    defect = float(np.max(np.abs(D, out=D), initial=0.0)) / 2
+    if defect:
+        K = 0.5 * (K + K.T)
+    if traceless:
+        V, T = space.reflectors
+        k = T.shape[0]
+        W = K @ V
+        Y = W @ T - 0.5 * V @ (T.T @ (V.T @ W) @ T)
+        X = V[k:] @ Y[k:].T
+        K = K[k:, k:] - (X + X.T)
+    return SymmetricEndomorphism(space, K, defect)
 
 
 def quadratic_form(K, vec):

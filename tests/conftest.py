@@ -120,6 +120,29 @@ def laplacian(poly):
     return ml.Polynomial(poly.n, out)
 
 
+def product_table_loop(kind, n, pa, pb):
+    """``multilinear.product_table`` written as a double loop over basis
+    pairs: the sort-inversion wedge sign and the binomial Sym value, one
+    product at a time, looked up in a dict of the degree-(pa + pb) basis."""
+    basis = {"exterior": ml.wedge_basis, "symmetric": ml.monomial_basis}[kind]
+    index = {e: k for k, e in enumerate(basis(n, pa + pb))}
+    entries = []
+    for a, ea in enumerate(basis(n, pa)):
+        for b, eb in enumerate(basis(n, pb)):
+            if kind == "symmetric":
+                key = tuple(x + y for x, y in zip(ea, eb))
+                val = math.sqrt(math.prod(math.comb(x + y, x)
+                                          for x, y in zip(ea, eb)))
+            elif set(ea).isdisjoint(eb):
+                key = tuple(sorted(ea + eb))
+                val = (-1.0) ** sum(i > j for i in ea for j in eb)
+            else:
+                continue
+            entries.append((index[key], a, b, val))
+    out, ia, ib, val = np.array(entries, dtype=float).reshape(-1, 4).T
+    return out.astype(np.intp), ia.astype(np.intp), ib.astype(np.intp), val
+
+
 def wedge_coords(space, terms):
     """Vector of a linear combination of wedge monomials.
 

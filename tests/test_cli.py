@@ -291,6 +291,17 @@ def test_verify_gpowers_suite(capsys):
     assert doc["worst"] <= 1e-10
 
 
+@pytest.mark.parametrize("suite", ["thmB", "integral", "lemmas", "gpowers"])
+def test_verify_pmax_below_two_exits_two(capsys, suite):
+    # no suite checks a degree below 2, so such a run must not report a pass
+    for pmax in ("1", "0"):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--pmax", pmax)
+        assert code == 2
+        assert out == ""
+        assert "--pmax" in err
+
+
 # ---------------------------------------------------------------------------
 # certify
 

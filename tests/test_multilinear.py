@@ -9,8 +9,9 @@ import scipy.linalg
 
 from curvelab import multilinear as ml
 
-from conftest import (dense_generators, laplacian, random_rotation, rep_matrix,
-                      so_generator, substitute_linear, wedge_coords)
+from conftest import (dense_generators, laplacian, product_table_loop,
+                      random_rotation, rep_matrix, so_generator,
+                      substitute_linear, wedge_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +306,25 @@ def test_symmetric_generator_entries_match_ladder_formula():
     assert D[dst2, src] == pytest.approx(-math.sqrt(1 * 2))
 
 
+@pytest.mark.parametrize("n,p", [(1, 0), (1, 3), (3, 1), (3, 2), (4, 4),
+                                 (10, 4), (12, 3)])
+def test_traceless_reflectors_give_the_change_of_basis(n, p):
+    # Q = I - V T V^T is orthogonal, V unit lower trapezoidal, T upper
+    # triangular, and the harmonic basis is Q[:, k:]^T
+    space = ml.build_traceless(n, p)
+    V, T = space.reflectors
+    k = T.shape[0]
+    assert k == ml.dim_symmetric(n, p - 2)
+    np.testing.assert_array_equal(V, np.tril(V))
+    np.testing.assert_array_equal(np.diag(V), np.ones(k))
+    np.testing.assert_array_equal(T, np.triu(T))
+    Q = np.eye(V.shape[0]) - V @ T @ V.T
+    np.testing.assert_allclose(Q.T @ Q, np.eye(V.shape[0]), rtol=0,
+                               atol=1e-14)
+    np.testing.assert_allclose(space.change_of_basis, Q[:, k:].T, rtol=0,
+                               atol=1e-15)
+
+
 def test_traceless_change_of_basis_is_orthonormal_and_kills_r2():
     n, p = 4, 4
     space = ml.build_traceless(n, p)
@@ -382,6 +402,26 @@ def test_wedge_products_match_sort_inversion_sign(n, pa, pb):
         for b, J in enumerate(ml.wedge_basis(n, pb)):
             np.testing.assert_array_equal(
                 T[:, a, b], wedge_coords(out, [(1.0, I + J)]))
+
+
+@pytest.mark.parametrize("kind", ["exterior", "symmetric"])
+def test_product_table_is_bit_identical_to_the_loop(kind):
+    for n in range(1, 9):
+        for pa in range(4):
+            for pb in range(4):
+                got = ml.product_table(kind, n, pa, pb)
+                want = product_table_loop(kind, n, pa, pb)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    np.testing.assert_array_equal(g, w)
+
+
+def test_product_table_indices_do_not_overflow_at_sym2_r60():
+    # a mixed-radix key over 60 exponents would overflow int64 here
+    got = ml.product_table("symmetric", 60, 1, 1)
+    want = product_table_loop("symmetric", 60, 1, 1)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 @pytest.mark.parametrize("n,p", [(1, 2), (3, 0), (3, 2), (4, 3), (5, 1)])

@@ -101,6 +101,50 @@ def test_traceless_assembly_matches_dense_reference(n, p, rng):
     _assert_matches(wz.curvature_term(R, space).mat, ref)
 
 
+@pytest.mark.parametrize("kind,n,p", [
+    ("traceless", 10, 4), ("symmetric", 10, 4), ("symmetric", 8, 5),
+    ("exterior", 10, 5), ("traceless", 12, 3),
+    ("traceless", 4, 0), ("traceless", 4, 1), ("traceless", 1, 0),
+    ("traceless", 1, 2), ("traceless", 1, 5),
+])
+def test_reflector_update_matches_dense_conjugation(kind, n, p, rng):
+    # Harm^p: the rank-2k update against C K C^T on the ambient K, exactly
+    # symmetric; p < 2 (k = 0) and n = 1 (dim 0, tau = 0) included.  Sym^p
+    # and the wedge: the assembled K itself, never symmetrized.
+    R = SimpleNamespace(n=n, mat=_random_mat(n, rng))
+    space = getattr(ml, "build_" + kind)(n, p)
+    K = wz.curvature_term(R, space)
+    ambient = wz._assemble(R.mat, ml.build_symmetric(n, p)
+                           if kind == "traceless" else space)
+    if kind == "traceless":
+        C = space.change_of_basis
+        ref = C @ ambient @ C.T
+        tol = 1e-14 * np.abs(ambient).max(initial=0.0)
+        assert np.abs(K.mat - ref).max(initial=0.0) <= tol
+    else:
+        np.testing.assert_array_equal(K.mat, ambient)
+    assert K.mat.shape == (space.dim, space.dim)
+    np.testing.assert_array_equal(K.mat, K.mat.T)
+    assert K.sym_defect == 0.0
+
+
+def test_asymmetric_assembly_is_symmetrized_with_its_defect(rng,
+                                                            monkeypatch):
+    # the defect is measured on the assembled ambient K, before the update
+    n, p = 4, 3
+    R = random_operator(n, rng)
+    space = ml.build_traceless(n, p)
+    ambient = wz._assemble(R.mat, ml.build_symmetric(n, p))
+    skew = np.triu(np.ones_like(ambient), 1) * 1e-3
+    skew -= skew.T
+    monkeypatch.setattr(wz, "_assemble", lambda Rmat, sp: ambient + skew)
+    K = wz.curvature_term(R, space)
+    assert K.sym_defect == pytest.approx(1e-3, rel=1e-12)
+    C = space.change_of_basis
+    np.testing.assert_allclose(K.mat, C @ ambient @ C.T, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(K.mat, K.mat.T)
+
+
 @pytest.mark.parametrize("build,n,p", [
     (ml.build_exterior, 6, 3), (ml.build_symmetric, 4, 3),
 ])
