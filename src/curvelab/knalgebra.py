@@ -102,10 +102,13 @@ def _pairwise_products(table, dim_out, Va, Vb):
     return U.reshape(dim_out, -1)
 
 
-def _eig_dyads(mat, rel_tol=1e-13):
+_DYAD_REL_TOL = 1e-13  # dyads at or below this share of max|eigenvalue| drop
+
+
+def _eig_dyads(mat):
     lam, vec = np.linalg.eigh(mat)
     scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    keep = np.abs(lam) > rel_tol * scale
+    keep = np.abs(lam) > _DYAD_REL_TOL * scale
     return lam[keep], vec[:, keep]
 
 

@@ -100,12 +100,15 @@ def random_harmonic(n, p, rng):
     return ml.harmonic_projection(ml.Polynomial(n, coeffs))
 
 
-def c_constant(n, p, probes=3, seed=0, tol=1e-8):
+_C_CONSTANT_TOL = 1e-8
+
+
+def c_constant(n, p, probes=3, seed=0):
     """The (n, p) constant relating the pairing norm to the sphere norm.
 
     Computed as ``<phi, phi> / int phi^2`` on the planar harmonic fixture
     and cross-checked on ``probes`` random harmonics; choices must agree
-    to relative ``tol``.
+    to relative ``_C_CONSTANT_TOL``.
     """
     if p < 1:
         raise ValueError("need p >= 1")
@@ -118,7 +121,7 @@ def c_constant(n, p, probes=3, seed=0, tol=1e-8):
         if ns < 1e-12:
             continue
         ci = ns / sphere_inner(psi, psi)
-        if abs(ci - c) > tol * abs(c):
+        if abs(ci - c) > _C_CONSTANT_TOL * abs(c):
             raise RuntimeError(
                 f"constant is not choice-independent: {c!r} vs {ci!r}"
             )
@@ -187,19 +190,23 @@ class IntegralReport:
         }
 
 
-def verify_integral_formula(R, p, trials=10, seed=0, tol=1e-7):
+_INTEGRAL_TOL = 1e-7
+
+
+def verify_integral_formula(R, p, trials=10, seed=0):
     """Check the integral representation on random harmonic pairs.
 
     The left side is the bilinear form of the directly assembled
     curvature term on traceless symmetric power p; the right side is the
-    c-scaled sphere integral.  Errors are relative to the larger side.
+    c-scaled sphere integral.  Errors are relative to the larger side, and
+    the report passes when none exceeds ``_INTEGRAL_TOL``.
     """
     n = R.n
     space = ml.build_traceless(n, p)
     K = wz.curvature_term(R, space)
     c = c_constant(n, p)
     rng = np.random.default_rng(seed)
-    report = IntegralReport(n=n, p=p, c=c, tol=tol, seed=seed)
+    report = IntegralReport(n=n, p=p, c=c, tol=_INTEGRAL_TOL, seed=seed)
     scale = max(1.0, float(np.max(np.abs(K.mat))))
     for t in range(trials):
         phi = random_harmonic(n, p, rng)

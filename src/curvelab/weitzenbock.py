@@ -86,17 +86,33 @@ def _assemble(Rmat, space):
     return K
 
 
+def _harmonic_split(K, reflectors):
+    """Q^T K Q for symmetric K and the reflectors (V, T) of Q = I - V T V^T.
+
+    ``Q^T K Q = K - (Y V^T + V Y^T)`` with ``W = K V`` and
+    ``Y = W T - V (T^T V^T W T) / 2``: a rank-2k update, exactly symmetric
+    whenever K is.  With the reflectors of ``build_traceless(n, p)`` and
+    K = K(R, Sym^p) the result is block diagonal, since K commutes with
+    the r^2 map: its rows and columns k onward are K(R, Harm^p), and its
+    leading k x k block is similar to K(R, Sym^{p-2}).
+    """
+    V, T = reflectors
+    W = K @ V
+    Y = W @ T - 0.5 * V @ (T.T @ (V.T @ W) @ T)
+    X = Y @ V.T
+    X += X.T
+    return np.subtract(K, X, out=X)
+
+
 def curvature_term(R, space):
     """Assemble K(R, V) on a representation space as a symmetric matrix.
 
     For traceless spaces the sum is assembled on the ambient symmetric
     power (where the generators are stored) and moved onto the harmonic
-    basis, which the generators preserve.  With ``Q = I - V T V^T`` from
-    ``space.reflectors``, ``Q^T K Q = K - (Y V^T + V Y^T)`` for ``W = K V``
-    and ``Y = W T - V (T^T V^T W T) / 2``; its rows and columns k onward
-    are ``K_22 - (X + X^T)`` with ``X = V_2 Y_2^T``, exactly symmetric
-    whenever K is.  ``sym_defect`` is measured on the assembled K, which
-    is symmetrized only when the defect is nonzero.
+    basis, which the generators preserve: K(R, Harm^p) is the trailing
+    block of ``_harmonic_split`` with ``space.reflectors``, never C K C^T.
+    ``sym_defect`` is measured on the assembled K, which is symmetrized
+    only when the defect is nonzero.
     """
     if R.n != space.n:
         raise ValueError(f"operator has n={R.n}, space has n={space.n}")
@@ -108,12 +124,9 @@ def curvature_term(R, space):
     if defect:
         K = 0.5 * (K + K.T)
     if traceless:
-        V, T = space.reflectors
-        k = T.shape[0]
-        W = K @ V
-        Y = W @ T - 0.5 * V @ (T.T @ (V.T @ W) @ T)
-        X = V[k:] @ Y[k:].T
-        K = K[k:, k:] - (X + X.T)
+        k = space.reflectors[1].shape[0]
+        # a copy, so the ambient-sized split is not kept alive by a view
+        K = _harmonic_split(K, space.reflectors)[k:, k:].copy()
     return SymmetricEndomorphism(space, K, defect)
 
 
@@ -132,100 +145,71 @@ def bilinear_form(K, v, w):
 # harmonic tower
 
 
+# block_structure's bounds, relative to max(1, max|K(R, Sym^p)|)
+_OFFDIAG_TOL = 1e-9
+_SPECTRUM_TOL = 1e-8
+
+
 @dataclass
 class BlockStructure:
-    """Conjugation of K(R, Sym^p) into the harmonic tower basis."""
+    """K(R, Sym^p) checked block diagonal along ``+_m r^{2m} Harm^{p-2m}``.
+
+    ``degrees`` runs p, p - 2, ..., down to 1 or 0; ``block_dims[i]`` and
+    ``spectra[d]`` are the dimension of Harm^d and the ascending
+    eigenvalues of K(R, Harm^d), one per degree.  ``offdiag_max`` is the
+    largest entry of any off-diagonal block of the splits.
+    """
 
     n: int
     p: int
-    degrees: list          # harmonic degrees, descending from p by 2
+    degrees: list
     block_dims: list
-    transform: np.ndarray  # orthogonal: columns ordered by tower block
-    tower_matrix: np.ndarray
     offdiag_max: float
-    spectra: dict          # degree -> eigenvalues of the tower block
-    spectrum_mismatch: float
+    spectra: dict
 
 
-def _tower_transform(n, p):
-    """Orthonormal basis of Sym^p grouped by harmonic degree.
-
-    Block k consists of an orthonormalized basis of r^{2m} Harm^k with
-    m = (p - k)/2, lifted through the r^2 multiplication maps.
-    """
-    blocks = []
-    degrees = []
-    k = p
-    while k >= 0:
-        cols = ml.build_traceless(n, k).change_of_basis.T
-        j = k
-        while j < p:
-            cols = ml.r2_multiplication_matrix(n, j) @ cols
-            j += 2
-        q = np.linalg.qr(cols)[0]
-        blocks.append(q)
-        degrees.append(k)
-        k -= 2
-    return degrees, blocks
-
-
-def block_structure(R, K, offdiag_tol=1e-9, spectrum_tol=1e-8):
-    """Conjugate K = K(R, Sym^p) into the harmonic tower and verify the blocks.
+def block_structure(R, K):
+    """Split K = K(R, Sym^p) along the harmonic tower and verify the blocks.
 
     ``K`` is the caller's ``curvature_term(R, build_symmetric(n, p))``, so
-    the ambient power is assembled once.  Each diagonal block's spectrum
-    is compared with its reference: for the top block, Harm^p itself, the
-    spectrum of ``C K C^T`` (``C`` its ``change_of_basis``); for every
-    lower degree k, the directly assembled K(R, Harm^k).  Raises if any
-    off-diagonal block exceeds ``offdiag_tol`` or a block's spectrum
-    differs from its reference by more than ``spectrum_tol`` (both
-    relative to ``max(1, max|K|)``).
+    the ambient power is assembled once.  The walk visits every degree
+    d = p, p - 2, ... down to 1 or 0 (lowest first): at d = p it splits K
+    itself, below p a directly assembled K(R, Sym^d), each with the
+    reflectors of ``build_traceless(n, d)`` (``_harmonic_split``).  The
+    trailing block's spectrum is degree d's, and the leading block,
+    similar to K(R, Sym^{d-2}), must have the union of the lower degrees'
+    spectra.  Raises ``RuntimeError`` if an off-diagonal block exceeds
+    ``_OFFDIAG_TOL`` or a leading block's spectrum misses that union by
+    more than ``_SPECTRUM_TOL`` (both relative to ``max(1, max|K|)``).
     """
     n, p = K.space.n, K.space.p
     if K.space.kind != "symmetric" or R.n != n:
         raise ValueError(
             f"block_structure needs K(R, Sym^p) with n={R.n}, got {K!r}"
         )
-    K = K.mat
-    degrees, blocks = _tower_transform(n, p)
-    T = np.hstack(blocks)
-    KT = T.T @ K @ T
-    dims = [b.shape[1] for b in blocks]
-    offs = np.cumsum([0] + dims)
-    off_max = 0.0
-    spectra = {}
-    mismatch = 0.0
-    for a, ka in enumerate(degrees):
-        sl_a = slice(offs[a], offs[a + 1])
-        for b in range(a + 1, len(degrees)):
-            sl_b = slice(offs[b], offs[b + 1])
-            off_max = max(off_max, float(np.max(np.abs(KT[sl_a, sl_b]))))
-        block_eigs = np.linalg.eigvalsh(KT[sl_a, sl_a])
-        spectra[ka] = block_eigs
-        if ka == p:
-            C = ml.build_traceless(n, p).change_of_basis
-            direct = np.linalg.eigvalsh(C @ K @ C.T)
-        else:
-            direct = curvature_term(R, ml.build_traceless(n, ka)).eigenvalues()
-        if direct.size:
-            mismatch = max(mismatch, float(np.max(np.abs(block_eigs - direct))))
-    scale = max(1.0, float(np.max(np.abs(K))))
-    if off_max > offdiag_tol * scale:
+    scale = max(1.0, float(np.max(np.abs(K.mat))))
+    spectra, union = {}, np.zeros(0)
+    off_max = mismatch = 0.0
+    for d in range(p % 2, p + 1, 2):
+        Kd = (K if d == p
+              else curvature_term(R, ml.build_symmetric(n, d))).mat
+        reflectors = ml.build_traceless(n, d).reflectors
+        k = reflectors[1].shape[0]
+        S = _harmonic_split(Kd, reflectors)
+        off_max = max(off_max, float(np.max(np.abs(S[:k, k:]), initial=0.0)))
+        gap = np.abs(np.linalg.eigvalsh(S[:k, :k]) - union)
+        mismatch = max(mismatch, float(np.max(gap, initial=0.0)))
+        spectra[d] = np.linalg.eigvalsh(S[k:, k:])
+        union = np.sort(np.concatenate([union, spectra[d]]))
+    degrees = sorted(spectra, reverse=True)
+    if off_max > _OFFDIAG_TOL * scale:
         raise RuntimeError(
             f"harmonic tower off-diagonal block too large: {off_max:.3e}"
         )
-    if mismatch > spectrum_tol * scale:
+    if mismatch > _SPECTRUM_TOL * scale:
         raise RuntimeError(
-            f"tower block spectrum mismatch vs direct assembly: {mismatch:.3e}"
+            f"tower block spectrum mismatch vs lower degrees: {mismatch:.3e}"
         )
-    return BlockStructure(
-        n=n,
-        p=p,
-        degrees=degrees,
-        block_dims=dims,
-        transform=T,
-        tower_matrix=KT,
-        offdiag_max=off_max,
-        spectra=spectra,
-        spectrum_mismatch=mismatch,
-    )
+    return BlockStructure(n=n, p=p, degrees=degrees,
+                          block_dims=[spectra[d].size for d in degrees],
+                          offdiag_max=off_max, spectra=spectra)

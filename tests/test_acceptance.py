@@ -77,7 +77,7 @@ def test_a1_reference_element_scalars():
 def test_a2_closed_form_operator_equality():
     t0 = time.perf_counter()
     report = cf.verify_thmB(n_values=(4, 5, 6), p_values=(2, 3, 4),
-                            trials=10, seed=ce.DEFAULT_SEED, tol=1e-8)
+                            trials=10, seed=ce.DEFAULT_SEED)
     dt = time.perf_counter() - t0
     worst = report.worst
     ok = report.passed and worst <= 1e-8 and dt < 60.0
@@ -179,7 +179,7 @@ def test_a6_integral_representation():
         for p in (2, 3, 4):
             R = random_operator(n, rng)
             report = sp.verify_integral_formula(
-                R, p, trials=10, seed=1000 * n + p, tol=1e-7)
+                R, p, trials=10, seed=1000 * n + p)
             worst = max(worst, report.worst)
             c_a = sp.c_constant(n, p, probes=3, seed=0)
             c_b = sp.c_constant(n, p, probes=5, seed=17)

@@ -110,7 +110,9 @@ def test_traceless_assembly_matches_dense_reference(n, p, rng):
 def test_reflector_update_matches_dense_conjugation(kind, n, p, rng):
     # Harm^p: the rank-2k update against C K C^T on the ambient K, exactly
     # symmetric; p < 2 (k = 0) and n = 1 (dim 0, tau = 0) included.  Sym^p
-    # and the wedge: the assembled K itself, never symmetrized.
+    # and the wedge: the assembled K itself, never symmetrized.  The full
+    # split is block diagonal, its leading block similar to K(R, Sym^{p-2}),
+    # for any symmetric R: K commutes with the r^2 map.
     R = SimpleNamespace(n=n, mat=_random_mat(n, rng))
     space = getattr(ml, "build_" + kind)(n, p)
     K = wz.curvature_term(R, space)
@@ -119,8 +121,16 @@ def test_reflector_update_matches_dense_conjugation(kind, n, p, rng):
     if kind == "traceless":
         C = space.change_of_basis
         ref = C @ ambient @ C.T
-        tol = 1e-14 * np.abs(ambient).max(initial=0.0)
-        assert np.abs(K.mat - ref).max(initial=0.0) <= tol
+        scale = np.abs(ambient).max(initial=0.0)
+        assert np.abs(K.mat - ref).max(initial=0.0) <= 1e-14 * scale
+        S = wz._harmonic_split(ambient, space.reflectors)
+        k = space.reflectors[1].shape[0]
+        assert np.abs(S[:k, k:]).max(initial=0.0) <= 1e-13 * scale
+        if k:
+            lower = wz._assemble(R.mat, ml.build_symmetric(n, p - 2))
+            gap = (np.sort(np.linalg.eigvalsh(S[:k, :k]))
+                   - np.linalg.eigvalsh(lower))
+            assert np.abs(gap).max() <= 1e-12 * scale
     else:
         np.testing.assert_array_equal(K.mat, ambient)
     assert K.mat.shape == (space.dim, space.dim)
@@ -356,15 +366,49 @@ def test_block_structure_spectrum_is_union_of_blocks(rng):
     np.testing.assert_allclose(full, merged, atol=1e-8)
 
 
-def test_block_structure_blocks_match_direct_assembly(rng):
+@pytest.mark.parametrize("n,p", [(4, 4), (6, 6), (8, 5)])
+def test_block_structure_blocks_match_direct_assembly(n, p, rng):
+    # reference: C K(R, Sym^d) C^T formed densely, no reflector update
+    R = random_operator(n, rng)
+    K = _ambient_term(R, p)
+    bs = wz.block_structure(R, K)
+    assert bs.degrees == list(range(p, -1, -2))
+    scale = max(1.0, np.abs(K.mat).max())
+    for d, dim in zip(bs.degrees, bs.block_dims):
+        C = ml.build_traceless(n, d).change_of_basis
+        want = np.linalg.eigvalsh(C @ _ambient_term(R, d).mat @ C.T)
+        assert dim == want.size
+        np.testing.assert_allclose(np.sort(bs.spectra[d]), want,
+                                   rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("coupled,match", [
+    (True, "off-diagonal"), (False, "spectrum mismatch"),
+], ids=["coupled", "leading"])
+def test_block_structure_rejects_a_broken_tower(coupled, match, rng):
+    # Sym^4 R^4 = r^2 Sym^2 + Harm^4 on orthonormal bases Q1, Q2.  A
+    # symmetric E coupling the two breaks the off-diagonal bound; a
+    # perturbation inside r^2 Sym^2 alone keeps the split block diagonal
+    # but moves the leading spectrum off the lower degrees' union.
     n, p = 4, 4
     R = random_operator(n, rng)
-    bs = wz.block_structure(R, _ambient_term(R, p))
-    for d in bs.degrees:
-        direct = wz.curvature_term(R, ml.build_traceless(n, d)).mat
-        got = np.sort(np.asarray(bs.spectra[d]))
-        want = np.sort(np.linalg.eigvalsh(direct))
-        np.testing.assert_allclose(got, want, atol=1e-8)
+    K = _ambient_term(R, p)
+    Q1 = np.linalg.qr(ml.r2_multiplication_matrix(n, p - 2))[0]
+    Q2 = ml.build_traceless(n, p).change_of_basis.T
+    eps = 1e-6 * np.abs(K.mat).max()
+    if coupled:
+        B = rng.standard_normal((Q1.shape[1], Q2.shape[1]))
+        E = eps * (Q1 @ B @ Q2.T + Q2 @ B.T @ Q1.T)
+    else:
+        S = rng.standard_normal((Q1.shape[1],) * 2)
+        E = eps * Q1 @ (S + S.T) @ Q1.T
+        k = Q1.shape[1]
+        split = wz._harmonic_split(K.mat + E,
+                                   ml.build_traceless(n, p).reflectors)
+        assert np.abs(split[:k, k:]).max() <= 1e-13 * np.abs(K.mat).max()
+    broken = wz.SymmetricEndomorphism(K.space, K.mat + E)
+    with pytest.raises(RuntimeError, match=match):
+        wz.block_structure(R, broken)
 
 
 def test_block_structure_rejects_a_term_off_the_ambient_power(rng):
