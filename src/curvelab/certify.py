@@ -54,21 +54,26 @@ DEFAULT_SEED = 0xC04A7
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Width, relative to |R|_2, at which the golden-section search for the
+# star shift t* stops.
+_T_TOL = 1e-10
 
-def golden_max(f, lo, hi, tol=1e-10):
+
+def golden_max(f, lo, hi):
     """Maximize a concave function on [lo, hi] by golden-section search.
 
-    Concavity is sanity-checked along the way: each interior probe must
-    sit on or above the chord through its neighbours (up to noise), which
-    holds for every concave function -- kinked or monotone included --
-    and fails for genuinely bimodal input.
+    The search stops at an interval of width ``_T_TOL``.  Concavity is
+    sanity-checked along the way: each interior probe must sit on or
+    above the chord through its neighbours (up to noise), which holds for
+    every concave function -- kinked or monotone included -- and fails
+    for genuinely bimodal input.
     """
     a, b = float(lo), float(hi)
     fa, fb = f(a), f(b)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _T_TOL:
         slack = 1e-9 * max(1.0, abs(fa), abs(fb), abs(fc), abs(fd))
         if (fc + slack < fa + (fd - fa) * (c - a) / (d - a)
                 or fd + slack < fc + (fb - fc) * (d - c) / (b - c)):
@@ -224,11 +229,6 @@ def _eig_tol(R, k):
     return 1e-9 * max(float(np.linalg.norm(R.mat, 2)), abs(k))
 
 
-# Width, relative to |R|_2, at which the golden-section search for the
-# star shift t* stops.
-_T_TOL = 1e-10
-
-
 def thorpe_sec_min(R):
     """Exact minimum sectional curvature for n = 4 via the star shift.
 
@@ -249,7 +249,7 @@ def thorpe_sec_min(R):
     def mu(t):
         return float(np.linalg.eigvalsh(unit + t * star)[0])
 
-    t_star, val = golden_max(mu, -2.0, 2.0, tol=_T_TOL)
+    t_star, val = golden_max(mu, -2.0, 2.0)
     return norm * val, norm * t_star
 
 
@@ -308,19 +308,18 @@ class HierarchyResult:
         }
 
 
-def hierarchy_check(R, k, p_max=6, tol=None):
+def hierarchy_check(R, k, p_max=6):
     """Least eigenvalues of K(R - k Id, Harm^p) for p = 1..p_max.
 
     ``K(Id, Harm^p) = p (p + n - 2) Id``, so each row is
     ``lambda_min K(R, Harm^p) - k p (p + n - 2)``, and R - k Id is never
-    formed.  p = 1 is the Ricci test.  Any row below ``-tol`` (default
-    ``1e-9 * max(|R|_2, |k|)``) refutes ``sec >= k``; all-nonnegative
+    formed.  p = 1 is the Ricci test.  Any row below ``-tol``,
+    ``tol = 1e-9 * max(|R|_2, |k|)``, refutes ``sec >= k``; all-nonnegative
     rows are necessary-condition passes only, never a certification.  At
     the first refuting level the eigenpolynomial of the least eigenvalue
     is kept as ``witness``.
     """
-    if tol is None:
-        tol = _eig_tol(R, k)
+    tol = _eig_tol(R, k)
     n = R.n
     rows = []
     refuted_at = witness = None
@@ -354,9 +353,9 @@ class Witness:
         }
 
 
-def witness_search(R, k, p_max=6, tol=None):
+def witness_search(R, k, p_max=6):
     """The hierarchy's witness polynomial, or None if every level passes."""
-    return hierarchy_check(R, k, p_max=p_max, tol=tol).witness
+    return hierarchy_check(R, k, p_max=p_max).witness
 
 
 # Random starts of the plane search in ``certify_bound`` (n != 4).
@@ -425,7 +424,7 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     if value < k - tol:
         witness["plane"] = _plane_doc(R, plane)
         return decide("refuted", "grassmann_opt", plane_margin=tol)
-    hier = hierarchy_check(R, k, p_max=p_max, tol=tol)
+    hier = hierarchy_check(R, k, p_max=p_max)
     witness["hierarchy"] = hier.to_dict()
     if hier.witness is not None:
         witness["eigen_direction"] = hier.witness.to_dict()

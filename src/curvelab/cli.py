@@ -241,6 +241,9 @@ def cmd_verify(args):
     if args.pmax < 2:
         # every suite starts at degree 2: below it, nothing would be checked
         raise InputError(f"--pmax: expected an integer >= 2, got {args.pmax}")
+    if args.trials < 1:
+        # with no trial, thmB and integral would check nothing and pass
+        raise InputError(f"--trials: expected an integer >= 1, got {args.trials}")
     doc = {"suite": args.suite, "seed": args.seed}
     ok = True
     if args.suite == "thmB":

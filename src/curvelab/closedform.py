@@ -60,12 +60,9 @@ def thmB_sym_rhs(R, p):
     n = R.n
     A, B, C = sym_coefficients(n, p)
     d = decompose(R)
-    harm2 = ml.build_traceless(n, 2)
-    combined = (
-        A * wz.curvature_term(CurvatureOperator(n, d.r_u), harm2).mat
-        + B * wz.curvature_term(CurvatureOperator(n, d.r_l), harm2).mat
-        + C * wz.curvature_term(CurvatureOperator(n, d.r_w), harm2).mat
-    )
+    # K is linear in R, so the three parts' terms are one term of their sum
+    bracket = CurvatureOperator(n, A * d.r_u + B * d.r_l + C * d.r_w)
+    combined = wz.curvature_term(bracket, ml.build_traceless(n, 2)).mat
     elt = kn.KNElement("sym0", n, 2, combined)
     out = kn.kn_product(elt, kn.identity_element("sym0", n, p - 2))
     return wz.SymmetricEndomorphism(ml.build_traceless(n, p), out.mat)

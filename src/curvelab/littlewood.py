@@ -24,9 +24,7 @@ exterior case, 2 <= p <= n-2) under which they apply.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -93,39 +91,31 @@ class Partition:
         """Dimension of the general-linear irreducible, hook-content formula."""
         if self.length > n:
             return 0
-        num = Fraction(1)
-        for r in range(self.length):
-            for c in range(self[r]):
-                hook = self[r] - c + self.conjugate()[c] - r - 1
-                num *= Fraction(n + c - r, hook)
-        if num.denominator != 1:
+        num = den = 1
+        for r, hooks in enumerate(self.hook_lengths()):
+            for c, hook in enumerate(hooks):
+                num *= n + c - r
+                den *= hook
+        if num % den:
             raise RuntimeError("hook-content product is not an integer")
-        return int(num)
-
-
-def _as_partition(x):
-    return x if isinstance(x, Partition) else Partition(x)
+        return num // den
 
 
 @lru_cache(maxsize=1 << 14)
 def _lr_cached(lam, mu, nu):
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if lam.size + mu.size != nu.size:
+    """The LR number on partitions given as tuples of positive parts."""
+    if (sum(lam) + sum(mu) != sum(nu) or len(lam) > len(nu)
+            or any(a > b for a, b in zip(lam, nu))):
         return 0
-    if not nu.contains(lam):
-        return 0
-    if mu.size == 0:
+    if not mu:
         return 1
-    nrows = nu.length
+    lam = lam + (0,) * (len(nu) - len(lam))
     # cells of the skew shape in reverse reading order: rows top to bottom,
     # each row right to left -- the order in which the lattice condition
     # can be enforced incrementally.
-    cells = []
-    for r in range(nrows):
-        lo, hi = lam[r], nu[r]
-        for c in range(hi - 1, lo - 1, -1):
-            cells.append((r, c))
-    k = mu.length
+    cells = [(r, c) for r in range(len(nu))
+             for c in range(nu[r] - 1, lam[r] - 1, -1)]
+    k = len(mu)
     counts = [0] * (k + 1)
     fill = {}
     total = 0
@@ -157,8 +147,7 @@ def _lr_cached(lam, mu, nu):
 
 def lr_coefficient(lam, mu, nu):
     """Number of LR skew tableaux of shape nu/lam and content mu."""
-    lam, mu, nu = _as_partition(lam), _as_partition(mu), _as_partition(nu)
-    return _lr_cached(lam.parts, mu.parts, nu.parts)
+    return _lr_cached(*(Partition(x).parts for x in (lam, mu, nu)))
 
 
 def partitions_of(m, max_part=None):
@@ -181,21 +170,15 @@ def even_partitions_of(m):
     return [tuple(2 * x for x in q) for q in partitions_of(m // 2)]
 
 
-@lru_cache(maxsize=1 << 12)
 def restriction_multiplicity(nu, lbar):
     """Stable multiplicity of the orthogonal label lbar inside S_nu.
 
     Classical branching: sum over partitions delta with all even parts of
     the LR number for nu over (delta, lbar).
     """
-    nu_p, lb = Partition(nu), Partition(lbar)
-    m = nu_p.size - lb.size
-    if m < 0:
-        return 0
-    tot = 0
-    for delta in even_partitions_of(m):
-        tot += lr_coefficient(delta, lb, nu_p)
-    return tot
+    nu, lbar = Partition(nu).parts, Partition(lbar).parts
+    return sum(_lr_cached(delta, lbar, nu)
+               for delta in even_partitions_of(sum(nu) - sum(lbar)))
 
 
 TARGETS = {
@@ -253,9 +236,7 @@ def _net_counts(signed_contents):
         net = 0
         for sign, contents in signed_contents:
             for nu in contents:
-                net += sign * restriction_multiplicity(
-                    Partition(nu).parts, lbar
-                )
+                net += sign * restriction_multiplicity(nu, lbar)
         if net < 0:
             raise RuntimeError(
                 f"negative net multiplicity {net} for target {name}: "

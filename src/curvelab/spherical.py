@@ -6,6 +6,11 @@ zero, and for all-even exponents
 
     int x^a = 2 * prod_i Gamma((a_i + 1)/2) / Gamma((n + |a|)/2).
 
+Products of polynomials, of any degrees p and q, are integrated in
+normalized-monomial coordinates through one Gram matrix per (n, p, q),
+read off ``multilinear.product_table`` like every other product of
+basis vectors.
+
 The curvature term on harmonic polynomials of degree p has an integral
 representation: for harmonic phi, psi,
 
@@ -59,38 +64,29 @@ def integrate_polynomial(poly):
 
 
 @lru_cache(maxsize=32)
-def _gram(n, p):
-    """Matrix of int x^{a+b} over raw-coefficient vectors of Sym^p."""
-    basis = ml.monomial_basis(n, p)
-    d = len(basis)
-    G = np.empty((d, d))
-    for a, ea in enumerate(basis):
-        for b in range(a, d):
-            eb = basis[b]
-            G[a, b] = G[b, a] = integrate_monomial(
-                tuple(x + y for x, y in zip(ea, eb)), n
-            )
-    return G
+def _gram(n, p, q):
+    """``int u_a u_b`` over the normalized monomials u_a of Sym^p, u_b of Sym^q.
+
+    ``u_a u_b = val u_{a+b}`` is a row of ``product_table``, and
+    ``int u_c = int x^c / sqrt(c!)``, once per basis vector of Sym^{p+q}.
+    """
+    out, _, _, val = ml.product_table("symmetric", n, p, q)
+    J = np.array([integrate_monomial(c, n)
+                  / math.sqrt(math.prod(map(math.factorial, c)))
+                  for c in ml.monomial_basis(n, p + q)])
+    return (val * J[out]).reshape(ml.dim_symmetric(n, p),
+                                  ml.dim_symmetric(n, q))
 
 
-def _raw_coeffs(poly, n, p):
-    basis = ml.monomial_basis(n, p)
-    index = {e: k for k, e in enumerate(basis)}
-    v = np.zeros(len(basis))
-    for e, c in poly.coeffs.items():
-        v[index[e]] = float(c)
-    return v
+def _coords(poly, p):
+    """Normalized-monomial coordinates of a polynomial of degree p, or 0."""
+    return ml.polynomial_coords(ml.build_symmetric(poly.n, p), poly)
 
 
 def sphere_inner(phi, psi):
-    """int phi * psi over the sphere, for equal-degree polynomials."""
-    if phi.degree != psi.degree:
-        return float(
-            integrate_polynomial(phi * psi)
-        )
-    p = phi.degree if phi.degree is not None else 0
-    G = _gram(phi.n, p)
-    return float(_raw_coeffs(phi, phi.n, p) @ G @ _raw_coeffs(psi, psi.n, p))
+    """int phi * psi over the sphere, for polynomials of any degrees."""
+    p, q = phi.degree or 0, psi.degree or 0
+    return float(_coords(phi, p) @ _gram(phi.n, p, q) @ _coords(psi, q))
 
 
 def random_harmonic(n, p, rng):
@@ -133,25 +129,11 @@ def integral_form(R, phi, psi):
     n = R.n
     if phi.n != n or psi.n != n:
         raise ValueError("variable-count mismatch with the operator")
-    p, q = phi.degree, psi.degree
-    if p is None or q is None:
-        return 0.0
+    p, q = phi.degree or 0, psi.degree or 0
     pairs = ml.pair_basis(n)
-    G = _gram(n, p) if p == q else None
-    P = np.stack([_raw_coeffs(phi.rotation_action(i, j), n, p) for (i, j) in pairs])
-    Q = np.stack([_raw_coeffs(psi.rotation_action(i, j), n, q) for (i, j) in pairs])
-    if G is not None:
-        M = P @ G @ Q.T
-        return float(np.sum(R.mat * M))
-    # mixed degrees: fall back to polynomial products
-    tot = 0.0
-    for a, (i, j) in enumerate(pairs):
-        pa = phi.rotation_action(i, j)
-        for b, (k, l) in enumerate(pairs):
-            if R.mat[a, b] == 0.0:
-                continue
-            tot += R.mat[a, b] * integrate_polynomial(pa * psi.rotation_action(k, l))
-    return tot
+    P = np.stack([_coords(phi.rotation_action(i, j), p) for (i, j) in pairs])
+    Q = np.stack([_coords(psi.rotation_action(i, j), q) for (i, j) in pairs])
+    return float(np.sum(R.mat * (P @ _gram(n, p, q) @ Q.T)))
 
 
 @dataclass

@@ -302,6 +302,17 @@ def test_verify_pmax_below_two_exits_two(capsys, suite):
         assert "--pmax" in err
 
 
+@pytest.mark.parametrize("suite", ["thmB", "integral", "lemmas", "gpowers"])
+def test_verify_trials_below_one_exits_two(capsys, suite):
+    # with no trial the random suites would check nothing yet pass
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "--trials" in err
+
+
 # ---------------------------------------------------------------------------
 # certify
 

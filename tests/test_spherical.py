@@ -98,6 +98,18 @@ def test_sphere_inner_is_positive_definite(rng):
                                                   rel=1e-12)
 
 
+# (n, p, q): one equal-degree case, then mixed degrees
+_DEGREES = [(4, 3, 3), (3, 2, 4), (4, 3, 5), (4, 1, 3), (3, 0, 2)]
+
+
+@pytest.mark.parametrize("n, p, q", _DEGREES)
+def test_sphere_inner_matches_product_integral(rng, n, p, q):
+    f, g = _random_poly(n, p, rng), _random_poly(n, q, rng)
+    expect = sp.integrate_polynomial(f * g)
+    assert abs(sp.sphere_inner(f, g) - expect) <= 1e-12 * abs(expect)
+    assert abs(sp.sphere_inner(g, f) - expect) <= 1e-12 * abs(expect)
+
+
 # ---------------------------------------------------------------------------
 # the normalizing constant
 
@@ -148,6 +160,19 @@ def test_integral_form_matches_algebraic_curvature_term(rng):
                                    ml.polynomial_coords(space, g))
             rhs = c * sp.integral_form(R, f, g)
             assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, p, q", _DEGREES)
+def test_integral_form_matches_double_sum(rng, n, p, q):
+    # the brute-force sum_ab R_ab int (D_a f)(D_b g), one product at a time
+    R = random_operator(n, rng)
+    f, g = _random_poly(n, p, rng), _random_poly(n, q, rng)
+    pairs = ml.pair_basis(n)
+    expect = sum(
+        R.mat[a, b] * sp.integrate_polynomial(
+            f.rotation_action(*pa) * g.rotation_action(*pb))
+        for a, pa in enumerate(pairs) for b, pb in enumerate(pairs))
+    assert abs(sp.integral_form(R, f, g) - expect) <= 1e-12 * abs(expect)
 
 
 def test_cross_degree_harmonics_decouple(rng):
