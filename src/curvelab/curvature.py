@@ -24,6 +24,7 @@ The wedge sign is not written here: the code below contracts with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -160,10 +161,12 @@ def metric_kulkarni(n, h, k=None):
     return 0.5 * (out + out.T)
 
 
+@lru_cache(maxsize=16)
 def four_form_matrix(n):
     """The four-form e_1 ^ e_2 ^ e_3 ^ e_4 on two-forms of R^n (n >= 4),
     in the pair basis; at n = 4 the Hodge star.  Its entries are the
-    products of two-forms that land on (1, 2, 3, 4), the first four-form."""
+    products of two-forms that land on (1, 2, 3, 4), the first four-form.
+    The array is cached and read-only."""
     if n < 4:
         raise ValueError(f"a four-form needs n >= 4, got n={n}")
     N = n * (n - 1) // 2
@@ -171,6 +174,7 @@ def four_form_matrix(n):
     W = np.zeros((N, N))
     first = out == 0
     W[a[first], c[first]] = val[first]
+    W.flags.writeable = False
     return W
 
 

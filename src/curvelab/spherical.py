@@ -124,15 +124,29 @@ def c_constant(n, p, probes=3, seed=0):
     return float(c)
 
 
+def _generator_images(poly, p):
+    """Coordinates of ``D_a poly`` for every so(n) generator a, as rows.
+
+    Row m of ``build_symmetric(n, p).pattern`` holds the entries
+    ``D_a[m, i]``, so one scatter over it gives every image at once.
+    """
+    space = ml.build_symmetric(poly.n, p)
+    cols, vals, pair = space.pattern
+    rows = np.broadcast_to(np.arange(space.dim)[:, None], cols.shape)
+    images = np.bincount((pair * space.dim + rows).ravel(),
+                         (vals * _coords(poly, p)[cols]).ravel(),
+                         minlength=len(space.pairs) * space.dim)
+    return images.reshape(len(space.pairs), space.dim)
+
+
 def integral_form(R, phi, psi):
     """int over the sphere of sum_ab R_ab (D_a phi)(D_b psi), exactly."""
     n = R.n
     if phi.n != n or psi.n != n:
         raise ValueError("variable-count mismatch with the operator")
     p, q = phi.degree or 0, psi.degree or 0
-    pairs = ml.pair_basis(n)
-    P = np.stack([_coords(phi.rotation_action(i, j), p) for (i, j) in pairs])
-    Q = np.stack([_coords(psi.rotation_action(i, j), q) for (i, j) in pairs])
+    P = _generator_images(phi, p)
+    Q = _generator_images(psi, q)
     return float(np.sum(R.mat * (P @ _gram(n, p, q) @ Q.T)))
 
 

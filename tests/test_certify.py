@@ -67,34 +67,92 @@ def test_selfdual_split_rejects_wrong_shape():
 
 
 # ---------------------------------------------------------------------------
-# golden-section maximization
+# maximization of a concave function from its supergradients
 
 
-def test_golden_max_parabola():
-    # near a smooth maximum the location is only determined to about
-    # sqrt(machine epsilon); the value itself is sharp
-    t, val = ce.golden_max(lambda t: 3.0 - (t - 0.7) ** 2, -2.0, 2.0)
-    assert t == pytest.approx(0.7, abs=1e-6)
+def test_concave_max_parabola():
+    # the Newton point of the second end probe is the maximizer
+    t, val = ce.concave_max(
+        lambda t: (3.0 - (t - 0.7) ** 2, -2.0 * (t - 0.7), -2.0), -2.0, 2.0)
+    assert t == pytest.approx(0.7, abs=1e-9)
     assert val == pytest.approx(3.0, abs=1e-12)
 
 
-def test_golden_max_kinked_concave():
-    # a kink localizes the maximizer far more sharply than a smooth peak
-    t, val = ce.golden_max(lambda t: -abs(t - 0.3), -1.0, 1.0)
+def test_concave_max_kinked_concave():
+    # at the kink any slope in [-1, 1] is a supergradient
+    t, val = ce.concave_max(
+        lambda t: (-abs(t - 0.3), -math.copysign(1.0, t - 0.3), 0.0),
+        -1.0, 1.0)
     assert t == pytest.approx(0.3, abs=1e-9)
     assert val == pytest.approx(0.0, abs=1e-9)
 
 
-def test_golden_max_linear_edge():
+def test_concave_max_linear_edge():
     # monotone concave: the maximum sits at an endpoint
-    t, val = ce.golden_max(lambda t: t, 0.0, 1.0)
+    t, val = ce.concave_max(lambda t: (t, 1.0, 0.0), 0.0, 1.0)
     assert t == pytest.approx(1.0, abs=1e-8)
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
-def test_golden_max_rejects_bimodal():
+def test_concave_max_rejects_bimodal():
     with pytest.raises(RuntimeError):
-        ce.golden_max(abs, -2.0, 2.0)
+        ce.concave_max(lambda t: (abs(t), math.copysign(1.0, t), 0.0),
+                       -2.0, 2.0)
+
+
+def test_concave_max_bisects_past_a_bad_curvature_estimate():
+    # a curvature 1e12 times too large makes every Newton step tiny; after
+    # _FAST_PROBES probes the search bisects instead of creeping
+    probes = []
+
+    def f(t):
+        probes.append(t)
+        return -abs(t - 0.3), -math.copysign(1.0, t - 0.3), -1e12
+
+    t, val = ce.concave_max(f, -1.0, 1.0)
+    assert t == pytest.approx(0.3, abs=1e-9)
+    assert len(probes) <= ce._FAST_PROBES + math.log2(2.0 / ce._T_TOL) + 1
+
+
+def seeded_n4_operators(count=200):
+    rng = np.random.default_rng(20240)
+    return [random_operator(4, rng) for _ in range(count)]
+
+
+def test_star_shift_max_dominates_a_fine_grid():
+    # mu(t) = lambda_min(R + t star) on 4001 points of t in [-2, 2] |R|_2
+    star = cv.four_form_matrix(4)
+    for R in seeded_n4_operators():
+        norm = float(np.linalg.norm(R.mat, 2))
+        grid = np.linspace(-2.0, 2.0, 4001) * norm
+        on_grid = np.linalg.eigvalsh(R.mat + grid[:, None, None] * star)
+        val, t = ce.thorpe_sec_min(R)
+        assert val >= on_grid[:, 0].max() - 1e-12 * norm
+        assert val == pytest.approx(
+            np.linalg.eigvalsh(R.mat + t * star)[0], abs=1e-12 * norm)
+
+
+def test_star_shift_probe_budget(monkeypatch):
+    # the golden-section search took 56 probes on every operator
+    counts = []
+    search = ce.concave_max
+
+    def counted(f, lo, hi):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return f(t)
+        result = search(g, lo, hi)
+        counts.append(len(calls))
+        return result
+
+    monkeypatch.setattr(ce, "concave_max", counted)
+    for R in seeded_n4_operators():
+        ce.thorpe_sec_min(R)
+    assert len(counts) == 200
+    assert np.median(counts) <= 8
+    assert max(counts) <= 56
 
 
 # ---------------------------------------------------------------------------
