@@ -1,57 +1,57 @@
 """Curvature operators on higher representations: decomposition, closed
 forms for the Weitzenbock curvature term, sphere-integral cross-checks,
-branching combinatorics, and sectional-curvature bound certification."""
+branching combinatorics, and sectional-curvature bound certification.
+
+Importing the package loads no submodule: each public name imports its
+defining module on first access (PEP 562), so ``curvelab.sec`` loads
+``curvelab.curvature`` and nothing else.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .certify import (
-    Certificate,
-    certify_bound,
-    hierarchy_check,
-    sec_extremes,
-    thorpe_sec_min,
-)
-from .curvature import (
-    CurvatureDecomposition,
-    CurvatureOperator,
-    TwoPlane,
-    decompose,
-    ricci,
-    scalar_curvature,
-    sec,
-)
-from .fixtures import fixture_operator
-from .multilinear import (
-    Polynomial,
-    RepSpace,
-    build_exterior,
-    build_symmetric,
-    build_traceless,
-    harmonic_projection,
-)
-from .weitzenbock import SymmetricEndomorphism, curvature_term, quadratic_form
+# seed of every randomized step that is given none; the CLI's ``--seed``
+# default, readable without loading ``certify``
+DEFAULT_SEED = 0xC04A7
 
-__all__ = [
-    "Certificate",
-    "CurvatureDecomposition",
-    "CurvatureOperator",
-    "Polynomial",
-    "RepSpace",
-    "SymmetricEndomorphism",
-    "TwoPlane",
-    "build_exterior",
-    "build_symmetric",
-    "build_traceless",
-    "certify_bound",
-    "curvature_term",
-    "decompose",
-    "fixture_operator",
-    "harmonic_projection",
-    "hierarchy_check",
-    "quadratic_form",
-    "ricci",
-    "scalar_curvature",
-    "sec",
-    "sec_extremes",
-    "thorpe_sec_min",
-]
+# public name -> defining submodule
+_HOMES = {
+    "Certificate": "certify",
+    "certify_bound": "certify",
+    "hierarchy_check": "certify",
+    "sec_extremes": "certify",
+    "thorpe_sec_min": "certify",
+    "CurvatureDecomposition": "curvature",
+    "CurvatureOperator": "curvature",
+    "TwoPlane": "curvature",
+    "decompose": "curvature",
+    "ricci": "curvature",
+    "scalar_curvature": "curvature",
+    "sec": "curvature",
+    "fixture_operator": "fixtures",
+    "Polynomial": "multilinear",
+    "RepSpace": "multilinear",
+    "build_exterior": "multilinear",
+    "build_symmetric": "multilinear",
+    "build_traceless": "multilinear",
+    "harmonic_projection": "multilinear",
+    "SymmetricEndomorphism": "weitzenbock",
+    "curvature_term": "weitzenbock",
+    "quadratic_form": "weitzenbock",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -41,11 +41,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import DEFAULT_SEED
 from . import multilinear as ml
 from . import weitzenbock as wz
 from .curvature import CurvatureOperator, TwoPlane, four_form_matrix, sec
-
-DEFAULT_SEED = 0xC04A7
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +423,8 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     certified when ``mu > tol``, or ``mu >= -tol`` if not strict; a strict
     query inside that band is inconclusive, since equality cannot be told
     from a strict margin at working precision.  Below the band, n = 4 is
-    refuted by the plane read off the optimum.  Other n first search for
+    refuted by the plane read off the optimum when its sec is below
+    ``k - tol``, and inconclusive otherwise.  Other n first search for
     a plane below ``k - tol`` (a minimizing run only) and refute with it,
     with no ``hierarchy`` in the witness; only when no plane refutes does
     the hierarchy run, and its all-pass is inconclusive.
@@ -472,7 +472,11 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     if mu >= -tol:
         return decide("inconclusive_for_certification")
     if R.n == 4:
-        witness["plane"] = _plane_doc(R, _thorpe_plane(S, t_star, tol))
+        plane = _plane_doc(R, _thorpe_plane(S, t_star, tol))
+        if plane["sec"] >= k - tol:
+            # the optimum's plane does not violate the bound
+            return decide("inconclusive_for_certification")
+        witness["plane"] = plane
         return decide("refuted")
     rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
     value, plane, _ = _sec_min(R, _PLANE_RESTARTS, rng)

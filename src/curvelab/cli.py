@@ -22,6 +22,11 @@ stdout, no traceback).
 Numbers serialize through Python's shortest round-trip decimal repr, so
 every emitted matrix re-ingests to bit-identical doubles.  Output is
 accumulated fully and written once (atomically when ``--out`` is used).
+
+Start-up pays only for the command that runs: this module loads no other
+curvelab module at import, and each subcommand imports the modules it
+calls when it runs (``verify --suite lemmas`` loads ``littlewood`` alone,
+``decompose`` only ``curvature`` and ``fixtures``).
 """
 
 from __future__ import annotations
@@ -35,15 +40,7 @@ import tempfile
 
 import numpy as np
 
-from . import knalgebra as kn
-from . import multilinear as ml
-from . import weitzenbock as wz
-from .certify import DEFAULT_SEED, certify_bound
-from .closedform import random_operator, verify_thmB
-from .curvature import CurvatureOperator, decompose
-from .fixtures import ALIASES, FIXTURES, fixture_operator
-from .littlewood import verify_lemma_sym, verify_lemma_wedge
-from .spherical import verify_integral_formula
+from . import DEFAULT_SEED
 
 BASIS_TAG = "lex-pairs"
 CONVENTION_TAG = "sec(X∧Y)=R(X∧Y,X∧Y)"
@@ -68,6 +65,8 @@ def operator_to_json(R):
 
 
 def operator_from_json(doc):
+    from .curvature import CurvatureOperator
+
     if not isinstance(doc, dict):
         raise InputError("top level: expected a JSON object")
     for key in ("n", "basis", "matrix", "convention"):
@@ -119,6 +118,8 @@ def operator_from_json(doc):
 
 def load_operator(source, n):
     """Resolve a CLI operator argument: fixture keyword, '-', or path."""
+    from .fixtures import ALIASES, FIXTURES, fixture_operator
+
     if source in FIXTURES or source in ALIASES:
         return fixture_operator(source, n)
     if source == "-":
@@ -168,6 +169,8 @@ def _maybe_warn_asymmetry(doc, R):
 
 
 def cmd_decompose(args):
+    from .curvature import decompose
+
     R = load_operator(args.input, args.n)
     dec = decompose(R)
     doc = {
@@ -197,6 +200,8 @@ def _check_build_dimension(rep, n, p):
     build cost is governed by the ambient symmetric dimension, not by the
     (smaller) harmonic dimension.  Nothing is built here.
     """
+    from . import multilinear as ml
+
     if p < 0:
         raise InputError(f"degree {p} (rep={rep}): expected an integer >= 0")
     dim = ml.dim_exterior(n, p) if rep == "wedge" else ml.dim_symmetric(n, p)
@@ -209,6 +214,9 @@ def _check_build_dimension(rep, n, p):
 
 
 def cmd_kterm(args):
+    from . import knalgebra as kn
+    from . import weitzenbock as wz
+
     R = load_operator(args.input, args.n)
     _check_build_dimension(args.rep, R.n, args.p)
     space = kn.space_for(args.rep, R.n, args.p)
@@ -247,6 +255,8 @@ def cmd_verify(args):
     doc = {"suite": args.suite, "seed": args.seed}
     ok = True
     if args.suite == "thmB":
+        from .closedform import verify_thmB
+
         report = verify_thmB(
             n_values=(args.n,), p_values=tuple(range(2, args.pmax + 1)),
             trials=args.trials, seed=args.seed,
@@ -254,6 +264,9 @@ def cmd_verify(args):
         ok = report.passed
         doc.update(report.to_dict())
     elif args.suite == "integral":
+        from .curvature import random_operator
+        from .spherical import verify_integral_formula
+
         rng = np.random.default_rng(args.seed)
         rows = []
         worst = 0.0
@@ -269,6 +282,8 @@ def cmd_verify(args):
         doc.update({"n": args.n, "rows": rows, "worst_rel": worst,
                     "tol": rep.tol, "passed": ok})
     elif args.suite == "lemmas":
+        from .littlewood import verify_lemma_sym, verify_lemma_wedge
+
         rows = []
         for p in range(2, args.pmax + 1):
             ts = verify_lemma_sym(p)
@@ -277,6 +292,8 @@ def cmd_verify(args):
             rows.append({"p": p, "sym": ts.to_dict(), "wedge": tw.to_dict()})
         doc.update({"rows": rows, "passed": ok})
     elif args.suite == "gpowers":
+        from . import knalgebra as kn
+
         rows = []
         worst = 0.0
         tol = 1e-10
@@ -296,6 +313,8 @@ def cmd_verify(args):
 
 
 def cmd_certify(args):
+    from .certify import certify_bound
+
     if not math.isfinite(args.k):
         raise InputError(f"--k: expected a finite number, got {args.k!r}")
     R = load_operator(args.input, args.n)

@@ -27,7 +27,7 @@ import numpy as np
 from . import knalgebra as kn
 from . import multilinear as ml
 from . import weitzenbock as wz
-from .curvature import CurvatureOperator, decompose
+from .curvature import CurvatureOperator, decompose, random_operator
 
 
 def wedge_coefficients(n, p):
@@ -111,13 +111,6 @@ class ThmBReport:
             "passed": bool(self.passed),
             "rows": [r.to_dict() for r in self.rows],
         }
-
-
-def random_operator(n, rng):
-    """Symmetric matrix with entries uniform in [-1, 1] on the pair basis."""
-    N = n * (n - 1) // 2
-    A = rng.uniform(-1.0, 1.0, (N, N))
-    return CurvatureOperator(n, 0.5 * (A + A.T))
 
 
 _THMB_TOL = 1e-8

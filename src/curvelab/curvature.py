@@ -87,6 +87,13 @@ class CurvatureOperator:
         return cls(n, np.eye(N))
 
 
+def random_operator(n, rng):
+    """Symmetric matrix with entries uniform in [-1, 1] on the pair basis."""
+    N = n * (n - 1) // 2
+    A = rng.uniform(-1.0, 1.0, (N, N))
+    return CurvatureOperator(n, 0.5 * (A + A.T))
+
+
 class TwoPlane:
     """Oriented 2-plane given by an orthonormal pair (x, y).
 

@@ -303,6 +303,21 @@ def test_n4_refutations_read_the_plane_off_the_optimum(monkeypatch):
         assert plane["sec"] == pytest.approx(value, abs=1e-12)
 
 
+def test_n4_refutation_needs_a_plane_below_the_bound(monkeypatch):
+    # s2xs2 has sec 1 on e1^e2 and sec 0 on e1^e3; a plane read off the
+    # optimum that does not violate the bound refutes nothing
+    e = np.eye(4)
+    R = fixture_operator("s2xs2", 4)
+    for k, direction, plane in ((0.01, "ge", cv.TwoPlane(e[0], e[1])),
+                                (0.99, "le", cv.TwoPlane(e[0], e[2]))):
+        assert ce.certify_bound(R, k, direction=direction).refuted
+        monkeypatch.setattr(ce, "_thorpe_plane", lambda *args: plane)
+        cert = ce.certify_bound(R, k, direction=direction)
+        assert cert.verdict == "inconclusive_for_certification"
+        assert "plane" not in cert.witness
+        monkeypatch.undo()
+
+
 def test_certificate_serialization():
     cert = ce.certify_bound(fixture_operator("identity", 4), 0.25)
     d = cert.to_dict()

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from curvelab import cli
+import curvelab
+from curvelab import certify, cli
 from curvelab import curvature as cv
 from curvelab.fixtures import fixture_operator
 
@@ -366,7 +367,7 @@ def test_internal_error_exits_three_with_json(capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, "certify_bound", broken)
+        monkeypatch.setattr(certify, "certify_bound", broken)
         code, out, err = run(capsys, "certify", "s2xs2", "--n", "4",
                              "--k", "0")
         assert code == 3
@@ -441,3 +442,69 @@ def test_cli_commands_never_import_scipy():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 1]
     assert result["scipy"] == []
+
+
+_LOADED_PROBE = """
+import contextlib, io, json, sys
+argv = sys.argv[1:]
+if argv == ["import"]:
+    import curvelab
+elif argv == ["import", "cli"]:
+    import curvelab.cli
+else:
+    from curvelab import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "numpy" or m.startswith("curvelab."))))
+"""
+
+
+def loaded_modules(*argv):
+    """curvelab's submodules (bare names) and numpy, as loaded by a fresh
+    interpreter that imports the package or runs one CLI command."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    return {m.removeprefix("curvelab.") for m in json.loads(proc.stdout)}
+
+
+def test_import_curvelab_loads_no_submodule_and_no_numpy():
+    assert loaded_modules("import") == set()
+
+
+def test_import_cli_loads_no_other_curvelab_module():
+    assert loaded_modules("import", "cli") - {"numpy"} == {"cli"}
+
+
+def test_verify_lemmas_loads_only_littlewood():
+    assert loaded_modules("verify", "--suite", "lemmas") - {"numpy"} == {
+        "cli", "littlewood"}
+
+
+def test_decompose_loads_no_certification_or_verification_module():
+    loaded = loaded_modules("decompose", "s2xs2")
+    assert "curvature" in loaded
+    assert not loaded & {"certify", "closedform", "spherical", "littlewood",
+                         "knalgebra", "weitzenbock"}
+
+
+def test_certify_loads_no_verification_module():
+    loaded = loaded_modules("certify", "s2xs2", "--n", "4", "--k", "0")
+    assert "certify" in loaded
+    assert not loaded & {"closedform", "spherical", "littlewood", "knalgebra"}
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    from curvelab import certify_bound
+
+    assert certify_bound is certify.certify_bound
+    for name in curvelab.__all__:
+        value = getattr(curvelab, name)
+        assert value.__module__.startswith("curvelab.")
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name in dir(curvelab)
+    with pytest.raises(AttributeError):
+        getattr(curvelab, "no_such_name")
