@@ -252,6 +252,10 @@ def cmd_verify(args):
     if args.trials < 1:
         # with no trial, thmB and integral would check nothing and pass
         raise InputError(f"--trials: expected an integer >= 1, got {args.trials}")
+    if args.n < 3 and args.suite != "lemmas":
+        # curvature operators, and so every suite that reads --n, need n >= 3
+        raise InputError(f"--n: expected an integer >= 3 for suite "
+                         f"{args.suite}, got {args.n}")
     doc = {"suite": args.suite, "seed": args.seed}
     ok = True
     if args.suite == "thmB":
@@ -261,8 +265,8 @@ def cmd_verify(args):
             n_values=(args.n,), p_values=tuple(range(2, args.pmax + 1)),
             trials=args.trials, seed=args.seed,
         )
-        ok = report.passed
-        doc.update(report.to_dict())
+        ok = report["passed"]
+        doc.update(report)
     elif args.suite == "integral":
         from .curvature import random_operator
         from .spherical import verify_integral_formula
@@ -275,12 +279,12 @@ def cmd_verify(args):
             rep = verify_integral_formula(
                 R, p, trials=args.trials, seed=args.seed + p,
             )
-            worst = max(worst, rep.worst)
-            ok = ok and rep.passed
-            rows.append({"p": p, "worst_rel": rep.worst, "passed": rep.passed,
-                         "c_constant": rep.c})
+            worst = max(worst, rep["worst"])
+            ok = ok and rep["passed"]
+            rows.append({"p": p, "worst_rel": rep["worst"],
+                         "passed": rep["passed"], "c_constant": rep["c"]})
         doc.update({"n": args.n, "rows": rows, "worst_rel": worst,
-                    "tol": rep.tol, "passed": ok})
+                    "tol": rep["tol"], "passed": ok})
     elif args.suite == "lemmas":
         from .littlewood import verify_lemma_sym, verify_lemma_wedge
 
@@ -288,8 +292,8 @@ def cmd_verify(args):
         for p in range(2, args.pmax + 1):
             ts = verify_lemma_sym(p)
             tw = verify_lemma_wedge(p)
-            ok = ok and ts.passed and tw.passed
-            rows.append({"p": p, "sym": ts.to_dict(), "wedge": tw.to_dict()})
+            ok = ok and ts["passed"] and tw["passed"]
+            rows.append({"p": p, "sym": ts, "wedge": tw})
         doc.update({"rows": rows, "passed": ok})
     elif args.suite == "gpowers":
         from . import knalgebra as kn
@@ -298,7 +302,9 @@ def cmd_verify(args):
         worst = 0.0
         tol = 1e-10
         for algebra in ("wedge", "sym", "sym0"):
-            for p in range(2, min(args.pmax, 4) + 1):
+            # g^p = p! Id on the wedge algebra exists only for p <= n
+            top = min(args.pmax, 4, args.n if algebra == "wedge" else 4)
+            for p in range(2, top + 1):
                 it = kn.iterated_g_power(algebra, args.n, p)
                 expect = kn.g_power(algebra, args.n, p)
                 res = float(np.abs(it.mat - expect.mat).max())

@@ -14,13 +14,12 @@ the parts on the traceless two-tensors:
                      + K(R_W) ] o g^{p-2} / (p-2)!
 
 in the traceless symmetric algebra, where the four-form part drops out
-entirely.  Both right-hand sides are assembled here from the eigen-dyad
-products and compared against the directly assembled double sum.
+entirely.  Both right-hand sides are assembled here from ``kn_product``,
+the congruence ``P (A (x) B) P^T``, and compared against the directly
+assembled double sum.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -74,57 +73,19 @@ def _spectral_distance(a, b):
     return float(np.max(np.abs(ea - eb))) if ea.size else 0.0
 
 
-@dataclass
-class ThmBRow:
-    n: int
-    p: int
-    rep: str
-    trials: int
-    max_abs: float
-    max_spectral: float
-
-    def to_dict(self):
-        return asdict(self)
-
-
-@dataclass
-class ThmBReport:
-    tol: float
-    seed: int
-    rows: list = field(default_factory=list)
-
-    @property
-    def worst(self):
-        return max(
-            (max(r.max_abs, r.max_spectral) for r in self.rows), default=0.0
-        )
-
-    @property
-    def passed(self):
-        return self.worst <= self.tol
-
-    def to_dict(self):
-        return {
-            "tol": self.tol,
-            "seed": self.seed,
-            "worst": self.worst,
-            "passed": bool(self.passed),
-            "rows": [r.to_dict() for r in self.rows],
-        }
-
-
 _THMB_TOL = 1e-8
 
 
 def verify_thmB(n_values=(4, 5, 6), p_values=(2, 3, 4), trials=10, seed=0):
     """Compare both closed forms against direct assembly on random operators.
 
-    Discrepancies are reported both entrywise (max absolute difference)
-    and spectrally (max difference of sorted eigenvalues); the report
+    Returns the suite's JSON document.  Each row reports the worst
+    discrepancy of one (n, p, rep) case entrywise (``max_abs``) and
+    spectrally (``max_spectral``, sorted eigenvalues); the document
     passes when none exceeds ``_THMB_TOL``.
     """
     rng = np.random.default_rng(seed)
-    report = ThmBReport(tol=_THMB_TOL, seed=seed)
+    rows = []
     for n in n_values:
         for p in p_values:
             if p < 2:
@@ -140,7 +101,9 @@ def verify_thmB(n_values=(4, 5, 6), p_values=(2, 3, 4), trials=10, seed=0):
                     rhs = closed_form(R, p).mat
                     worst_abs = max(worst_abs, float(np.max(np.abs(lhs - rhs))))
                     worst_spec = max(worst_spec, _spectral_distance(lhs, rhs))
-                report.rows.append(
-                    ThmBRow(n, p, rep, trials, worst_abs, worst_spec)
-                )
-    return report
+                rows.append({"n": n, "p": p, "rep": rep, "trials": trials,
+                             "max_abs": worst_abs, "max_spectral": worst_spec})
+    worst = max((max(r["max_abs"], r["max_spectral"]) for r in rows),
+                default=0.0)
+    return {"tol": _THMB_TOL, "seed": seed, "worst": worst,
+            "passed": worst <= _THMB_TOL, "rows": rows}

@@ -18,7 +18,8 @@ For n = 3 the last two summands vanish identically; decomposition then
 runs in a degraded two-part mode and says so in the result.
 
 The wedge sign is not written here: the code below contracts with
-``multilinear.two_forms`` or reads ``multilinear.product_table``.
+``multilinear.two_forms`` or reads ``multilinear.product_table``, directly
+or through ``multilinear.product_congruence``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multilinear import pair_index, product_table, two_forms
+from .multilinear import (pair_index, product_congruence, product_table,
+                          two_forms)
 
 
 def _as_matrix(mat, n):
@@ -156,16 +158,14 @@ def metric_kulkarni(n, h, k=None):
     """Matrix on two-forms of the classical product of two symmetric forms.
 
     ``(h ? k)(ei^ej, ek^el) = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il``
-    with the convention that makes ``g ? g`` act as twice the identity:
-    entry (a, b) is ``<h^T E_a k, E_b>`` for the skew matrices E of
-    ``two_forms``.  If ``k`` is omitted the metric is used for the second
-    slot.
+    with the convention that makes ``g ? g`` act as twice the identity: the
+    grade-(1, 1) case of the wedge product ``P (h (x) k) P^T``
+    (``product_congruence``).  If ``k`` is omitted the metric is used for
+    the second slot.
     """
     h = np.asarray(h, dtype=float)
     k = np.eye(n) if k is None else np.asarray(k, dtype=float)
-    E = two_forms(n)
-    out = np.tensordot(h.T @ E @ k, E, ((1, 2), (1, 2)))
-    return 0.5 * (out + out.T)
+    return product_congruence("exterior", n, 1, 1, h, k)
 
 
 @lru_cache(maxsize=16)

@@ -12,12 +12,13 @@ space; the product of ``alpha (x) beta`` and ``gamma (x) delta`` wedges
   ``"sym"`` product followed by harmonic projection of each slot, which
   is well defined because the trace terms form an ideal.
 
-Products are computed through the eigen-dyad decomposition of each
-factor, which keeps positive semidefiniteness manifest; the slots are
-multiplied through ``multilinear.product_table``, the one place the
-wedge sign and the ``x^l / sqrt(l!)`` normalization are written.  The
-identity ``g^p = p! * Id`` on the grade-p space holds in all three
-algebras and is available in closed form alongside the iterated product.
+The product of A and B is the congruence ``P (A (x) B) P^T``, with P the
+slotwise product map listed by ``multilinear.product_table``, the one
+place the wedge sign and the ``x^l / sqrt(l!)`` normalization are
+written; as a congruence of A (x) B it keeps positive semidefiniteness
+manifest.  The identity ``g^p = p! * Id`` on the grade-p space holds in
+all three algebras and is available in closed form alongside the
+iterated product.
 """
 
 from __future__ import annotations
@@ -89,38 +90,15 @@ def g_power(algebra, n, p):
     return KNElement(algebra, n, p, math.factorial(p) * e.mat)
 
 
-# ---------------------------------------------------------------------------
-# slotwise products on coordinate vectors
-
-
-def _pairwise_products(table, dim_out, Va, Vb):
-    """Columns: slot products of every eigenvector pair, via a COO table."""
-    out_idx, ia, ib, val = table
-    U = np.zeros((dim_out, Va.shape[1], Vb.shape[1]))
-    contrib = val[:, None, None] * Va[ia][:, :, None] * Vb[ib][:, None, :]
-    np.add.at(U, out_idx, contrib)
-    return U.reshape(dim_out, -1)
-
-
-_DYAD_REL_TOL = 1e-13  # dyads at or below this share of max|eigenvalue| drop
-
-
-def _eig_dyads(mat):
-    lam, vec = np.linalg.eigh(mat)
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    keep = np.abs(lam) > _DYAD_REL_TOL * scale
-    return lam[keep], vec[:, keep]
-
-
 def kn_product(a, b):
-    """Product of two elements of one algebra via eigen-dyad slot products.
+    """Product of two elements of one algebra: ``P (A (x) B) P^T``.
 
-    Every pair of eigenvectors is multiplied slotwise through the
-    algebra's table: wedged in ``"wedge"``, multiplied as polynomials in
-    ``"sym"``.  ``"sym0"`` factors are lifted to the ambient symmetric
-    powers by ``C^T`` and their products projected back by ``C``
-    (``C = change_of_basis``), i.e. the product is taken in the quotient
-    by the trace ideal.
+    P multiplies basis vectors slotwise through the algebra's table
+    (``multilinear.product_congruence``): wedged in ``"wedge"``,
+    multiplied as polynomials in ``"sym"``.  ``"sym0"`` factors are
+    lifted to the ambient symmetric powers by ``C^T . C`` and their
+    product projected back by ``C . C^T`` (``C = change_of_basis``), i.e.
+    the product is taken in the quotient by the trace ideal.
     """
     if a.algebra != b.algebra:
         raise ValueError(
@@ -131,23 +109,18 @@ def kn_product(a, b):
     n, p = a.n, a.grade + b.grade
     if p > GRADE_CUTOFF:
         raise ValueError(f"product grade {p} exceeds cutoff {GRADE_CUTOFF}")
-    if a.algebra == "wedge":
-        if p > n:
-            raise ValueError(f"grade {p} exceeds n={n} in the wedge algebra")
-        kind, dim_out = "exterior", ml.dim_exterior(n, p)
-    else:
-        kind, dim_out = "symmetric", ml.dim_symmetric(n, p)
-    table = ml.product_table(kind, n, a.grade, b.grade)
-    la, Va = _eig_dyads(a.mat)
-    lb, Vb = _eig_dyads(b.mat)
+    if a.algebra == "wedge" and p > n:
+        raise ValueError(f"grade {p} exceeds n={n} in the wedge algebra")
+    kind = "exterior" if a.algebra == "wedge" else "symmetric"
+    A, B = a.mat, b.mat
     if a.algebra == "sym0":
-        Va = a.space.change_of_basis.T @ Va
-        Vb = b.space.change_of_basis.T @ Vb
-    U = _pairwise_products(table, dim_out, Va, Vb)
+        Ca, Cb = a.space.change_of_basis, b.space.change_of_basis
+        A, B = Ca.T @ A @ Ca, Cb.T @ B @ Cb
+    K = ml.product_congruence(kind, n, a.grade, b.grade, A, B)
     if a.algebra == "sym0":
-        U = space_for("sym0", n, p).change_of_basis @ U
-    w = np.outer(la, lb).ravel()
-    return KNElement(a.algebra, n, p, (U * w) @ U.T)
+        C = space_for("sym0", n, p).change_of_basis
+        K = C @ K @ C.T
+    return KNElement(a.algebra, n, p, K)
 
 
 def iterated_g_power(algebra, n, p):

@@ -24,7 +24,6 @@ exterior case, 2 <= p <= n-2) under which they apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 
@@ -206,30 +205,6 @@ def sym_square_wedge_contents(p):
     ]
 
 
-@dataclass
-class LemmaTable:
-    kind: str
-    p: int
-    counts: dict
-    expected: dict
-    hypotheses: str
-    terms: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return self.counts == self.expected
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "counts": dict(self.counts),
-            "expected": dict(self.expected),
-            "passed": bool(self.passed),
-            "hypotheses": self.hypotheses,
-        }
-
-
 def _net_counts(signed_contents):
     counts = {name: 0 for name in TARGETS}
     for name, lbar in TARGETS.items():
@@ -244,6 +219,13 @@ def _net_counts(signed_contents):
             )
         counts[name] = net
     return counts
+
+
+def _lemma_table(kind, p, signed, expected, hypotheses):
+    """The JSON document of one lemma: net counts against the expected."""
+    counts = _net_counts(signed)
+    return {"kind": kind, "p": p, "counts": counts, "expected": expected,
+            "passed": counts == expected, "hypotheses": hypotheses}
 
 
 def verify_lemma_sym(p):
@@ -263,15 +245,8 @@ def verify_lemma_sym(p):
         (-1, tensor_sym_contents(p, p - 2)),
         (+1, tensor_sym_contents(p - 2, p - 2)),
     ]
-    counts = _net_counts(signed)
-    return LemmaTable(
-        kind="sym",
-        p=p,
-        counts=counts,
-        expected={"U": 1, "L": 1, "W": 1, "W4": 0},
-        hypotheses="stable range; counts apply for n >= 4",
-        terms=signed,
-    )
+    return _lemma_table("sym", p, signed, {"U": 1, "L": 1, "W": 1, "W4": 0},
+                        "stable range; counts apply for n >= 4")
 
 
 def verify_lemma_wedge(p):
@@ -283,12 +258,6 @@ def verify_lemma_wedge(p):
     if p < 2:
         raise ValueError("need p >= 2")
     signed = [(+1, sym_square_wedge_contents(p))]
-    counts = _net_counts(signed)
-    return LemmaTable(
-        kind="wedge",
-        p=p,
-        counts=counts,
-        expected={"U": 1, "L": 1, "W": 1, "W4": 1},
-        hypotheses="stable range; counts apply for n >= 4 and 2 <= p <= n-2",
-        terms=signed,
-    )
+    return _lemma_table(
+        "wedge", p, signed, {"U": 1, "L": 1, "W": 1, "W4": 1},
+        "stable range; counts apply for n >= 4 and 2 <= p <= n-2")

@@ -28,6 +28,8 @@ polynomials it acts as ``x_i d/dx_j - x_j d/dx_i``.
 wedge sign, the ``x^l / sqrt(l!)`` normalization).  With ``M_i`` the
 product by the i-th degree-one basis vector, adjoint to ``i_{e_i}`` on
 the wedge and ``d/dx_i`` on polynomials, ``D_(i,j) = M_i M_j^T - M_j M_i^T``.
+``product_congruence`` scatters the table into the product map P and
+returns ``P (A (x) B) P^T``, the graded product of ``knalgebra``.
 ``two_forms`` reads the degree-one wedge products as the skew matrices of
 the pair basis.
 
@@ -191,6 +193,22 @@ def product_table(kind, n, pa, pb):
         val = np.where(inv % 2 == 1, -1.0, 1.0)
     out = _basis_rank(kind, n, pa + pb, A[ia] + B[ib], binom)
     return out.astype(np.intp), ia.astype(np.intp), ib.astype(np.intp), val
+
+
+def product_congruence(kind, n, pa, pb, A, B):
+    """``P (A (x) B) P^T`` for the product map P of ``product_table``.
+
+    A and B are matrices over the degree-pa and degree-pb bases; P, of
+    shape (dim_a, dim_b, dim), takes ``u_a (x) u_b`` to ``u_a u_b``.  With
+    A and B positive semidefinite, so is the result.  A (x) B is never
+    formed: Y = B T_a with T_a = (A P)[a], and the result is P^T Y.
+    """
+    out, ia, ib, val = product_table(kind, n, pa, pb)
+    dim = (dim_exterior if kind == "exterior" else dim_symmetric)(n, pa + pb)
+    P = np.zeros((A.shape[0], B.shape[0], dim))
+    P[ia, ib, out] = val
+    Y = B @ np.tensordot(A, P, 1)
+    return P.reshape(-1, dim).T @ Y.reshape(-1, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ used, which is checked over several choices.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -150,42 +149,6 @@ def integral_form(R, phi, psi):
     return float(np.sum(R.mat * (P @ _gram(n, p, q) @ Q.T)))
 
 
-@dataclass
-class IntegralRow:
-    trial: int
-    lhs: float
-    rhs: float
-    rel_err: float
-
-    def to_dict(self):
-        return asdict(self)
-
-
-@dataclass
-class IntegralReport:
-    n: int
-    p: int
-    c: float
-    tol: float
-    seed: int
-    rows: list = field(default_factory=list)
-
-    @property
-    def worst(self):
-        return max((r.rel_err for r in self.rows), default=0.0)
-
-    @property
-    def passed(self):
-        return self.worst <= self.tol
-
-    def to_dict(self):
-        return {
-            "n": self.n, "p": self.p, "c": self.c, "tol": self.tol,
-            "seed": self.seed, "worst": self.worst, "passed": bool(self.passed),
-            "rows": [r.to_dict() for r in self.rows],
-        }
-
-
 _INTEGRAL_TOL = 1e-7
 
 
@@ -194,16 +157,17 @@ def verify_integral_formula(R, p, trials=10, seed=0):
 
     The left side is the bilinear form of the directly assembled
     curvature term on traceless symmetric power p; the right side is the
-    c-scaled sphere integral.  Errors are relative to the larger side, and
-    the report passes when none exceeds ``_INTEGRAL_TOL``.
+    c-scaled sphere integral.  Returns the JSON document with one row per
+    trial; errors are relative to the larger side, and the document passes
+    when none exceeds ``_INTEGRAL_TOL``.
     """
     n = R.n
     space = ml.build_traceless(n, p)
     K = wz.curvature_term(R, space)
     c = c_constant(n, p)
     rng = np.random.default_rng(seed)
-    report = IntegralReport(n=n, p=p, c=c, tol=_INTEGRAL_TOL, seed=seed)
     scale = max(1.0, float(np.max(np.abs(K.mat))))
+    rows = []
     for t in range(trials):
         phi = random_harmonic(n, p, rng)
         psi = random_harmonic(n, p, rng)
@@ -212,5 +176,8 @@ def verify_integral_formula(R, p, trials=10, seed=0):
         )
         rhs = c * integral_form(R, phi, psi)
         denom = max(abs(lhs), abs(rhs), 1e-9 * scale)
-        report.rows.append(IntegralRow(t, lhs, rhs, abs(lhs - rhs) / denom))
-    return report
+        rows.append({"trial": t, "lhs": lhs, "rhs": rhs,
+                     "rel_err": abs(lhs - rhs) / denom})
+    worst = max((r["rel_err"] for r in rows), default=0.0)
+    return {"n": n, "p": p, "c": c, "tol": _INTEGRAL_TOL, "seed": seed,
+            "worst": worst, "passed": worst <= _INTEGRAL_TOL, "rows": rows}

@@ -292,6 +292,25 @@ def test_verify_gpowers_suite(capsys):
     assert doc["worst"] <= 1e-10
 
 
+def test_verify_gpowers_caps_wedge_rows_at_n(capsys):
+    # g^p = p! Id holds on the wedge algebra for p <= n only
+    doc = run_json(capsys, "verify", "--suite", "gpowers", "--n", "3")
+    assert doc["passed"] is True
+    wedge = [row["p"] for row in doc["rows"] if row["algebra"] == "wedge"]
+    assert wedge == [2, 3]
+    for algebra in ("sym", "sym0"):
+        assert [row["p"] for row in doc["rows"]
+                if row["algebra"] == algebra] == [2, 3, 4]
+
+
+@pytest.mark.parametrize("suite", ["thmB", "integral", "gpowers"])
+def test_verify_n_below_three_exits_two(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "--n" in err
+
+
 @pytest.mark.parametrize("suite", ["thmB", "integral", "lemmas", "gpowers"])
 def test_verify_pmax_below_two_exits_two(capsys, suite):
     # no suite checks a degree below 2, so such a run must not report a pass

@@ -101,13 +101,12 @@ def test_random_operator_is_seed_deterministic():
 
 
 def test_verify_report_structure_and_pass():
-    report = cf.verify_thmB(n_values=(4,), p_values=(2,), trials=3, seed=1)
-    assert report.passed
-    assert report.worst < 1e-8
-    assert len(report.rows) == 2          # one wedge row, one sym row
-    kinds = {row.rep for row in report.rows}
+    d = cf.verify_thmB(n_values=(4,), p_values=(2,), trials=3, seed=1)
+    assert d["passed"]
+    assert d["worst"] < 1e-8
+    assert len(d["rows"]) == 2            # one wedge row, one sym row
+    kinds = {row["rep"] for row in d["rows"]}
     assert kinds == {"wedge", "sym0"}
-    d = report.to_dict()
     assert d["passed"] is True
     assert d["rows"][0]["trials"] == 3
 
@@ -115,5 +114,5 @@ def test_verify_report_structure_and_pass():
 def test_verify_skips_wedge_outside_window():
     # at n = 4, p = 3 only the traceless-symmetric display exists
     report = cf.verify_thmB(n_values=(4,), p_values=(3,), trials=2, seed=2)
-    assert report.passed
-    assert {row.rep for row in report.rows} == {"sym0"}
+    assert report["passed"]
+    assert {row["rep"] for row in report["rows"]} == {"sym0"}

@@ -101,6 +101,46 @@ def test_bilinearity(rng):
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
+@pytest.mark.parametrize("algebra", ["wedge", "sym", "sym0"])
+def test_bilinear_below_any_eigenvalue_cut(algebra, rng):
+    # A = M + delta e e^T, e an eigen-direction at delta = 1e-14 of the
+    # largest eigenvalue 1: its share of the product is delta (e e^T) B
+    delta = 1e-14
+    for n in (4, 5):
+        for ga, gb in ((1, 1), (2, 1), (2, 2)):
+            if algebra == "wedge" and ga + gb > n:
+                continue
+            dim = kn.space_for(algebra, n, ga).dim
+            M = rng.standard_normal((dim - 1, dim - 1))
+            M = M @ M.T
+            A0 = np.zeros((dim, dim))
+            A0[:-1, :-1] = M / np.linalg.eigvalsh(M)[-1]
+            A = A0.copy()
+            A[-1, -1] = delta
+            E = np.zeros((dim, dim))
+            E[-1, -1] = 1.0
+            B = kn.identity_element(algebra, n, gb)
+
+            def product(mat):
+                return kn.kn_product(kn.KNElement(algebra, n, ga, mat), B).mat
+
+            share = product(A) - product(A0)
+            direction = product(E)
+            err = np.abs(share - delta * direction).max()
+            assert err <= 0.1 * delta * np.abs(direction).max(), (n, ga, gb)
+
+
+def test_metric_kulkarni_is_the_grade_one_wedge_product(rng):
+    # the classical Kulkarni-Nomizu product is the (1, 1) wedge case
+    for n in range(3, 8):
+        h, k = rng.standard_normal((2, n, n))
+        h, k = h + h.T, k + k.T
+        prod = kn.kn_product(kn.KNElement("wedge", n, 1, h),
+                             kn.KNElement("wedge", n, 1, k))
+        np.testing.assert_allclose(metric_kulkarni(n, h, k), prod.mat,
+                                   rtol=0, atol=1e-15 * np.abs(prod.mat).max())
+
+
 def test_metric_squared_is_twice_identity_on_two_forms():
     g = kn.g_element("wedge", 5)
     gg = kn.kn_product(g, g)

@@ -179,20 +179,19 @@ def test_restriction_hand_values():
 def test_lemma_tables_all_orders():
     for p in range(2, 9):
         t = lw.verify_lemma_sym(p)
-        assert t.passed, (p, t.counts)
-        assert t.counts == {"U": 1, "L": 1, "W": 1, "W4": 0}
+        assert t["passed"], (p, t["counts"])
+        assert t["counts"] == {"U": 1, "L": 1, "W": 1, "W4": 0}
         w = lw.verify_lemma_wedge(p)
-        assert w.passed, (p, w.counts)
-        assert w.counts == {"U": 1, "L": 1, "W": 1, "W4": 1}
+        assert w["passed"], (p, w["counts"])
+        assert w["counts"] == {"U": 1, "L": 1, "W": 1, "W4": 1}
 
 
 def test_lemma_tables_record_hypotheses():
     t = lw.verify_lemma_sym(3)
-    assert "n >= 4" in t.hypotheses
+    assert "n >= 4" in t["hypotheses"]
     w = lw.verify_lemma_wedge(3)
-    assert "n >= 4" in w.hypotheses
-    d = t.to_dict()
-    assert d["kind"] == "sym" and d["passed"] is True
+    assert "n >= 4" in w["hypotheses"]
+    assert t["kind"] == "sym" and t["passed"] is True
 
 
 def test_lemma_rejects_small_order():
