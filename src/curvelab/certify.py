@@ -9,8 +9,9 @@ Three engines cooperate:
   star and the test is exact (Thorpe): ``lambda_min(R - k Id + t star)``
   is concave in t, ``thorpe_sec_min`` maximizes it with ``concave_max``
   from supergradients and Newton steps, and a negative maximum is
-  refuted by the plane read off the optimum's bottom eigenspace.  For
-  other n the engine takes omega = 0, which is sufficient only.
+  refuted by the plane read off the bottom eigenspace that its best
+  probe computed.  For other n the engine takes omega = 0, which is
+  sufficient only.
 
 * the plane search (refutations for n != 4): minimization of the
   sectional curvature over the Grassmannian of 2-planes by alternating
@@ -51,9 +52,12 @@ from .curvature import CurvatureOperator, TwoPlane, four_form_matrix, sec
 # maximization of a concave function from its supergradients
 
 
-# Width, relative to |R|_2, at which the search for the star shift t*
-# stops, and the probes after which it only bisects, so that no input
-# takes more than about 40 + log2((hi - lo) / _T_TOL) of them.
+# Gap, on the scale of f's values, between the best probe and an upper
+# bound on the maximum at which the search for the star shift t* stops;
+# the bracket width at which it stops regardless, and the probes after
+# which it only bisects, so that no input takes more than about
+# 40 + log2((hi - lo) / _T_TOL) of them.
+_GAP_TOL = 1e-13
 _T_TOL = 1e-10
 _FAST_PROBES = 40
 
@@ -66,15 +70,17 @@ def concave_max(f, lo, hi):
     derivative, used only when it is negative.  The ends are probed
     first.  A probe with positive slope moves the bracket's left end to
     it, a negative slope the right end, and a zero slope ends the search.
-    The next probe is the first of these that lies in the bracket: the
-    Newton point of the last probe, the crossing of the tangents at the
-    bracket ends, the midpoint.  It is kept ``_T_TOL / 2`` away from the
-    ends, so a Newton point that converges on t* from one side closes the
-    bracket, and the search stops at a width of ``_T_TOL``.  Concavity is
-    checked along the way: each value must lie on or below every earlier
-    tangent line (up to noise), which holds for every concave function --
-    kinked or monotone included -- and fails for genuinely bimodal input.
-    Returns the best probe (t, value).
+    The tangents at the bracket ends cross at a point whose height bounds
+    the maximum from above, and the search stops once that height is
+    within ``_GAP_TOL`` of the best probe (values of order one, as
+    ``thorpe_sec_min`` scales them).  Otherwise the next probe is the
+    first of these that lies in the bracket: the Newton point of the last
+    probe, the crossing of the tangents, the midpoint.  It is kept
+    ``_T_TOL / 2`` away from the ends, and a bracket ``_T_TOL`` wide ends
+    the search too.  Concavity is checked along the way: each value must
+    lie on or below every earlier tangent line (up to noise), which holds
+    for every concave function -- kinked or monotone included -- and
+    fails for genuinely bimodal input.  Returns the best probe (t, value).
     """
     ts, values, slopes = [], [], []
 
@@ -104,13 +110,16 @@ def concave_max(f, lo, hi):
     ia, ib = 0, 1           # the probes at the bracket ends
     half = 0.5 * _T_TOL
     while b - a > _T_TOL:
+        ga, gb = slopes[ia], slopes[ib]
+        cross = (values[ib] - values[ia] + ga * a - gb * b) / (ga - gb)
+        best = max(values[ia], values[ib])
+        if values[ia] + ga * (cross - a) - best <= _GAP_TOL:
+            break
         candidates = []
         if len(ts) < _FAST_PROBES:
             if curv < 0.0:
                 candidates.append(ts[-1] - slopes[-1] / curv)
-            ga, gb = slopes[ia], slopes[ib]
-            candidates.append((values[ib] - values[ia] + ga * a - gb * b)
-                              / (ga - gb))
+            candidates.append(cross)
         candidates.append(0.5 * (a + b))
         t = next(s for s in candidates if a <= s <= b)
         curv = probe(min(max(t, a + half), b - half))
@@ -280,7 +289,9 @@ def thorpe_sec_min(R, norm=None):
     derivative ``2 sum_j (v_j . star v_0)^2 / (lambda_0 - lambda_j)``
     from first-order perturbation, over the eigenvalues lambda_j split
     from lambda_0.  ``norm`` is |R|_2 when the caller has it.  Returns
-    (value, t*).
+    (value, t*, (lam, vec)), the last the eigendecomposition of
+    ``R + t* star`` that the best probe computed, so that no caller
+    solves it again.
     """
     if R.n != 4:
         raise ValueError("the star-shift argument needs n = 4")
@@ -288,42 +299,57 @@ def thorpe_sec_min(R, norm=None):
     if norm is None:
         norm = _spectral_norm(R.mat)
     if norm == 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, (np.zeros(6), np.eye(6))
     unit = R.mat / norm
     eps = 4.0 * np.finfo(float).eps
+    solved = {}
 
     def mu(t):
-        lam, vec = np.linalg.eigh(unit + t * star)
-        c = vec.T @ (star @ vec[:, 0])
-        gap = lam[1:] - lam[0]
-        split = gap > eps
-        curv = -2.0 * float(np.sum(c[1:][split] ** 2 / gap[split]))
-        return float(lam[0]), float(c[0]), curv
+        lam, vec = solved[t] = np.linalg.eigh(unit + t * star)
+        # six numbers: Python floats cost less here than numpy calls
+        lam0, *lams = lam.tolist()
+        c0, *cs = ((star @ vec[:, 0]) @ vec).tolist()
+        curv = 0.0
+        for cj, lj in zip(cs, lams):
+            if lj - lam0 > eps:
+                curv -= 2.0 * cj * cj / (lj - lam0)
+        return lam0, c0, curv
 
     t_star, val = concave_max(mu, -2.0, 2.0)
-    return norm * val, norm * t_star
+    lam, vec = solved[t_star]
+    return norm * val, norm * t_star, (norm * lam, vec)
 
 
-def _thorpe_plane(S, t_star, tol):
-    """A plane whose sec under S is ``lambda_min(S + t* star)`` (n = 4).
+def _thorpe_plane(lam, vec, tol):
+    """A plane whose sec under S is about ``lambda_min(S + t star)`` at the
+    search's best probe t, read off its eigendecomposition (n = 4).
 
-    Let B span the eigenvectors of ``S + t* star`` within ``tol`` of the
-    least eigenvalue.  At the optimum t* the range of ``<v, star v>`` over
-    unit v in span(B) is an interval containing 0, so mixing its two
-    extreme directions gives a unit ``v = B c`` with ``<v, star v> = 0``.
-    That is the Pluecker relation at n = 4: v is decomposable, and its
-    plane is the top singular pair of v's 4 x 4 skew matrix.
+    Let B span the eigenvectors within ``tol`` of the least eigenvalue.
+    If B is one vector v, ``<v, star v>`` is the slope at t, which the
+    search has driven to zero.  Otherwise t is the optimum t*, where the
+    range of ``<v, star v>`` over unit v in span(B) is an interval
+    containing 0, and mixing its two extreme directions gives a unit
+    ``v = B c`` with ``<v, star v> = 0``.  That is the Pluecker relation
+    at n = 4: v is decomposable, its 4 x 4 skew matrix M is
+    ``x y^T - y x^T`` for an orthonormal pair, so M's longest column lies
+    in the plane, and M maps it to an orthogonal vector of the plane (M
+    is skew).  A small ``<v, star v>`` moves sec off the value only to
+    second order.
     """
-    star = four_form_matrix(4)
-    lam, vec = np.linalg.eigh(S.mat + t_star * star)
     B = vec[:, lam <= lam[0] + tol]
-    w, W = np.linalg.eigh(B.T @ star @ B)
-    lo, hi = w[0], w[-1]
-    # cos^2 lo + sin^2 hi = 0, clipped where rounding left 0 just outside
-    cos2 = float(np.clip(hi / (hi - lo), 0.0, 1.0)) if hi > lo else 1.0
-    v = B @ (math.sqrt(cos2) * W[:, 0] + math.sqrt(1.0 - cos2) * W[:, -1])
-    U = np.linalg.svd(np.tensordot(v, ml.two_forms(4), 1))[0]
-    return TwoPlane.orthonormalized(U[:, 0], U[:, 1])
+    v = B[:, 0]
+    if B.shape[1] > 1:
+        star = four_form_matrix(4)
+        w, W = np.linalg.eigh(B.T @ star @ B)
+        lo, hi = w[0], w[-1]
+        # cos^2 lo + sin^2 hi = 0, clipped where rounding left 0 just outside
+        cos2 = float(np.clip(hi / (hi - lo), 0.0, 1.0)) if hi > lo else 1.0
+        v = B @ (math.sqrt(cos2) * W[:, 0] + math.sqrt(1.0 - cos2) * W[:, -1])
+    M = (v @ ml.two_forms(4).reshape(6, 16)).reshape(4, 4)
+    x = M[:, np.argmax(np.einsum("ij,ij->j", M, M))]
+    x = x / np.linalg.norm(x)
+    y = M @ x
+    return TwoPlane(x, y / np.linalg.norm(y))
 
 
 def _plane_doc(R, plane):
@@ -423,19 +449,19 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     certified when ``mu > tol``, or ``mu >= -tol`` if not strict; a strict
     query inside that band is inconclusive, since equality cannot be told
     from a strict margin at working precision.  Below the band, n = 4 is
-    refuted by the plane read off the optimum when its sec is below
-    ``k - tol``, and inconclusive otherwise.  Other n first search for
-    a plane below ``k - tol`` (a minimizing run only) and refute with it,
-    with no ``hierarchy`` in the witness; only when no plane refutes does
-    the hierarchy run, and its all-pass is inconclusive.
+    refuted by the plane read off the search's best probe when its sec is
+    below ``k - tol``, and inconclusive otherwise.  Other n first search
+    for a plane below ``k - tol`` (a minimizing run only) and refute with
+    it, with no ``hierarchy`` in the witness; only when no plane refutes
+    does the hierarchy run, and its all-pass is inconclusive.
     ``direction="le"`` is handled by negating the operator and the bound.
     """
     if direction not in ("ge", "le"):
         raise ValueError("direction must be 'ge' or 'le'")
     if direction == "le":
         inner = certify_bound(
-            CurvatureOperator(R.n, -R.mat), -k, "ge", strict=strict,
-            p_max=p_max, seed=seed,
+            CurvatureOperator._from_symmetric(R.n, -R.mat), -k, "ge",
+            strict=strict, p_max=p_max, seed=seed,
         )
         witness = dict(inner.witness)
         if "plane" in witness:
@@ -449,13 +475,13 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     # the extreme eigenvalues of R give both |R|_2 and |R - k Id|_2
     lam = np.linalg.eigvalsh(R.mat)[[0, -1]]
     tol = _eig_tol(float(max(-lam[0], lam[1])), k)
-    S = CurvatureOperator(R.n, R.mat - k * np.eye(R.N))
+    S = CurvatureOperator._from_symmetric(R.n, R.mat - k * np.eye(R.N))
     tolerances = {"eig_tol": tol}
     if R.n == 4:
-        mu, t_star = thorpe_sec_min(
+        mu, t_star, eig = thorpe_sec_min(
             S, norm=float(max(k - lam[0], lam[1] - k)))
         method, witness = "thorpe_exact", {"t_star": t_star, "mu_max": mu}
-        tolerances["t_tol"] = _T_TOL
+        tolerances["gap_tol"] = _GAP_TOL
     else:
         mu = float(np.linalg.eigvalsh(S.mat)[0])
         method, witness = "psd_shift", {"lambda_min": mu}
@@ -472,7 +498,7 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     if mu >= -tol:
         return decide("inconclusive_for_certification")
     if R.n == 4:
-        plane = _plane_doc(R, _thorpe_plane(S, t_star, tol))
+        plane = _plane_doc(R, _thorpe_plane(*eig, tol))
         if plane["sec"] >= k - tol:
             # the optimum's plane does not violate the bound
             return decide("inconclusive_for_certification")

@@ -45,6 +45,11 @@ from . import DEFAULT_SEED
 BASIS_TAG = "lex-pairs"
 CONVENTION_TAG = "sec(X∧Y)=R(X∧Y,X∧Y)"
 ASYMMETRY_WARN = 1e-6
+# Largest magnitude accepted for a matrix entry or a bound k.  Nothing
+# the commands compute is more than quadratic in the entries (Frobenius
+# norms and pairings in decompose), times factors polynomial in n, so
+# this leaves about 10^108 of headroom below overflow.
+MAX_MAGNITUDE = 1e100
 # Largest representation dimension kterm will materialize: the dense
 # output matrix alone is dim^2 doubles, so refuse early and point the
 # caller at the library API instead of exhausting memory.
@@ -106,10 +111,10 @@ def operator_from_json(doc):
                 v = float(v)
             except OverflowError:
                 v = math.inf
-            if not math.isfinite(v):
+            if not abs(v) <= MAX_MAGNITUDE:
                 raise InputError(
-                    f"field 'matrix[{r}][{c}]': expected a finite number, "
-                    f"got {v!r}"
+                    f"field 'matrix[{r}][{c}]': expected a finite number of "
+                    f"magnitude at most {MAX_MAGNITUDE:g}, got {v!r}"
                 )
             vals.append(v)
         rows.append(vals)
@@ -321,8 +326,9 @@ def cmd_verify(args):
 def cmd_certify(args):
     from .certify import certify_bound
 
-    if not math.isfinite(args.k):
-        raise InputError(f"--k: expected a finite number, got {args.k!r}")
+    if not abs(args.k) <= MAX_MAGNITUDE:
+        raise InputError(f"--k: expected a finite number of magnitude at "
+                         f"most {MAX_MAGNITUDE:g}, got {args.k!r}")
     R = load_operator(args.input, args.n)
     if R.n != 4:
         # the hierarchy builds Harm^p up to p = pmax for n != 4
@@ -401,9 +407,22 @@ def build_parser():
     return parser
 
 
+def _attach_k_values(argv):
+    """``--k VALUE`` as ``--k=VALUE``: argparse takes a token such as
+    ``-1e-3`` for an unknown option rather than for the value of --k."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--k":
+            out[-1] = f"--k={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_k_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except np.linalg.LinAlgError as exc:    # a ValueError, but not bad input

@@ -56,6 +56,15 @@ class CurvatureOperator:
         self.asymmetry = float(np.max(np.abs(m - m.T)) / 2) if m.size else 0.0
         self.mat = 0.5 * (m + m.T)
 
+    @classmethod
+    def _from_symmetric(cls, n, mat):
+        """The operator of a symmetric float matrix of shape (N, N), such as
+        one computed from another operator's: nothing is checked, copied
+        or symmetrized again."""
+        R = cls.__new__(cls)
+        R.n, R.mat, R.asymmetry = n, mat, 0.0
+        return R
+
     @property
     def N(self):
         return self.n * (self.n - 1) // 2

@@ -231,7 +231,7 @@ def certification_batch():
     entries = []
     for i in range(200):
         R = random_operator(4, rng)
-        exact_min, _ = ce.thorpe_sec_min(R)
+        exact_min, _, _ = ce.thorpe_sec_min(R)
         ext = ce.sec_extremes(R, restarts=12, seed=1000 + i)
         entries.append(BatchEntry(
             R=R,
@@ -256,7 +256,7 @@ def test_a8_exact_vs_optimized_minimum(certification_batch):
     for name, expected in (("identity", 1.0), ("hodge-star", 0.0),
                            ("s2xs2", 0.0)):
         R = fixture_operator(name, 4)
-        exact, _ = ce.thorpe_sec_min(R)
+        exact, _, _ = ce.thorpe_sec_min(R)
         opt = ce.sec_extremes(R, restarts=12, seed=7).min_value
         if abs(exact - expected) > 1e-6 or abs(opt - expected) > 1e-6:
             problems.append(f"{name} fixture: exact {exact}, opt {opt}")

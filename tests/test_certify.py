@@ -126,7 +126,7 @@ def test_star_shift_max_dominates_a_fine_grid():
         norm = float(np.linalg.norm(R.mat, 2))
         grid = np.linspace(-2.0, 2.0, 4001) * norm
         on_grid = np.linalg.eigvalsh(R.mat + grid[:, None, None] * star)
-        val, t = ce.thorpe_sec_min(R)
+        val, t, _ = ce.thorpe_sec_min(R)
         assert val >= on_grid[:, 0].max() - 1e-12 * norm
         assert val == pytest.approx(
             np.linalg.eigvalsh(R.mat + t * star)[0], abs=1e-12 * norm)
@@ -151,8 +151,58 @@ def test_star_shift_probe_budget(monkeypatch):
     for R in seeded_n4_operators():
         ce.thorpe_sec_min(R)
     assert len(counts) == 200
-    assert np.median(counts) <= 8
-    assert max(counts) <= 56
+    assert np.median(counts) <= 6
+    assert max(counts) <= 11
+
+
+def exact_n4_operator(rng):
+    """``R = m Id + P + c star``: P >= 0 annihilates the plane s0 and has
+    its other eigenvalues at least 1/2, and star is invisible to sec, so
+    min sec = m, attained on s0."""
+    m = rng.uniform(-1.0, 1.0)
+    q = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+    s0 = cv.TwoPlane(q[:, 0], q[:, 1]).coords()
+    G = rng.standard_normal((6, 6)) / math.sqrt(6)
+    proj = np.eye(6) - np.outer(s0, s0)
+    P = proj @ (0.5 * np.eye(6) + G @ G.T) @ proj
+    R = (m * np.eye(6) + 0.5 * (P + P.T)
+         + rng.standard_normal() * cv.four_form_matrix(4))
+    return m, cv.CurvatureOperator(4, R)
+
+
+def test_n4_refutations_are_exact(monkeypatch):
+    # the refutation plane comes off the search's best probe: its sec is
+    # the exact minimum, and no eigenproblem is solved twice
+    probes, solves = [], []
+    search, eigh = ce.concave_max, np.linalg.eigh
+
+    def counted_search(f, lo, hi):
+        def g(t):
+            probes.append(t)
+            return f(t)
+        return search(g, lo, hi)
+
+    def counted_eigh(*args, **kwargs):
+        solves.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(ce, "concave_max", counted_search)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    rng = np.random.default_rng(41)
+    delta = 1e-3
+    for _ in range(200):
+        m, R = exact_n4_operator(rng)
+        norm = float(np.linalg.norm(R.mat, 2))
+        assert ce.certify_bound(R, m - delta).certified
+        probes.clear()
+        solves.clear()
+        cert = ce.certify_bound(R, m + delta)
+        assert cert.refuted and cert.method == "thorpe_exact"
+        assert len(solves) <= len(probes)
+        plane = cert.witness["plane"]
+        value = cv.sec(R, cv.TwoPlane(np.array(plane["x"]),
+                                      np.array(plane["y"])))
+        assert value == pytest.approx(m, abs=1e-12 * norm)
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +210,15 @@ def test_star_shift_probe_budget(monkeypatch):
 
 
 def test_shifted_minimum_on_fixtures():
-    val, t = ce.thorpe_sec_min(fixture_operator("identity", 4))
+    val, t, _ = ce.thorpe_sec_min(fixture_operator("identity", 4))
     assert val == pytest.approx(1.0, abs=1e-9)
     assert t == pytest.approx(0.0, abs=1e-6)
 
-    val, t = ce.thorpe_sec_min(fixture_operator("hodge-star", 4))
+    val, t, _ = ce.thorpe_sec_min(fixture_operator("hodge-star", 4))
     assert val == pytest.approx(0.0, abs=1e-9)
     assert t == pytest.approx(-1.0, abs=1e-6)
 
-    val, t = ce.thorpe_sec_min(fixture_operator("s2xs2", 4))
+    val, t, _ = ce.thorpe_sec_min(fixture_operator("s2xs2", 4))
     assert val == pytest.approx(0.0, abs=1e-9)
     assert t == pytest.approx(0.0, abs=1e-5)
 
@@ -179,7 +229,7 @@ def test_shifted_minimum_rejects_other_dimensions():
 
 
 def test_zero_operator_short_circuit():
-    val, t = ce.thorpe_sec_min(cv.CurvatureOperator(4, np.zeros((6, 6))))
+    val, t, _ = ce.thorpe_sec_min(cv.CurvatureOperator(4, np.zeros((6, 6))))
     assert val == 0.0 and t == 0.0
 
 
@@ -214,7 +264,7 @@ def test_extreme_planes_reproduce_reported_values(rng, scale):
 def test_extremes_match_exact_minimum_on_random_operators(rng):
     for _ in range(10):
         R = random_operator(4, rng)
-        exact, _ = ce.thorpe_sec_min(R)
+        exact, _, _ = ce.thorpe_sec_min(R)
         ext = ce.sec_extremes(R, restarts=12, seed=11)
         assert ext.min_value == pytest.approx(exact, abs=1e-6)
 

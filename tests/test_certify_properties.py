@@ -29,7 +29,7 @@ offsets = st.one_of(
 def query(seed, scale, offset):
     R = random_operator(4, np.random.default_rng(seed), scale=scale)
     norm = float(np.linalg.norm(R.mat, 2))
-    exact, _ = ce.thorpe_sec_min(R)
+    exact, _, _ = ce.thorpe_sec_min(R)
     return R, norm, exact, exact + offset * norm
 
 

@@ -179,6 +179,55 @@ def test_certify_non_finite_bound_exits_two(capsys):
     assert "--k" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("decompose",), ("kterm", "--rep", "wedge", "--p", "2"),
+    ("certify", "--k", "0"),
+])
+def test_entries_beyond_the_magnitude_bound_exit_two(capsys, tmp_path,
+                                                     command):
+    doc = cli.operator_to_json(fixture_operator("s2xs2", 4))
+    path = tmp_path / "op.json"
+    for entry in (1.5e308, 2.0 * cli.MAX_MAGNITUDE):
+        doc["matrix"][0][0] = entry
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert "matrix[0][0]" in err and f"{cli.MAX_MAGNITUDE:g}" in err
+    # at the bound every command runs and emits finite numbers
+    signs = np.sign(random_operator(4, np.random.default_rng(3)).mat)
+    doc["matrix"] = (cli.MAX_MAGNITUDE * signs).tolist()
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, command[0], str(path), *command[1:])
+    assert code in (0, 1)
+    json.loads(out, parse_constant=lambda name: pytest.fail(name))
+
+
+def test_certify_bound_beyond_the_magnitude_bound_exits_two(capsys):
+    for k in ("1e308", "-1e101"):
+        code, out, err = run(capsys, "certify", "s2xs2", "--n", "4",
+                             "--k", k)
+        assert code == 2
+        assert out == ""
+        assert "--k" in err and f"{cli.MAX_MAGNITUDE:g}" in err
+    code, out, _ = run(capsys, "certify", "s2xs2", "--n", "4",
+                       "--k", "-1e100")
+    assert code == 0 and json.loads(out)["verdict"] == "certified"
+
+
+def test_certify_takes_negative_bounds_in_any_float_syntax(capsys):
+    outs = [run(capsys, "certify", "s2xs2", "--n", "4", *k)
+            for k in (("--k", "-1e-3"), ("--k", "-0.001"), ("--k=-1e-3",),
+                      ("--k", "-1E-3"))]
+    assert outs[0][0] == 0
+    assert json.loads(outs[0][1])["k"] == -0.001
+    assert all(out == outs[0] for out in outs)
+    with pytest.raises(SystemExit) as exc:      # argparse: usage error
+        cli.main(["certify", "s2xs2", "--n", "4", "--k"])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+
+
 def test_kterm_oversized_space_exits_two(capsys):
     code, _, err = run(capsys, "kterm", "identity", "--n", "4",
                        "--rep", "sym0", "--p", "99")
