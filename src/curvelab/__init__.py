@@ -30,12 +30,10 @@ _HOMES = {
     "scalar_curvature": "curvature",
     "sec": "curvature",
     "fixture_operator": "fixtures",
-    "Polynomial": "multilinear",
     "RepSpace": "multilinear",
     "build_exterior": "multilinear",
     "build_symmetric": "multilinear",
     "build_traceless": "multilinear",
-    "harmonic_projection": "multilinear",
     "SymmetricEndomorphism": "weitzenbock",
     "curvature_term": "weitzenbock",
     "quadratic_form": "weitzenbock",

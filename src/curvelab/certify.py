@@ -409,24 +409,31 @@ def hierarchy_check(R, k, p_max=6):
         if refuted_at is None and lam < -tol:
             refuted_at = p
             vals, vecs = np.linalg.eigh(K.mat)
-            witness = Witness(p=p, value=float(vals[0]) - shift,
-                              poly=ml.coords_to_polynomial(space, vecs[:, 0]))
+            witness = Witness(n=n, p=p, value=float(vals[0]) - shift,
+                              coords=vecs[:, 0].copy())
     return HierarchyResult(n=n, k=k, p_max=p_max, rows=rows,
                           refuted_at=refuted_at, tol=tol, witness=witness)
 
 
 @dataclass
 class Witness:
+    n: int
     p: int
     value: float
-    poly: ml.Polynomial
+    coords: np.ndarray     # on the build_traceless(n, p) basis
 
     def to_dict(self):
+        """``poly`` lists ``[exponents, coefficient]`` of the monomials x^l
+        in basis order: the coefficient is ``(C^T coords)_l / sqrt(l!)``,
+        and exact zeros are left out."""
+        space = ml.build_traceless(self.n, self.p)
+        coeffs = (space.change_of_basis.T @ self.coords
+                  / ml.monomial_norms(self.n, self.p))
         return {
             "p": self.p,
             "value": self.value,
-            "poly": [[list(e), c] for e, c in sorted(self.poly.coeffs.items(),
-                                                     reverse=True)],
+            "poly": [[list(e), c] for e, c in zip(space.basis, coeffs)
+                     if c != 0.0],
         }
 
 

@@ -46,9 +46,9 @@ BASIS_TAG = "lex-pairs"
 CONVENTION_TAG = "sec(X∧Y)=R(X∧Y,X∧Y)"
 ASYMMETRY_WARN = 1e-6
 # Largest magnitude accepted for a matrix entry or a bound k.  Nothing
-# the commands compute is more than quadratic in the entries (Frobenius
-# norms and pairings in decompose), times factors polynomial in n, so
-# this leaves about 10^108 of headroom below overflow.
+# the commands compute is more than quadratic in the entries, times
+# factors polynomial in n, so this leaves about 10^108 of headroom below
+# overflow.
 MAX_MAGNITUDE = 1e100
 # Largest representation dimension kterm will materialize: the dense
 # output matrix alone is dim^2 doubles, so refuse early and point the
@@ -261,6 +261,9 @@ def cmd_verify(args):
         # curvature operators, and so every suite that reads --n, need n >= 3
         raise InputError(f"--n: expected an integer >= 3 for suite "
                          f"{args.suite}, got {args.n}")
+    if args.suite in ("thmB", "integral"):
+        # both assemble K(R) on Harm^p up to p = pmax
+        _check_build_dimension("sym0", args.n, args.pmax)
     doc = {"suite": args.suite, "seed": args.seed}
     ok = True
     if args.suite == "thmB":

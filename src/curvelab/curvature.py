@@ -249,9 +249,12 @@ def decompose(R):
     r_l = metric_kulkarni(n, np.eye(n), ric0) / (n - 2)
     r_w4 = four_form_projection(R)
     r_w = R.mat - r_u - r_l - r_w4
-    parts = [r_u, r_l, r_w, r_w4]
+    # pairings relative to max(1, |R|_F)^2, with every entry divided by
+    # m = max(1, max|R_ab|) before it is squared, so none overflows
+    m = max(1.0, float(np.max(np.abs(R.mat))))
+    parts = [r_u / m, r_l / m, r_w / m, r_w4 / m]
     ortho = 0.0
-    scale = max(1.0, float(np.linalg.norm(R.mat)))
+    scale = max(1.0 / m, float(np.linalg.norm(R.mat / m)))
     for a in range(4):
         for b in range(a + 1, 4):
             ortho = max(ortho, abs(float(np.sum(parts[a] * parts[b]))) / scale**2)

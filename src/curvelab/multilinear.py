@@ -7,8 +7,11 @@ generator matrices ``D_a`` of the standard basis ``a = (i, j)`` of so(n):
 * exterior powers of R^n, with the wedge basis ``e_{i1} ^ ... ^ e_{ip}``
   over strictly increasing index tuples in lexicographic order;
 * symmetric powers of R^n, realised as homogeneous polynomials with the
-  monomial basis ``x^l / sqrt(l!)`` in descending lexicographic order of
-  the exponent tuple (so the degree-1 basis is ``x_1, ..., x_n``);
+  monomial basis ``u_l = x^l / sqrt(l!)`` in descending lexicographic
+  order of the exponent tuple (so the degree-1 basis is
+  ``x_1, ..., x_n``).  A polynomial is always its coordinate vector on
+  this basis: ``c x^l`` has coordinate ``c sqrt(l!)`` (``monomial_norms``),
+  and the differential-operator pairing is the dot product;
 * traceless (harmonic) symmetric powers, the orthogonal complement of
   ``r^2 * Sym^{p-2}`` inside ``Sym^p``, carried by a computed orthonormal
   basis expressed in normalized-monomial coordinates; its generators are
@@ -121,11 +124,11 @@ def monomial_basis(n, p):
     return tuple(gen(n, p))
 
 
-def _factorial_prod(exps):
-    out = 1
-    for e in exps:
-        out *= math.factorial(e)
-    return out
+def monomial_norms(n, p):
+    """``sqrt(l!)`` for each exponent tuple l of the degree-p basis: the
+    norm of x^l, so the coordinate of ``c x^l`` is ``c sqrt(l!)``."""
+    return np.array([math.sqrt(math.prod(map(math.factorial, e)))
+                     for e in monomial_basis(n, p)])
 
 
 def _binomials(rows, cols):
@@ -212,166 +215,24 @@ def product_congruence(kind, n, pa, pb, A, B):
 
 
 # ---------------------------------------------------------------------------
-# polynomials
-
-
-class Polynomial:
-    """Homogeneous polynomial on R^n, stored as {exponent tuple: coefficient}.
-
-    The inner product is the one that makes the monomials orthogonal with
-    ``<x^l, x^l> = l!``; equivalently ``<phi, psi>`` applies phi as a
-    constant-coefficient differential operator to psi.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs):
-        self.n = int(n)
-        clean = {}
-        deg = None
-        for exps, c in coeffs.items():
-            if c == 0:
-                continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.n or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent tuple {exps} for n={self.n}")
-            d = sum(exps)
-            if deg is None:
-                deg = d
-            elif d != deg:
-                raise ValueError("polynomial is not homogeneous")
-            clean[exps] = clean.get(exps, 0) + c
-        self.coeffs = {k: v for k, v in clean.items() if v != 0}
-
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def degree(self):
-        """Total degree; None for the zero polynomial."""
-        for exps in self.coeffs:
-            return sum(exps)
-        return None
-
-    def __repr__(self):
-        terms = sorted(self.coeffs.items(), reverse=True)
-        if not terms:
-            return "Polynomial(0)"
-        bits = []
-        for exps, c in terms[:6]:
-            mono = "*".join(
-                f"x{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e > 0
-            )
-            bits.append(f"{c:+g}*{mono}" if mono else f"{c:+g}")
-        if len(terms) > 6:
-            bits.append("...")
-        return f"Polynomial({' '.join(bits)})"
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            out[exps] = out.get(exps, 0) + c
-        return Polynomial(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, a):
-        return Polynomial(self.n, {k: a * v for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        out = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                out[key] = out.get(key, 0) + ca * cb
-        return Polynomial(self.n, out)
-
-    __rmul__ = __mul__
-
-    def rotation_action(self, i, j):
-        """Apply the generator (i, j): ``x_i d/dx_j - x_j d/dx_i``."""
-        out = {}
-        for exps, c in self.coeffs.items():
-            li, lj = exps[i - 1], exps[j - 1]
-            if lj:
-                key = list(exps)
-                key[i - 1] += 1
-                key[j - 1] -= 1
-                key = tuple(key)
-                out[key] = out.get(key, 0) + lj * c
-            if li:
-                key = list(exps)
-                key[i - 1] -= 1
-                key[j - 1] += 1
-                key = tuple(key)
-                out[key] = out.get(key, 0) - li * c
-        return Polynomial(self.n, out)
-
-    # -- inner product and evaluation --------------------------------------
-
-    def pairing(self, other):
-        """<phi, psi> = sum_l l! a_l b_l (0 across different degrees)."""
-        tot = 0
-        for exps, c in self.coeffs.items():
-            d = other.coeffs.get(exps)
-            if d is not None:
-                tot += _factorial_prod(exps) * c * d
-        return tot
-
-    def norm_sq(self):
-        return self.pairing(self)
-
-    def evaluate(self, points):
-        """Evaluate at an (m, n) array of points; returns shape (m,)."""
-        X = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = np.zeros(X.shape[0])
-        for exps, c in self.coeffs.items():
-            term = np.full(X.shape[0], float(c))
-            for i, e in enumerate(exps):
-                if e:
-                    term *= X[:, i] ** e
-            vals += term
-        return vals
-
-
-def r_squared(n):
-    """The squared-radius polynomial sum_i x_i^2."""
-    return Polynomial(
-        n, {tuple(2 * (i == k) for k in range(n)): 1 for i in range(n)}
-    )
+# polynomials, as coordinates on the u_l basis of Sym^p
 
 
 def circle_harmonic(n, p):
-    """Harmonic fixture Re (x_1 + i x_2)^p; squared norm 2^{p-1} p!."""
+    """Sym^p coordinates of the harmonic fixture Re (x_1 + i x_2)^p.
+
+    Its monomials are ``x_1^{p-k} x_2^k`` for even k, with coefficient
+    ``binom(p, k) (-1)^{k/2}``; squared norm ``2^{p-1} p!``.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    coeffs = {}
+    index = monomial_basis(n, p).index
+    v = np.zeros(dim_symmetric(n, p))
     for k in range(0, p + 1, 2):
-        exps = [0] * n
-        exps[0] = p - k
-        exps[1] = k
-        coeffs[tuple(exps)] = math.comb(p, k) * (-1) ** (k // 2)
-    return Polynomial(n, coeffs)
-
-
-def harmonic_projection(poly):
-    """Orthogonal projection onto harmonic polynomials of the same degree.
-
-    Harm^p is the row space of ``C = build_traceless(n, p).change_of_basis``
-    in normalized-monomial coordinates, where the differential-operator
-    pairing is the Euclidean one, so the projection is ``C^T C``.
-    """
-    if poly.degree is None:
-        return Polynomial(poly.n, {})
-    space = build_traceless(poly.n, poly.degree)
-    coords = polynomial_coords(space, poly, check=False)
-    return coords_to_polynomial(space, coords)
+        c = math.comb(p, k) * (-1) ** (k // 2)
+        v[index((p - k, k) + (0,) * (n - 2))] = float(c) * math.sqrt(
+            math.factorial(p - k) * math.factorial(k))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -582,47 +443,3 @@ def build_traceless(n, p):
         )
     return RepSpace("traceless", n, p, dim, amb.basis, change_of_basis=C,
                     reflectors=(V, T))
-
-
-# ---------------------------------------------------------------------------
-# coordinate conversions
-
-
-def polynomial_coords(space, poly, check=True):
-    """Coordinates of a polynomial in a symmetric or traceless RepSpace."""
-    if space.kind not in ("symmetric", "traceless"):
-        raise ValueError("polynomial_coords needs a symmetric or traceless space")
-    if poly.n != space.n:
-        raise ValueError("variable-count mismatch")
-    if poly.coeffs and poly.degree != space.p:
-        raise ValueError(f"degree {poly.degree} != space power {space.p}")
-    index = {exps: k for k, exps in enumerate(space.basis)}
-    v = np.zeros(len(space.basis))
-    for exps, c in poly.coeffs.items():
-        v[index[exps]] = float(c) * math.sqrt(_factorial_prod(exps))
-    if space.kind == "symmetric":
-        return v
-    C = space.change_of_basis
-    out = C @ v
-    if check:
-        resid = np.linalg.norm(v - C.T @ out)
-        if resid > 1e-9 * max(1.0, np.linalg.norm(v)):
-            raise ValueError(
-                f"polynomial is not harmonic (residual {resid:.3e}); "
-                "apply harmonic_projection first"
-            )
-    return out
-
-
-def coords_to_polynomial(space, vec):
-    """Inverse of polynomial_coords (exact for harmonic input)."""
-    vec = np.asarray(vec, dtype=float)
-    if space.kind == "traceless":
-        vec = space.change_of_basis.T @ vec
-    elif space.kind != "symmetric":
-        raise ValueError("coords_to_polynomial needs a symmetric or traceless space")
-    coeffs = {}
-    for k, exps in enumerate(space.basis):
-        if vec[k] != 0.0:
-            coeffs[exps] = vec[k] / math.sqrt(_factorial_prod(exps))
-    return Polynomial(space.n, coeffs)

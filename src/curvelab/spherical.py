@@ -6,10 +6,12 @@ zero, and for all-even exponents
 
     int x^a = 2 * prod_i Gamma((a_i + 1)/2) / Gamma((n + |a|)/2).
 
-Products of polynomials, of any degrees p and q, are integrated in
-normalized-monomial coordinates through one Gram matrix per (n, p, q),
-read off ``multilinear.product_table`` like every other product of
-basis vectors.
+A polynomial of degree p is its coordinate vector on the normalized
+monomials ``u_l = x^l / sqrt(l!)`` of ``multilinear.build_symmetric(n, p)``;
+p is read off the vector's length.  Products of polynomials, of any
+degrees p and q, are integrated through one Gram matrix per (n, p, q),
+read off ``multilinear.product_table`` like every other product of basis
+vectors.
 
 The curvature term on harmonic polynomials of degree p has an integral
 representation: for harmonic phi, psi,
@@ -55,13 +57,6 @@ def sphere_area(n):
     return integrate_monomial((0,) * n)
 
 
-def integrate_polynomial(poly):
-    """Integral of a polynomial over the unit sphere of its variable space."""
-    return float(
-        sum(c * integrate_monomial(e, poly.n) for e, c in poly.coeffs.items())
-    )
-
-
 @lru_cache(maxsize=32)
 def _gram(n, p, q):
     """``int u_a u_b`` over the normalized monomials u_a of Sym^p, u_b of Sym^q.
@@ -71,28 +66,38 @@ def _gram(n, p, q):
     """
     out, _, _, val = ml.product_table("symmetric", n, p, q)
     J = np.array([integrate_monomial(c, n)
-                  / math.sqrt(math.prod(map(math.factorial, c)))
                   for c in ml.monomial_basis(n, p + q)])
+    J /= ml.monomial_norms(n, p + q)
     return (val * J[out]).reshape(ml.dim_symmetric(n, p),
                                   ml.dim_symmetric(n, q))
 
 
-def _coords(poly, p):
-    """Normalized-monomial coordinates of a polynomial of degree p, or 0."""
-    return ml.polynomial_coords(ml.build_symmetric(poly.n, p), poly)
+def _degree(n, coords):
+    """The degree p of Sym^p coordinates on R^n, read off their length:
+    ``dim Sym^p`` grows strictly with p once n >= 2."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    p = 0
+    while ml.dim_symmetric(n, p) < len(coords):
+        p += 1
+    if ml.dim_symmetric(n, p) != len(coords):
+        raise ValueError(f"{len(coords)} coordinates are no symmetric power "
+                         f"of R^{n}")
+    return p
 
 
-def sphere_inner(phi, psi):
-    """int phi * psi over the sphere, for polynomials of any degrees."""
-    p, q = phi.degree or 0, psi.degree or 0
-    return float(_coords(phi, p) @ _gram(phi.n, p, q) @ _coords(psi, q))
+def sphere_inner(n, phi, psi):
+    """int phi * psi over S^{n-1}, for coordinates of any degrees."""
+    return float(phi @ _gram(n, _degree(n, phi), _degree(n, psi)) @ psi)
 
 
 def random_harmonic(n, p, rng):
-    """Harmonic projection of a random polynomial with uniform coefficients."""
-    basis = ml.monomial_basis(n, p)
-    coeffs = {e: c for e, c in zip(basis, rng.uniform(-1.0, 1.0, len(basis)))}
-    return ml.harmonic_projection(ml.Polynomial(n, coeffs))
+    """Harmonic projection ``C^T C u`` of a random polynomial, C the
+    ``build_traceless(n, p)`` basis: u has uniform coefficients in
+    [-1, 1], so ``u_l`` is the l-th draw times ``sqrt(l!)``."""
+    C = ml.build_traceless(n, p).change_of_basis
+    u = rng.uniform(-1.0, 1.0, C.shape[1]) * ml.monomial_norms(n, p)
+    return C.T @ (C @ u)
 
 
 _C_CONSTANT_TOL = 1e-8
@@ -108,14 +113,14 @@ def c_constant(n, p, probes=3, seed=0):
     if p < 1:
         raise ValueError("need p >= 1")
     phi = ml.circle_harmonic(n, p)
-    c = phi.norm_sq() / sphere_inner(phi, phi)
+    c = (phi @ phi) / sphere_inner(n, phi, phi)
     rng = np.random.default_rng(seed)
     for _ in range(probes):
         psi = random_harmonic(n, p, rng)
-        ns = psi.norm_sq()
+        ns = psi @ psi
         if ns < 1e-12:
             continue
-        ci = ns / sphere_inner(psi, psi)
+        ci = ns / sphere_inner(n, psi, psi)
         if abs(ci - c) > _C_CONSTANT_TOL * abs(c):
             raise RuntimeError(
                 f"constant is not choice-independent: {c!r} vs {ci!r}"
@@ -123,17 +128,17 @@ def c_constant(n, p, probes=3, seed=0):
     return float(c)
 
 
-def _generator_images(poly, p):
-    """Coordinates of ``D_a poly`` for every so(n) generator a, as rows.
+def _generator_images(n, p, phi):
+    """Coordinates of ``D_a phi`` for every so(n) generator a, as rows.
 
     Row m of ``build_symmetric(n, p).pattern`` holds the entries
     ``D_a[m, i]``, so one scatter over it gives every image at once.
     """
-    space = ml.build_symmetric(poly.n, p)
+    space = ml.build_symmetric(n, p)
     cols, vals, pair = space.pattern
     rows = np.broadcast_to(np.arange(space.dim)[:, None], cols.shape)
     images = np.bincount((pair * space.dim + rows).ravel(),
-                         (vals * _coords(poly, p)[cols]).ravel(),
+                         (vals * phi[cols]).ravel(),
                          minlength=len(space.pairs) * space.dim)
     return images.reshape(len(space.pairs), space.dim)
 
@@ -141,11 +146,9 @@ def _generator_images(poly, p):
 def integral_form(R, phi, psi):
     """int over the sphere of sum_ab R_ab (D_a phi)(D_b psi), exactly."""
     n = R.n
-    if phi.n != n or psi.n != n:
-        raise ValueError("variable-count mismatch with the operator")
-    p, q = phi.degree or 0, psi.degree or 0
-    P = _generator_images(phi, p)
-    Q = _generator_images(psi, q)
+    p, q = _degree(n, phi), _degree(n, psi)
+    P = _generator_images(n, p, phi)
+    Q = _generator_images(n, q, psi)
     return float(np.sum(R.mat * (P @ _gram(n, p, q) @ Q.T)))
 
 
@@ -163,6 +166,7 @@ def verify_integral_formula(R, p, trials=10, seed=0):
     """
     n = R.n
     space = ml.build_traceless(n, p)
+    C = space.change_of_basis
     K = wz.curvature_term(R, space)
     c = c_constant(n, p)
     rng = np.random.default_rng(seed)
@@ -171,9 +175,7 @@ def verify_integral_formula(R, p, trials=10, seed=0):
     for t in range(trials):
         phi = random_harmonic(n, p, rng)
         psi = random_harmonic(n, p, rng)
-        lhs = wz.bilinear_form(
-            K, ml.polynomial_coords(space, phi), ml.polynomial_coords(space, psi)
-        )
+        lhs = wz.bilinear_form(K, C @ phi, C @ psi)
         rhs = c * integral_form(R, phi, psi)
         denom = max(abs(lhs), abs(rhs), 1e-9 * scale)
         rows.append({"trial": t, "lhs": lhs, "rhs": rhs,

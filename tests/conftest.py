@@ -46,16 +46,179 @@ def selfdual_split(alpha):
     return 0.5 * (alpha + sa), 0.5 * (alpha - sa)
 
 
+# ---------------------------------------------------------------------------
+# the dict polynomial: an oracle for the coordinate vectors of curvelab
+
+
+class Polynomial:
+    """Homogeneous polynomial on R^n, stored as {exponent tuple: coefficient}.
+
+    The inner product is the one that makes the monomials orthogonal with
+    ``<x^l, x^l> = l!``; equivalently ``<phi, psi>`` applies phi as a
+    constant-coefficient differential operator to psi.
+    """
+
+    def __init__(self, n, coeffs):
+        self.n = int(n)
+        clean = {}
+        deg = None
+        for exps, c in coeffs.items():
+            if c == 0:
+                continue
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != self.n or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent tuple {exps} for n={self.n}")
+            d = sum(exps)
+            if deg is None:
+                deg = d
+            elif d != deg:
+                raise ValueError("polynomial is not homogeneous")
+            clean[exps] = clean.get(exps, 0) + c
+        self.coeffs = {k: v for k, v in clean.items() if v != 0}
+
+    @property
+    def degree(self):
+        """Total degree; None for the zero polynomial."""
+        for exps in self.coeffs:
+            return sum(exps)
+        return None
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for exps, c in other.coeffs.items():
+            out[exps] = out.get(exps, 0) + c
+        return Polynomial(self.n, out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, a):
+        return Polynomial(self.n, {k: a * v for k, v in self.coeffs.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for ea, ca in self.coeffs.items():
+            for eb, cb in other.coeffs.items():
+                key = tuple(a + b for a, b in zip(ea, eb))
+                out[key] = out.get(key, 0) + ca * cb
+        return Polynomial(self.n, out)
+
+    def rotation_action(self, i, j):
+        """Apply the generator (i, j): ``x_i d/dx_j - x_j d/dx_i``."""
+        out = {}
+        for exps, c in self.coeffs.items():
+            li, lj = exps[i - 1], exps[j - 1]
+            if lj:
+                key = list(exps)
+                key[i - 1] += 1
+                key[j - 1] -= 1
+                key = tuple(key)
+                out[key] = out.get(key, 0) + lj * c
+            if li:
+                key = list(exps)
+                key[i - 1] -= 1
+                key[j - 1] += 1
+                key = tuple(key)
+                out[key] = out.get(key, 0) - li * c
+        return Polynomial(self.n, out)
+
+    def pairing(self, other):
+        """<phi, psi> = sum_l l! a_l b_l (0 across different degrees)."""
+        tot = 0
+        for exps, c in self.coeffs.items():
+            d = other.coeffs.get(exps)
+            if d is not None:
+                tot += _factorial_prod(exps) * c * d
+        return tot
+
+    def evaluate(self, points):
+        """Evaluate at an (m, n) array of points; returns shape (m,)."""
+        X = np.atleast_2d(np.asarray(points, dtype=float))
+        vals = np.zeros(X.shape[0])
+        for exps, c in self.coeffs.items():
+            term = np.full(X.shape[0], float(c))
+            for i, e in enumerate(exps):
+                if e:
+                    term *= X[:, i] ** e
+            vals += term
+        return vals
+
+
+def _factorial_prod(exps):
+    out = 1
+    for e in exps:
+        out *= math.factorial(e)
+    return out
+
+
+def r_squared(n):
+    """The squared-radius polynomial sum_i x_i^2."""
+    return Polynomial(
+        n, {tuple(2 * (i == k) for k in range(n)): 1 for i in range(n)}
+    )
+
+
+def polynomial_coords(space, poly, check=True):
+    """Coordinates of a polynomial in a symmetric or traceless RepSpace;
+    on "traceless", non-harmonic input raises unless ``check`` is off."""
+    if space.kind not in ("symmetric", "traceless"):
+        raise ValueError("polynomial_coords needs a symmetric or traceless space")
+    if poly.n != space.n:
+        raise ValueError("variable-count mismatch")
+    if poly.coeffs and poly.degree != space.p:
+        raise ValueError(f"degree {poly.degree} != space power {space.p}")
+    index = {exps: k for k, exps in enumerate(space.basis)}
+    v = np.zeros(len(space.basis))
+    for exps, c in poly.coeffs.items():
+        v[index[exps]] = float(c) * math.sqrt(_factorial_prod(exps))
+    if space.kind == "symmetric":
+        return v
+    C = space.change_of_basis
+    out = C @ v
+    if check:
+        resid = np.linalg.norm(v - C.T @ out)
+        if resid > 1e-9 * max(1.0, np.linalg.norm(v)):
+            raise ValueError(
+                f"polynomial is not harmonic (residual {resid:.3e}); "
+                "apply harmonic_projection first"
+            )
+    return out
+
+
+def coords_to_polynomial(space, vec):
+    """Inverse of polynomial_coords (exact for harmonic input)."""
+    vec = np.asarray(vec, dtype=float)
+    if space.kind == "traceless":
+        vec = space.change_of_basis.T @ vec
+    elif space.kind != "symmetric":
+        raise ValueError("coords_to_polynomial needs a symmetric or traceless space")
+    coeffs = {}
+    for k, exps in enumerate(space.basis):
+        if vec[k] != 0.0:
+            coeffs[exps] = vec[k] / math.sqrt(_factorial_prod(exps))
+    return Polynomial(space.n, coeffs)
+
+
+def harmonic_projection(poly):
+    """Orthogonal projection onto harmonic polynomials of the same degree,
+    through the ``build_traceless`` basis C: ``C^T C`` in coordinates."""
+    if poly.degree is None:
+        return Polynomial(poly.n, {})
+    space = ml.build_traceless(poly.n, poly.degree)
+    return coords_to_polynomial(space, polynomial_coords(space, poly,
+                                                         check=False))
+
+
 def substitute_linear(poly, Q):
     """Substitute x -> Q^T x in poly, i.e. the rotation action of Q in O(n)."""
     n = poly.n
     Q = np.asarray(Q)
-    xs = [ml.Polynomial(n, {tuple(int(k == m) for m in range(n)): Q[k, i]
+    xs = [Polynomial(n, {tuple(int(k == m) for m in range(n)): Q[k, i]
                             for k in range(n) if Q[k, i] != 0})
           for i in range(n)]
-    total = ml.Polynomial(n, {})
+    total = Polynomial(n, {})
     for exps, c in poly.coeffs.items():
-        term = ml.Polynomial(n, {(0,) * n: c})
+        term = Polynomial(n, {(0,) * n: c})
         for i, e in enumerate(exps):
             for _ in range(e):
                 term = term * xs[i]
@@ -78,8 +241,8 @@ def rep_matrix(space, Q):
     amb = ml.build_symmetric(space.n, space.p)
     cols = []
     for exps in amb.basis:
-        img = substitute_linear(ml.Polynomial(space.n, {exps: 1}), Q)
-        v = ml.polynomial_coords(amb, img)
+        img = substitute_linear(Polynomial(space.n, {exps: 1}), Q)
+        v = polynomial_coords(amb, img)
         norm = math.sqrt(math.prod(math.factorial(e) for e in exps))
         cols.append(v / norm)
     rho = np.column_stack(cols)
@@ -117,7 +280,7 @@ def laplacian(poly):
             if e >= 2:
                 key = exps[:i] + (e - 2,) + exps[i + 1:]
                 out[key] = out.get(key, 0) + e * (e - 1) * c
-    return ml.Polynomial(poly.n, out)
+    return Polynomial(poly.n, out)
 
 
 def product_table_loop(kind, n, pa, pb):
@@ -185,15 +348,15 @@ def berger_diagonal(R, tol=1e-8):
     space = ml.build_traceless(n, 2)
     K = wz.curvature_term(R, space)
     lams, vecs = np.linalg.eigh(ricci(R))
-    r2n = ml.r_squared(n).scale(1.0 / n)
+    r2n = r_squared(n).scale(1.0 / n)
     out = []
     scale = max(1.0, float(np.max(np.abs(R.mat))))
     for m in range(n):
         v = vecs[:, m]
-        lin = ml.Polynomial(
+        lin = Polynomial(
             n, {tuple(int(i == k) for k in range(n)): v[i] for i in range(n)}
         )
-        coords = ml.polynomial_coords(space, lin * lin - r2n)
+        coords = polynomial_coords(space, lin * lin - r2n)
         val = wz.quadratic_form(K, coords)
         if abs(val - 4.0 * lams[m]) > tol * scale:
             raise RuntimeError(

@@ -228,6 +228,23 @@ def test_certify_takes_negative_bounds_in_any_float_syntax(capsys):
     assert "--k" in capsys.readouterr().err
 
 
+def test_verify_oversized_suites_exit_two_before_building(capsys,
+                                                          monkeypatch):
+    # Sym^40 R^4 has dimension 12341, Sym^2 R^200 has 20100
+    from curvelab import multilinear as ml
+
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+    for kind in ("exterior", "symmetric", "traceless"):
+        monkeypatch.setattr(ml, "build_" + kind, refuse)
+    for argv, dim in ((("integral", "--n", "4", "--pmax", "40"), 12341),
+                      (("thmB", "--n", "200", "--pmax", "2"), 20100)):
+        code, out, err = run(capsys, "verify", "--suite", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"space of dimension {dim} exceeds the CLI limit" in err
+
+
 def test_kterm_oversized_space_exits_two(capsys):
     code, _, err = run(capsys, "kterm", "identity", "--n", "4",
                        "--rep", "sym0", "--p", "99")

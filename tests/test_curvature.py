@@ -329,6 +329,25 @@ def test_decompose_rejects_n_below_three():
         CurvatureOperator(2, np.eye(1))
 
 
+@pytest.mark.filterwarnings("error")
+def test_decompose_scales_past_the_square_root_of_overflow(rng):
+    # entries of 1e200 square to inf; the parts are linear in R and the
+    # residuals are scale-free
+    c = 1e200
+    ops = [random_operator(n, rng) for n in (3, 4, 5, 6)]
+    for R in ops + [CurvatureOperator(4, np.eye(6))]:
+        small = decompose(R)
+        big = decompose(CurvatureOperator(R.n, c * R.mat))
+        for name in ("U", "L", "W", "W4"):
+            np.testing.assert_allclose(
+                big.part(name), c * small.part(name), rtol=1e-14,
+                atol=1e-14 * c * np.max(np.abs(R.mat)))
+        for res in ("orthogonality_residual", "reconstruction_residual"):
+            assert np.isfinite(getattr(big, res))
+        assert big.orthogonality_residual == pytest.approx(
+            small.orthogonality_residual, abs=1e-14)
+
+
 def test_decomposition_parts_are_decomposition_fixed_points(rng):
     R = random_operator(5, rng)
     dec = decompose(R)

@@ -9,7 +9,9 @@ from curvelab import knalgebra as kn
 from curvelab import multilinear as ml
 from curvelab.curvature import metric_kulkarni
 
-from conftest import project_traceless, random_operator, wedge_coords
+from conftest import (Polynomial, coords_to_polynomial, polynomial_coords,
+                      project_traceless, r_squared, random_operator,
+                      wedge_coords)
 
 
 def _rank_one(algebra, n, p, vec):
@@ -60,9 +62,9 @@ def test_sym_product_of_rank_one_dyads_is_polynomial_multiplication(rng):
     a = rng.standard_normal(s1.dim)
     b = rng.standard_normal(s1.dim)
     prod = kn.kn_product(_rank_one("sym", n, 1, a), _rank_one("sym", n, 1, b))
-    pa = ml.coords_to_polynomial(s1, a)
-    pb = ml.coords_to_polynomial(s1, b)
-    ab = ml.polynomial_coords(s2, pa * pb)
+    pa = coords_to_polynomial(s1, a)
+    pb = coords_to_polynomial(s1, b)
+    ab = polynomial_coords(s2, pa * pb)
     np.testing.assert_allclose(prod.mat, np.outer(ab, ab), atol=1e-12)
 
 
@@ -194,12 +196,12 @@ def test_trace_terms_form_an_ideal(rng):
     # traceless projection ideal: pi(a vee b) = 0
     n, p, q = 4, 3, 2
     sym_p = kn.space_for("sym", n, p)
-    xi = ml.Polynomial(n, {e: rng.standard_normal()
-                           for e in ml.monomial_basis(n, p - 2)})
-    zeta = ml.Polynomial(n, {e: rng.standard_normal()
-                             for e in ml.monomial_basis(n, p)})
-    r2xi = ml.polynomial_coords(sym_p, ml.r_squared(n) * xi)
-    zv = ml.polynomial_coords(sym_p, zeta)
+    xi = Polynomial(n, {e: rng.standard_normal()
+                        for e in ml.monomial_basis(n, p - 2)})
+    zeta = Polynomial(n, {e: rng.standard_normal()
+                          for e in ml.monomial_basis(n, p)})
+    r2xi = polynomial_coords(sym_p, r_squared(n) * xi)
+    zv = polynomial_coords(sym_p, zeta)
     b = kn.KNElement("sym", n, p, np.outer(r2xi, zv) + np.outer(zv, r2xi))
     a = _random_element("sym", n, q, rng)
     prod = kn.kn_product(a, b)

@@ -9,9 +9,11 @@ import scipy.linalg
 
 from curvelab import multilinear as ml
 
-from conftest import (dense_generators, laplacian, product_table_loop,
-                      random_rotation, rep_matrix, so_generator,
-                      substitute_linear, wedge_coords)
+from conftest import (Polynomial, coords_to_polynomial, dense_generators,
+                      harmonic_projection, laplacian, polynomial_coords,
+                      product_table_loop, r_squared, random_rotation,
+                      rep_matrix, so_generator, substitute_linear,
+                      wedge_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +79,13 @@ def test_basis_orderings():
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# polynomials: the dict oracle of conftest.py, and circle_harmonic through it
 
 
 def test_polynomial_requires_homogeneous():
-    ml.Polynomial(3, {(2, 0, 0): 1.0, (0, 1, 1): -2.0})
+    Polynomial(3, {(2, 0, 0): 1.0, (0, 1, 1): -2.0})
     with pytest.raises(ValueError):
-        ml.Polynomial(3, {(2, 0, 0): 1.0, (1, 0, 0): 1.0})
+        Polynomial(3, {(2, 0, 0): 1.0, (1, 0, 0): 1.0})
 
 
 def test_pairing_is_apolar_inner_product(rng):
@@ -99,9 +101,9 @@ def test_pairing_is_apolar_inner_product(rng):
         return total
 
     for _ in range(5):
-        f = ml.Polynomial(
+        f = Polynomial(
             n, {e: rng.standard_normal() for e in ml.monomial_basis(n, p)})
-        g = ml.Polynomial(
+        g = Polynomial(
             n, {e: rng.standard_normal() for e in ml.monomial_basis(n, p)})
         assert f.pairing(g) == pytest.approx(apolar(f, g), abs=1e-12)
         assert f.pairing(g) == pytest.approx(g.pairing(f), abs=1e-12)
@@ -111,7 +113,7 @@ def test_rotation_action_is_derivative_of_rotation_flow(rng):
     # with D = x_i d_j - x_j d_i, the flow of exp(t E_ij) pulled through f
     # satisfies d/dt f(exp(t E_ij) x) |_0 = -(D f)(x)
     n, p, h = 4, 3, 1e-6
-    f = ml.Polynomial(
+    f = Polynomial(
         n, {e: rng.standard_normal() for e in ml.monomial_basis(n, p)})
     x = rng.standard_normal(n)
     for (i, j) in ((1, 2), (2, 4), (3, 4)):
@@ -124,7 +126,7 @@ def test_rotation_action_is_derivative_of_rotation_flow(rng):
 
 def test_rotation_actions_satisfy_bracket(rng):
     n, p = 4, 3
-    f = ml.Polynomial(
+    f = Polynomial(
         n, {e: rng.standard_normal() for e in ml.monomial_basis(n, p)})
     # [D_12, D_23] f = D_13 f  (from [E_12, E_23] = E_13: e3 -> e1, e1 -> -e3)
     lhs = (f.rotation_action(2, 3).rotation_action(1, 2)
@@ -137,17 +139,17 @@ def test_rotation_actions_satisfy_bracket(rng):
 
 def test_laplacian_small_cases():
     n = 3
-    f = ml.Polynomial(n, {(2, 0, 0): 1.0})          # x1^2
+    f = Polynomial(n, {(2, 0, 0): 1.0})             # x1^2
     assert laplacian(f).coeffs == {(0, 0, 0): pytest.approx(2.0)}
-    r2 = ml.r_squared(n)
+    r2 = r_squared(n)
     assert laplacian(r2).coeffs == {(0, 0, 0): pytest.approx(2.0 * n)}
-    h = ml.Polynomial(n, {(1, 1, 0): 1.0})          # harmonic
+    h = Polynomial(n, {(1, 1, 0): 1.0})             # harmonic
     assert laplacian(h).coeffs == {}
 
 
 def test_substitute_linear_matches_pointwise(rng):
     n, p = 4, 3
-    f = ml.Polynomial(
+    f = Polynomial(
         n, {e: rng.standard_normal() for e in ml.monomial_basis(n, p)})
     Q = rng.standard_normal((n, n))
     g = substitute_linear(f, Q)        # substitutes x -> Q^T x
@@ -158,7 +160,8 @@ def test_substitute_linear_matches_pointwise(rng):
 
 def test_circle_harmonic_is_real_part_of_complex_power(rng):
     for p in (2, 3, 5):
-        f = ml.circle_harmonic(4, p)
+        f = coords_to_polynomial(ml.build_symmetric(4, p),
+                                 ml.circle_harmonic(4, p))
         for _ in range(4):
             x = rng.standard_normal(4)
             expect = ((x[0] + 1j * x[1]) ** p).real
@@ -169,20 +172,21 @@ def test_circle_harmonic_is_real_part_of_complex_power(rng):
 @pytest.mark.parametrize("p", range(1, 9))
 def test_circle_harmonic_norm(p):
     # squared norm of Re(x1 + i x2)^p under the apolar pairing
-    f = ml.circle_harmonic(4, p)
+    f = coords_to_polynomial(ml.build_symmetric(4, p),
+                             ml.circle_harmonic(4, p))
     assert f.pairing(f) == pytest.approx(2.0 ** (p - 1) * factorial(p))
 
 
 def test_harmonic_projection_of_fourth_power():
     # projecting x1^4 (n = 4): x1^4 - (6/8) r^2 x1^2 + (3/48) r^4
     n = 4
-    f = ml.Polynomial(n, {(4, 0, 0, 0): 1.0})
-    proj = ml.harmonic_projection(f)
-    r2 = ml.r_squared(n)
+    f = Polynomial(n, {(4, 0, 0, 0): 1.0})
+    proj = harmonic_projection(f)
+    r2 = r_squared(n)
     expect = {}
     for e, c in f.coeffs.items():
         expect[e] = expect.get(e, 0.0) + c
-    x1sq = ml.Polynomial(n, {(2, 0, 0, 0): 1.0})
+    x1sq = Polynomial(n, {(2, 0, 0, 0): 1.0})
     for e, c in (r2 * x1sq).coeffs.items():
         expect[e] = expect.get(e, 0.0) - (6.0 / 8.0) * c
     for e, c in (r2 * r2).coeffs.items():
@@ -194,18 +198,19 @@ def test_harmonic_projection_of_fourth_power():
 
 def test_harmonic_projection_properties(rng):
     n, p = 4, 5
-    f = ml.Polynomial(
+    f = Polynomial(
         n, {e: rng.standard_normal() for e in ml.monomial_basis(n, p)})
-    proj = ml.harmonic_projection(f)
+    proj = harmonic_projection(f)
     lap = laplacian(proj)
     assert max((abs(c) for c in lap.coeffs.values()), default=0.0) < 1e-10
-    again = ml.harmonic_projection(proj)
+    again = harmonic_projection(proj)
     for e in set(proj.coeffs) | set(again.coeffs):
         assert again.coeffs.get(e, 0.0) == pytest.approx(
             proj.coeffs.get(e, 0.0), abs=1e-10)
     # harmonic input is returned unchanged
-    h = ml.circle_harmonic(n, p)
-    hp = ml.harmonic_projection(h)
+    h = coords_to_polynomial(ml.build_symmetric(n, p),
+                             ml.circle_harmonic(n, p))
+    hp = harmonic_projection(h)
     for e in set(h.coeffs) | set(hp.coeffs):
         assert hp.coeffs.get(e, 0.0) == pytest.approx(h.coeffs.get(e, 0.0),
                                                       abs=1e-12)
@@ -384,11 +389,11 @@ def test_symmetric_products_match_polynomial_multiplication(n, pa, pb):
     sa, sb = ml.build_symmetric(n, pa), ml.build_symmetric(n, pb)
     out = ml.build_symmetric(n, pa + pb)
     for a in range(sa.dim):
-        ua = ml.coords_to_polynomial(sa, np.eye(sa.dim)[a])
+        ua = coords_to_polynomial(sa, np.eye(sa.dim)[a])
         for b in range(sb.dim):
-            ub = ml.coords_to_polynomial(sb, np.eye(sb.dim)[b])
+            ub = coords_to_polynomial(sb, np.eye(sb.dim)[b])
             np.testing.assert_allclose(T[:, a, b],
-                                       ml.polynomial_coords(out, ua * ub),
+                                       polynomial_coords(out, ua * ub),
                                        rtol=0, atol=1e-14)
 
 
@@ -429,9 +434,9 @@ def test_r2_map_multiplies_by_r_squared(n, p):
     src, dst = ml.build_symmetric(n, p), ml.build_symmetric(n, p + 2)
     M = ml.r2_multiplication_matrix(n, p)
     for col in range(src.dim):
-        u = ml.coords_to_polynomial(src, np.eye(src.dim)[col])
+        u = coords_to_polynomial(src, np.eye(src.dim)[col])
         np.testing.assert_allclose(
-            M[:, col], ml.polynomial_coords(dst, ml.r_squared(n) * u),
+            M[:, col], polynomial_coords(dst, r_squared(n) * u),
             rtol=0, atol=1e-14)
 
 
@@ -444,13 +449,13 @@ def test_polynomial_coords_roundtrip(rng):
     for build in (ml.build_symmetric, ml.build_traceless):
         space = build(n, p)
         if space.kind == "traceless":
-            poly = ml.harmonic_projection(ml.Polynomial(
+            poly = harmonic_projection(Polynomial(
                 n, {e: rng.standard_normal() for e in ml.monomial_basis(n, p)}))
         else:
-            poly = ml.Polynomial(
+            poly = Polynomial(
                 n, {e: rng.standard_normal() for e in ml.monomial_basis(n, p)})
-        v = ml.polynomial_coords(space, poly)
-        back = ml.coords_to_polynomial(space, v)
+        v = polynomial_coords(space, poly)
+        back = coords_to_polynomial(space, v)
         for e in set(poly.coeffs) | set(back.coeffs):
             assert back.coeffs.get(e, 0.0) == pytest.approx(
                 poly.coeffs.get(e, 0.0), abs=1e-10)
@@ -461,9 +466,9 @@ def test_polynomial_coords_roundtrip(rng):
 def test_polynomial_coords_rejects_nonharmonic_for_traceless(rng):
     n, p = 4, 3
     space = ml.build_traceless(n, p)
-    bad = ml.Polynomial(n, {(3, 0, 0, 0): 1.0})   # not harmonic
+    bad = Polynomial(n, {(3, 0, 0, 0): 1.0})      # not harmonic
     with pytest.raises(ValueError):
-        ml.polynomial_coords(space, bad)
+        polynomial_coords(space, bad)
 
 
 def test_wedge_coords_signs():

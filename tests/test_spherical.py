@@ -9,12 +9,27 @@ from curvelab import multilinear as ml
 from curvelab import spherical as sp
 from curvelab import weitzenbock as wz
 
-from conftest import random_operator
+from conftest import (Polynomial, harmonic_projection, polynomial_coords,
+                      r_squared, random_operator)
 
 
 def _random_poly(n, p, rng):
-    return ml.Polynomial(
+    return Polynomial(
         n, {e: rng.standard_normal() for e in ml.monomial_basis(n, p)})
+
+
+def _coords(poly):
+    """The oracle polynomial as the coordinates curvelab takes."""
+    return polynomial_coords(ml.build_symmetric(poly.n, poly.degree or 0),
+                             poly)
+
+
+def _integrate(poly):
+    """Integral over the unit sphere, one monomial at a time."""
+    return float(
+        sum(c * sp.integrate_monomial(e, poly.n)
+            for e, c in poly.coeffs.items())
+    )
 
 
 def _batch_eval(poly, pts):
@@ -68,8 +83,8 @@ def test_r_squared_factor_drops_out(rng):
     # multiplying by sum x_i^2 changes nothing on the unit sphere
     for n, p in ((3, 3), (4, 2)):
         f = _random_poly(n, p, rng)
-        lhs = sp.integrate_polynomial(ml.r_squared(n) * f)
-        rhs = sp.integrate_polynomial(f)
+        lhs = _integrate(r_squared(n) * f)
+        rhs = _integrate(f)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -85,17 +100,17 @@ def test_monte_carlo_agrees_with_gamma_formula(rng):
                                rtol=0, atol=1e-12)
     mc_mean = vals.mean()
     mc_err = vals.std(ddof=1) / math.sqrt(m)
-    exact_mean = sp.integrate_polynomial(f) / sp.sphere_area(n)
+    exact_mean = _integrate(f) / sp.sphere_area(n)
     assert abs(mc_mean - exact_mean) < 3.5 * mc_err
 
 
 def test_sphere_inner_is_positive_definite(rng):
     n, p = 4, 3
-    f = _random_poly(n, p, rng)
-    assert sp.sphere_inner(f, f) > 0
-    g = _random_poly(n, p, rng)
-    assert sp.sphere_inner(f, g) == pytest.approx(sp.sphere_inner(g, f),
-                                                  rel=1e-12)
+    f = _coords(_random_poly(n, p, rng))
+    assert sp.sphere_inner(n, f, f) > 0
+    g = _coords(_random_poly(n, p, rng))
+    assert sp.sphere_inner(n, f, g) == pytest.approx(sp.sphere_inner(n, g, f),
+                                                     rel=1e-12)
 
 
 # (n, p, q): one equal-degree case, then mixed degrees
@@ -105,9 +120,10 @@ _DEGREES = [(4, 3, 3), (3, 2, 4), (4, 3, 5), (4, 1, 3), (3, 0, 2)]
 @pytest.mark.parametrize("n, p, q", _DEGREES)
 def test_sphere_inner_matches_product_integral(rng, n, p, q):
     f, g = _random_poly(n, p, rng), _random_poly(n, q, rng)
-    expect = sp.integrate_polynomial(f * g)
-    assert abs(sp.sphere_inner(f, g) - expect) <= 1e-12 * abs(expect)
-    assert abs(sp.sphere_inner(g, f) - expect) <= 1e-12 * abs(expect)
+    expect = _integrate(f * g)
+    f, g = _coords(f), _coords(g)
+    assert abs(sp.sphere_inner(n, f, g) - expect) <= 1e-12 * abs(expect)
+    assert abs(sp.sphere_inner(n, g, f) - expect) <= 1e-12 * abs(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +134,16 @@ def test_c_constant_linear_case_is_dimension_over_area():
     for n in (3, 4, 5):
         assert sp.c_constant(n, 1) == pytest.approx(n / sp.sphere_area(n),
                                                     rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_c_constant_matches_its_closed_form(n):
+    # the Fischer/L^2 relation for spherical harmonics (Stein & Weiss,
+    # Fourier Analysis on Euclidean Spaces, ch. IV): for harmonic phi of
+    # degree p, <phi, phi> = n (n + 2) ... (n + 2p - 2) int phi^2 / |S^{n-1}|
+    for p in range(1, 7):
+        expect = math.prod(range(n, n + 2 * p, 2)) / sp.sphere_area(n)
+        assert abs(sp.c_constant(n, p) - expect) <= 1e-12 * expect
 
 
 def test_c_constant_choice_independent():
@@ -135,13 +161,13 @@ def test_c_constant_choice_independent():
 def test_integral_form_is_symmetric_bilinear(rng):
     n, p = 4, 3
     R = random_operator(n, rng)
-    f = ml.harmonic_projection(_random_poly(n, p, rng))
-    g = ml.harmonic_projection(_random_poly(n, p, rng))
-    h = ml.harmonic_projection(_random_poly(n, p, rng))
+    f = _coords(harmonic_projection(_random_poly(n, p, rng)))
+    g = _coords(harmonic_projection(_random_poly(n, p, rng)))
+    h = _coords(harmonic_projection(_random_poly(n, p, rng)))
     assert sp.integral_form(R, f, g) == pytest.approx(
         sp.integral_form(R, g, f), rel=1e-10, abs=1e-10)
     a, b = rng.standard_normal(2)
-    lhs = sp.integral_form(R, f.scale(a) + g.scale(b), h)
+    lhs = sp.integral_form(R, a * f + b * g, h)
     rhs = a * sp.integral_form(R, f, h) + b * sp.integral_form(R, g, h)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
@@ -154,11 +180,11 @@ def test_integral_form_matches_algebraic_curvature_term(rng):
         K = wz.curvature_term(R, space)
         c = sp.c_constant(n, p)
         for _ in range(3):
-            f = ml.harmonic_projection(_random_poly(n, p, rng))
-            g = ml.harmonic_projection(_random_poly(n, p, rng))
-            lhs = wz.bilinear_form(K, ml.polynomial_coords(space, f),
-                                   ml.polynomial_coords(space, g))
-            rhs = c * sp.integral_form(R, f, g)
+            f = harmonic_projection(_random_poly(n, p, rng))
+            g = harmonic_projection(_random_poly(n, p, rng))
+            lhs = wz.bilinear_form(K, polynomial_coords(space, f),
+                                   polynomial_coords(space, g))
+            rhs = c * sp.integral_form(R, _coords(f), _coords(g))
             assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-9)
 
 
@@ -169,9 +195,10 @@ def test_integral_form_matches_double_sum(rng, n, p, q):
     f, g = _random_poly(n, p, rng), _random_poly(n, q, rng)
     pairs = ml.pair_basis(n)
     expect = sum(
-        R.mat[a, b] * sp.integrate_polynomial(
+        R.mat[a, b] * _integrate(
             f.rotation_action(*pa) * g.rotation_action(*pb))
         for a, pa in enumerate(pairs) for b, pb in enumerate(pairs))
+    f, g = _coords(f), _coords(g)
     assert abs(sp.integral_form(R, f, g) - expect) <= 1e-12 * abs(expect)
 
 
@@ -180,9 +207,9 @@ def test_cross_degree_harmonics_decouple(rng):
     # interact through the integral form
     n = 4
     R = random_operator(n, rng)
-    h4 = ml.harmonic_projection(_random_poly(n, 4, rng))
-    h2 = ml.harmonic_projection(_random_poly(n, 2, rng))
-    lifted = ml.r_squared(n) * h2           # same total degree as h4
+    h4 = _coords(harmonic_projection(_random_poly(n, 4, rng)))
+    h2 = harmonic_projection(_random_poly(n, 2, rng))
+    lifted = _coords(r_squared(n) * h2)  # same total degree as h4
     val = sp.integral_form(R, h4, lifted)
     scale = max(1.0, abs(sp.integral_form(R, h4, h4)))
     assert abs(val) / scale < 1e-9

@@ -263,7 +263,7 @@ def test_circle_harmonic_quadratic_form_round_case():
         R = fixture_operator("scal-part", n)
         space = ml.build_traceless(n, p)
         K = wz.curvature_term(R, space)
-        v = ml.polynomial_coords(space, ml.circle_harmonic(n, p))
+        v = space.change_of_basis @ ml.circle_harmonic(n, p)
         expect = (n + p - 2) * 2.0 ** (p - 1) * p * p * factorial(p - 1)
         assert wz.quadratic_form(K, v) == pytest.approx(expect, abs=1e-9)
 
