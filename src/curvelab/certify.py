@@ -1,16 +1,16 @@
 """Certification of sectional-curvature bounds for curvature operators.
 
-Three engines cooperate:
+``certify_bound`` decides with two engines:
 
-* the shift engine in ``certify_bound``: sec is the quadratic form of R
-  on unit decomposable two-forms, and a four-form omega vanishes on
-  them, so ``lambda_min(R - k Id + omega) >= 0`` for some omega proves
+* the shift test: sec is the quadratic form of R on unit decomposable
+  two-forms, and a four-form omega vanishes on them, so
+  ``lambda_min(R - k Id + omega) >= 0`` for some omega proves
   ``sec >= k``.  At n = 4 the four-forms are the multiples of the Hodge
   star and the test is exact (Thorpe): ``lambda_min(R - k Id + t star)``
   is concave in t, ``thorpe_sec_min`` maximizes it with ``concave_max``
   from supergradients and Newton steps, and a negative maximum is
   refuted by the plane read off the bottom eigenspace that its best
-  probe computed.  For other n the engine takes omega = 0, which is
+  probe computed.  For other n the test takes omega = 0, which is
   sufficient only.
 
 * the plane search (refutations for n != 4): minimization of the
@@ -22,15 +22,12 @@ Three engines cooperate:
   is no step size.  ``certify_bound`` runs the minimizing search only;
   ``sec_extremes`` also runs it on -R and reports both extremal planes.
 
-* ``hierarchy_check`` (n != 4, when no plane refutes): nonnegativity of
-  the curvature terms ``K(R - k Id, Harm^p)`` for p = 1, 2, ... is
-  necessary for ``sec >= k`` (p = 1 is the Ricci test).  Since
-  ``K(Id, Harm^p) = p (p + n - 2) Id``, level p is
-  ``lambda_min K(R, Harm^p) - k p (p + n - 2)``: the assembly and the
-  eigensolve do not depend on k.  A negative row at any level refutes
-  the bound, with its eigenpolynomial as witness; an all-pass is only a
-  necessary-condition pass and is reported as
-  ``inconclusive_for_certification``.
+``hierarchy_check`` is the paper's necessary condition as a library
+check, outside the decision: ``K(R - k Id, Harm^p)`` is positive
+semidefinite for every p when ``sec >= k`` (p = 1 is the Ricci test).
+Since ``K(Id, Harm^p) = p (p + n - 2) Id``, level p is
+``lambda_min K(R, Harm^p) - k p (p + n - 2)``: the assembly and the
+eigensolve do not depend on k.
 
 Every eigenvalue test uses ``tol = 1e-9 * max(|R|_2, |k|)``.
 """
@@ -249,7 +246,7 @@ class Certificate:
     k: float
     direction: str            # "ge" or "le"
     verdict: str              # certified / refuted / inconclusive_for_certification
-    method: str               # thorpe_exact / psd_shift / grassmann_opt / hierarchy
+    method: str               # thorpe_exact / psd_shift / grassmann_opt
     strict: bool
     witness: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
@@ -359,30 +356,9 @@ def _plane_doc(R, plane):
 
 @dataclass
 class HierarchyResult:
-    n: int
-    k: float
-    p_max: int
     rows: list                 # (p, lambda_min)
     refuted_at: int | None
-    tol: float
     witness: Witness | None = None     # bottom eigenpolynomial at refuted_at
-
-    @property
-    def verdict(self):
-        return "refuted" if self.refuted_at is not None else (
-            "inconclusive_for_certification"
-        )
-
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "p_max": self.p_max,
-            "rows": [{"p": p, "lambda_min": v} for (p, v) in self.rows],
-            "refuted_at": self.refuted_at,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
 
 
 def hierarchy_check(R, k, p_max=6):
@@ -411,8 +387,7 @@ def hierarchy_check(R, k, p_max=6):
             vals, vecs = np.linalg.eigh(K.mat)
             witness = Witness(n=n, p=p, value=float(vals[0]) - shift,
                               coords=vecs[:, 0].copy())
-    return HierarchyResult(n=n, k=k, p_max=p_max, rows=rows,
-                          refuted_at=refuted_at, tol=tol, witness=witness)
+    return HierarchyResult(rows=rows, refuted_at=refuted_at, witness=witness)
 
 
 @dataclass
@@ -421,20 +396,6 @@ class Witness:
     p: int
     value: float
     coords: np.ndarray     # on the build_traceless(n, p) basis
-
-    def to_dict(self):
-        """``poly`` lists ``[exponents, coefficient]`` of the monomials x^l
-        in basis order: the coefficient is ``(C^T coords)_l / sqrt(l!)``,
-        and exact zeros are left out."""
-        space = ml.build_traceless(self.n, self.p)
-        coeffs = (space.change_of_basis.T @ self.coords
-                  / ml.monomial_norms(self.n, self.p))
-        return {
-            "p": self.p,
-            "value": self.value,
-            "poly": [[list(e), c] for e, c in zip(space.basis, coeffs)
-                     if c != 0.0],
-        }
 
 
 def witness_search(R, k, p_max=6):
@@ -446,7 +407,7 @@ def witness_search(R, k, p_max=6):
 _PLANE_RESTARTS = 40
 
 
-def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
+def certify_bound(R, k, direction="ge", strict=False, seed=None):
     """Top-level bound decision for an operator.
 
     The shift engine computes ``mu = max_omega lambda_min(R - k Id + omega)``
@@ -457,10 +418,10 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     query inside that band is inconclusive, since equality cannot be told
     from a strict margin at working precision.  Below the band, n = 4 is
     refuted by the plane read off the search's best probe when its sec is
-    below ``k - tol``, and inconclusive otherwise.  Other n first search
-    for a plane below ``k - tol`` (a minimizing run only) and refute with
-    it, with no ``hierarchy`` in the witness; only when no plane refutes
-    does the hierarchy run, and its all-pass is inconclusive.
+    below ``k - tol``, and inconclusive otherwise.  Other n search for a
+    plane below ``k - tol`` (a minimizing run only) and refute with it
+    (method ``grassmann_opt``); when none is found the answer is
+    inconclusive.  The search is not guaranteed to find such a plane.
     ``direction="le"`` is handled by negating the operator and the bound.
     """
     if direction not in ("ge", "le"):
@@ -468,7 +429,7 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     if direction == "le":
         inner = certify_bound(
             CurvatureOperator._from_symmetric(R.n, -R.mat), -k, "ge",
-            strict=strict, p_max=p_max, seed=seed,
+            strict=strict, seed=seed,
         )
         witness = dict(inner.witness)
         if "plane" in witness:
@@ -505,19 +466,14 @@ def certify_bound(R, k, direction="ge", strict=False, p_max=6, seed=None):
     if mu >= -tol:
         return decide("inconclusive_for_certification")
     if R.n == 4:
-        plane = _plane_doc(R, _thorpe_plane(*eig, tol))
-        if plane["sec"] >= k - tol:
-            # the optimum's plane does not violate the bound
-            return decide("inconclusive_for_certification")
-        witness["plane"] = plane
-        return decide("refuted")
-    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-    value, plane, _ = _sec_min(R, _PLANE_RESTARTS, rng)
-    if value < k - tol:
-        witness["plane"] = _plane_doc(R, plane)
-        return decide("refuted", "grassmann_opt", plane_margin=tol)
-    hier = hierarchy_check(R, k, p_max=p_max)
-    witness["hierarchy"] = hier.to_dict()
-    if hier.witness is not None:
-        witness["eigen_direction"] = hier.witness.to_dict()
-    return decide(hier.verdict, "hierarchy")
+        plane, how, margins = _thorpe_plane(*eig, tol), method, {}
+    else:
+        rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+        _, plane, _ = _sec_min(R, _PLANE_RESTARTS, rng)
+        how, margins = "grassmann_opt", {"plane_margin": tol}
+    plane = _plane_doc(R, plane)
+    if plane["sec"] >= k - tol:
+        # the plane found does not violate the bound
+        return decide("inconclusive_for_certification")
+    witness["plane"] = plane
+    return decide("refuted", how, **margins)

@@ -52,7 +52,8 @@ ASYMMETRY_WARN = 1e-6
 MAX_MAGNITUDE = 1e100
 # Largest representation dimension kterm will materialize: the dense
 # output matrix alone is dim^2 doubles, so refuse early and point the
-# caller at the library API instead of exhausting memory.
+# caller at the library API instead of exhausting memory.  verify bounds
+# its largest array by the same dim^2.
 MAX_KTERM_DIM = 10_000
 
 
@@ -264,6 +265,16 @@ def cmd_verify(args):
     if args.suite in ("thmB", "integral"):
         # both assemble K(R) on Harm^p up to p = pmax
         _check_build_dimension("sym0", args.n, args.pmax)
+    elif args.suite == "gpowers":
+        # its largest array, the product map Sym^(p-1) x R^n -> Sym^p at
+        # the top degree, may not outgrow the largest dense K of kterm
+        from .multilinear import dim_symmetric
+
+        p = min(args.pmax, 4)
+        size = dim_symmetric(args.n, p - 1) * args.n * dim_symmetric(args.n, p)
+        if size > MAX_KTERM_DIM ** 2:
+            raise InputError(f"product map of {size} entries exceeds the CLI "
+                             f"limit {MAX_KTERM_DIM ** 2} (n={args.n}, p={p})")
     doc = {"suite": args.suite, "seed": args.seed}
     ok = True
     if args.suite == "thmB":
@@ -333,13 +344,8 @@ def cmd_certify(args):
         raise InputError(f"--k: expected a finite number of magnitude at "
                          f"most {MAX_MAGNITUDE:g}, got {args.k!r}")
     R = load_operator(args.input, args.n)
-    if R.n != 4:
-        # the hierarchy builds Harm^p up to p = pmax for n != 4
-        _check_build_dimension("sym0", R.n, args.pmax)
-    cert = certify_bound(
-        R, args.k, direction=args.direction, strict=args.strict,
-        p_max=args.pmax, seed=args.seed,
-    )
+    cert = certify_bound(R, args.k, direction=args.direction,
+                         strict=args.strict, seed=args.seed)
     doc = cert.to_dict()
     _maybe_warn_asymmetry(doc, R)
     emit(doc, args.out)
@@ -403,9 +409,6 @@ def build_parser():
                         help="bound direction (default: sec >= k)")
     p_cert.add_argument("--strict", action="store_true",
                         help="require strict inequality")
-    p_cert.add_argument("--pmax", type=int, default=6,
-                        help="hierarchy depth for n != 4 (default 6); "
-                             "refused past the kterm size limit")
     p_cert.set_defaults(func=cmd_certify)
     return parser
 

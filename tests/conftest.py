@@ -8,7 +8,8 @@ import pytest
 from curvelab import knalgebra as kn
 from curvelab import multilinear as ml
 from curvelab import weitzenbock as wz
-from curvelab.curvature import CurvatureOperator, four_form_matrix, ricci
+from curvelab.curvature import (CurvatureOperator, TwoPlane,
+                                four_form_matrix, four_form_projection, ricci)
 
 
 def random_operator(n, rng, scale=1.0):
@@ -16,6 +17,24 @@ def random_operator(n, rng, scale=1.0):
     N = n * (n - 1) // 2
     M = rng.uniform(-scale, scale, size=(N, N))
     return CurvatureOperator(n, 0.5 * (M + M.T))
+
+
+def exact_answer_operator(n, rng):
+    """R = m Id + P + omega with min sec = m, m drawn from [-1, 1].
+
+    P is positive semidefinite and annihilates the coordinates s0 of a
+    random plane, and omega is a four-form, on which sec vanishes; so
+    ``sec = m + <P s, s> >= m``, with equality on that plane.  Returns
+    (R, m).
+    """
+    N = n * (n - 1) // 2
+    m = rng.uniform(-1.0, 1.0)
+    s0 = TwoPlane.orthonormalized(*rng.standard_normal((2, n))).coords()
+    proj = np.eye(N) - np.outer(s0, s0)
+    G = rng.standard_normal((N, N)) / math.sqrt(N)
+    P = proj @ (0.5 * np.eye(N) + G @ G.T) @ proj
+    omega = four_form_projection(random_operator(n, rng))
+    return CurvatureOperator(n, m * np.eye(N) + 0.5 * (P + P.T) + omega), m
 
 
 def random_rotation(n, rng):

@@ -11,8 +11,7 @@ from curvelab import multilinear as ml
 from curvelab import weitzenbock as wz
 from curvelab.fixtures import fixture_operator
 
-from conftest import (Polynomial, polynomial_coords, random_operator,
-                      selfdual_split)
+from conftest import random_operator, selfdual_split
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +311,12 @@ def test_certify_verdict_is_scale_invariant(rng):
         assert cert.witness["mu_max"] == pytest.approx(
             scale * base.witness["mu_max"], rel=1e-9)
         assert cert.witness["plane"]["sec"] < 0.0
-    # outside dimension four the plane search and the hierarchy scale too
+    # outside dimension four the plane search scales too
     RL = fixture_operator("RL", 5)
     for scale in (1e-12, 1.0, 1e8):
         k = 0.5 * scale
         cert = ce.certify_bound(cv.CurvatureOperator(5, scale * RL.mat), k,
-                                p_max=2, seed=2)
+                                seed=2)
         assert cert.refuted and cert.method == "grassmann_opt"
         assert cert.witness["plane"]["sec"] < k
 
@@ -384,8 +383,7 @@ def test_certificate_serialization():
 def test_hierarchy_all_pass_is_inconclusive():
     R = fixture_operator("identity", 5)
     res = ce.hierarchy_check(R, 1.0, p_max=4)
-    assert res.refuted_at is None
-    assert res.verdict == "inconclusive_for_certification"
+    assert res.refuted_at is None and res.witness is None
     assert [p for p, _ in res.rows] == [1, 2, 3, 4]
     assert all(abs(v) < 1e-12 for _, v in res.rows)
 
@@ -396,18 +394,17 @@ def test_hierarchy_refutes_above_max_curvature():
     res = ce.hierarchy_check(R, 1.05)
     assert res.refuted_at == 1
     assert res.rows[0][1] == pytest.approx(-0.05 * 4, abs=1e-10)
-    assert res.verdict == "refuted"
-    d = res.to_dict()
-    assert d["rows"][0]["p"] == 1 and d["refuted_at"] == 1
+    assert res.witness.p == 1
+    assert res.witness.value == pytest.approx(-0.05 * 4, abs=1e-10)
 
 
 def test_witness_search_finds_first_level():
     w = ce.witness_search(fixture_operator("identity", 4), 2.0)
     assert w is not None and w.p == 1
     assert w.value == pytest.approx(-3.0, abs=1e-9)
-    d = w.to_dict()
-    assert all(sum(e) == 1 for e, _ in d["poly"])
-    assert d["p"] == 1 and d["value"] == pytest.approx(-3.0, abs=1e-9)
+    # a unit linear polynomial: coordinates on Harm^1 = R^4
+    assert w.coords.shape == (ml.build_traceless(4, 1).dim,) == (4,)
+    assert np.linalg.norm(w.coords) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_witness_search_none_when_hierarchy_passes():
@@ -425,9 +422,7 @@ def test_witness_polynomial_realizes_negative_value(rng):
     space = ml.build_traceless(5, w.p)
     S = cv.CurvatureOperator(5, R.mat - 1.0 * np.eye(R.N))
     K = wz.curvature_term(S, space)
-    # the JSON polynomial, read back through the dict oracle
-    poly = Polynomial(5, {tuple(e): c for e, c in w.to_dict()["poly"]})
-    coords = polynomial_coords(space, poly)
+    coords = w.coords
     rayleigh = float(coords @ K.mat @ coords) / float(coords @ coords)
     assert rayleigh == pytest.approx(w.value, abs=1e-9)
     assert rayleigh < 0
@@ -478,7 +473,7 @@ def test_certify_bound_le_direction():
 def test_certify_bound_certifies_psd_shift_outside_dim_four():
     # R - k Id positive semidefinite proves sec >= k in any dimension
     R = fixture_operator("identity", 5)
-    cert = ce.certify_bound(R, 0.5, p_max=3)
+    cert = ce.certify_bound(R, 0.5)
     assert cert.certified
     assert cert.method == "psd_shift"
     assert cert.witness["lambda_min"] == pytest.approx(0.5, abs=1e-12)
@@ -491,51 +486,53 @@ def test_certify_bound_certifies_psd_shift_outside_dim_four():
 
 def test_certify_bound_four_form_shift_stays_inconclusive(rng):
     # sec cannot see a four-form: Id + omega has sec == 1, yet
-    # Id + omega - Id = omega is indefinite.  The bound sec >= 1 is true
-    # and passes every hierarchy level (K vanishes on four-forms), but
-    # passing necessary conditions is not a certificate
+    # Id + omega - Id = omega is indefinite.  The bound sec >= 1 is true,
+    # so no plane refutes it, and omega = 0 does not certify it
     n = 5
     omega = cv.four_form_projection(random_operator(n, rng))
     assert np.linalg.eigvalsh(omega)[0] < -0.1
     R = cv.CurvatureOperator(n, np.eye(10) + omega)
-    cert = ce.certify_bound(R, 1.0, p_max=3)
+    cert = ce.certify_bound(R, 1.0)
     assert cert.verdict == "inconclusive_for_certification"
-    assert cert.method == "hierarchy"
+    assert cert.method == "psd_shift"
     assert not cert.certified
-    rows = cert.witness["hierarchy"]["rows"]
-    assert len(rows) == 3
-    assert cert.witness["hierarchy"]["refuted_at"] is None
+    assert set(cert.witness) == {"lambda_min"}
+    assert cert.witness["lambda_min"] < -0.1
 
 
 def test_certify_bound_refutes_by_plane_outside_dim_four():
     R = fixture_operator("RL", 5)          # indefinite mixed curvatures
-    cert = ce.certify_bound(R, 0.5, p_max=2, seed=2)
+    cert = ce.certify_bound(R, 0.5, seed=2)
     assert cert.refuted
-    assert cert.method in ("grassmann_opt", "hierarchy")
-    if cert.method == "grassmann_opt":
-        plane = cert.witness["plane"]
-        value = cv.sec(R, cv.TwoPlane(np.array(plane["x"]),
-                                      np.array(plane["y"])))
-        assert value < 0.5 - 1e-9
+    assert cert.method == "grassmann_opt"
+    plane = cert.witness["plane"]
+    value = cv.sec(R, cv.TwoPlane(np.array(plane["x"]), np.array(plane["y"])))
+    assert value < 0.5 - 1e-9
 
 
-def test_hierarchy_refutation_carries_its_own_witness(monkeypatch):
-    # with the plane search out of the way the hierarchy refutes; its
-    # witness comes from the same assembly, one K(R) per level
-    R = fixture_operator("identity", 5)
-    monkeypatch.setattr(ce, "_sec_min", lambda *args, **kwargs:
-                        (math.inf, None, 0))
-    assembled = []
-    real = wz.curvature_term
-    monkeypatch.setattr(wz, "curvature_term", lambda S, space: (
-        assembled.append(space.p) or real(S, space)))
-    cert = ce.certify_bound(R, 1.05, p_max=3)
-    assert cert.refuted and cert.method == "hierarchy"
-    assert assembled == [1, 2, 3]
-    direction = cert.witness["eigen_direction"]
-    assert direction["p"] == 1
-    assert direction["value"] == pytest.approx(-0.05 * 4, abs=1e-10)
-    assert ce.hierarchy_check(R, 1.05, p_max=3).witness.to_dict() == direction
+def test_certify_bound_builds_no_harmonic_space_outside_dim_four(
+        rng, monkeypatch):
+    # the shift test and the plane search decide alone: no Harm^p basis
+    # and no curvature term K(R) is built, whichever way the query goes
+    omega = cv.four_form_projection(random_operator(5, rng))
+    queries = (
+        (fixture_operator("identity", 5), 0.5, "certified"),
+        (fixture_operator("RL", 5), 0.5, "refuted"),
+        (cv.CurvatureOperator(5, np.eye(10) + omega), 1.0,
+         "inconclusive_for_certification"),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Harm^p space was built")
+
+    monkeypatch.setattr(wz, "curvature_term", refuse)
+    monkeypatch.setattr(ml, "build_traceless", refuse)
+    for R, k, verdict in queries:
+        ge = ce.certify_bound(R, k)
+        le = ce.certify_bound(cv.CurvatureOperator(5, -R.mat), -k,
+                              direction="le")
+        assert ge.verdict == le.verdict == verdict
+        assert ge.method in ("psd_shift", "grassmann_opt")
 
 
 def test_certify_bound_rejects_bad_direction():

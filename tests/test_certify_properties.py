@@ -1,4 +1,4 @@
-"""Invariants of the n = 4 certificates, as property tests.
+"""Invariants of the certificates at n = 4, 5 and 6, as property tests.
 
 Bounds are drawn at ``k = min sec + offset * |R|_2`` with the offset
 either 0 (inside the tolerance band) or at least 1e-6 away from it, so a
@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from curvelab import certify as ce
 from curvelab import curvature as cv
 
-from conftest import lambda2_matrix, random_operator, random_rotation
+from conftest import (exact_answer_operator, lambda2_matrix, random_operator,
+                      random_rotation)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -84,3 +85,55 @@ def test_seed_changes_no_n4_certificate(seed, scale, offset, other):
     for direction in ("ge", "le"):
         assert (ce.certify_bound(R, k, direction=direction, seed=other).to_dict()
                 == ce.certify_bound(R, k, direction=direction).to_dict())
+
+
+# ---------------------------------------------------------------------------
+# n = 5 and 6: the shift test certifies, the plane search refutes.  Both
+# are sound; neither is complete, so no test asks for a verdict.
+
+
+def exact_query(n, seed, offset):
+    R, m = exact_answer_operator(n, np.random.default_rng(seed))
+    return R, m, m + offset * float(np.linalg.norm(R.mat, 2))
+
+
+dims = st.sampled_from([5, 6])
+
+
+@PROPERTY
+@given(dims, seeds, offsets, st.booleans())
+def test_general_n_verdicts_are_sound(n, seed, offset, strict):
+    R, m, k = exact_query(n, seed, offset)
+    cert = ce.certify_bound(R, k, strict=strict)
+    tol = cert.tolerances["eig_tol"]
+    if cert.certified:
+        assert cert.method == "psd_shift"
+        assert k <= m + tol
+    if cert.refuted:
+        assert cert.method == "grassmann_opt"
+        value = plane_sec(R, cert)      # TwoPlane checks orthonormality
+        assert m - tol <= value < k
+        assert cert.witness["plane"]["sec"] == value
+
+
+@PROPERTY
+@given(dims, seeds, offsets, st.booleans())
+def test_general_n_le_on_minus_r_mirrors_ge(n, seed, offset, strict):
+    R, _, k = exact_query(n, seed, offset)
+    ge = ce.certify_bound(R, k, strict=strict)
+    le = ce.certify_bound(cv.CurvatureOperator(n, -R.mat), -k,
+                          direction="le", strict=strict)
+    assert le.verdict == ge.verdict and le.method == ge.method
+    if ge.refuted:
+        assert le.witness["plane"]["sec"] == -ge.witness["plane"]["sec"]
+
+
+@PROPERTY
+@given(dims, seeds, offsets, st.booleans())
+def test_general_n_verdict_is_scale_invariant(n, seed, offset, strict):
+    R, _, k = exact_query(n, seed, offset)
+    base = ce.certify_bound(R, k, strict=strict, seed=seed)
+    for c in (1e-12, 1e8):
+        cert = ce.certify_bound(cv.CurvatureOperator(n, c * R.mat), c * k,
+                                strict=strict, seed=seed)
+        assert (cert.verdict, cert.method) == (base.verdict, base.method)

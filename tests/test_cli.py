@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -230,19 +232,31 @@ def test_certify_takes_negative_bounds_in_any_float_syntax(capsys):
 
 def test_verify_oversized_suites_exit_two_before_building(capsys,
                                                           monkeypatch):
-    # Sym^40 R^4 has dimension 12341, Sym^2 R^200 has 20100
+    # Sym^40 R^4 has dimension 12341, Sym^2 R^200 has 20100; the gpowers
+    # map Sym^3 x R^n -> Sym^4 has C(n+2, 3) n C(n+3, 4) entries, and
+    # n = 17 is the last n within 10^4 squared
     from curvelab import multilinear as ml
 
     def refuse(*args):
         raise AssertionError("a basis was built")
     for kind in ("exterior", "symmetric", "traceless"):
         monkeypatch.setattr(ml, "build_" + kind, refuse)
-    for argv, dim in ((("integral", "--n", "4", "--pmax", "40"), 12341),
-                      (("thmB", "--n", "200", "--pmax", "2"), 20100)):
+    for argv, what in (
+            (("integral", "--n", "4", "--pmax", "40"),
+             "space of dimension 12341"),
+            (("thmB", "--n", "200", "--pmax", "2"),
+             "space of dimension 20100"),
+            (("gpowers", "--n", "40"),
+             f"product map of {11480 * 40 * 123410} entries"),
+            (("gpowers", "--n", "18"),
+             f"product map of {1140 * 18 * 5985} entries")):
         code, out, err = run(capsys, "verify", "--suite", *argv)
         assert code == 2
         assert out == ""
-        assert f"space of dimension {dim} exceeds the CLI limit" in err
+        assert f"{what} exceeds the CLI limit" in err
+    # n = 17 passes the check and goes on to build (refused here: exit 3)
+    code, out, _ = run(capsys, "verify", "--suite", "gpowers", "--n", "17")
+    assert code == 3 and "a basis was built" in json.loads(out)["error"]
 
 
 def test_kterm_oversized_space_exits_two(capsys):
@@ -250,24 +264,6 @@ def test_kterm_oversized_space_exits_two(capsys):
                        "--rep", "sym0", "--p", "99")
     assert code == 2
     assert "exceeds the CLI limit" in err
-
-
-def test_certify_oversized_hierarchy_exits_two(capsys, monkeypatch):
-    # Harm^6 R^5 is carved out of Sym^6 R^5, of dimension 210
-    monkeypatch.setattr(cli, "MAX_KTERM_DIM", 100)
-    code, out, err = run(capsys, "certify", "RL", "--n", "5", "--k", "-0.9",
-                         "--pmax", "6")
-    assert code == 2
-    assert out == ""
-    assert "exceeds the CLI limit" in err
-    code, _, err = run(capsys, "certify", "RL", "--n", "5", "--k", "-0.9",
-                       "--pmax", "-1")
-    assert code == 2
-    assert "expected an integer >= 0" in err
-    # n = 4 runs no hierarchy, so --pmax is not limited there
-    code, _, _ = run(capsys, "certify", "identity", "--n", "4", "--k", "0.5",
-                     "--pmax", "99")
-    assert code == 0
 
 
 def test_kterm_invalid_degree_exits_two(capsys):
@@ -427,21 +423,53 @@ def test_certify_strict_boundary_is_inconclusive(capsys):
 def test_certify_outside_dim_four_certifies_psd_shift(capsys):
     # both bounds hold because R - k Id is positive semidefinite
     for name, n, k in (("RL", "5", "-10"), ("identity", "6", "0.5")):
-        code, out, _ = run(capsys, "certify", name, "--n", n, "--k", k,
-                           "--pmax", "2")
+        code, out, _ = run(capsys, "certify", name, "--n", n, "--k", k)
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] == "certified"
         assert doc["method"] == "psd_shift"
         assert doc["witness"]["lambda_min"] >= 0.0
+    with pytest.raises(SystemExit) as exc:      # argparse: no such option
+        cli.main(["certify", "RL", "--n", "5", "--k", "0", "--pmax", "2"])
+    assert exc.value.code == 2
 
 
 def test_certify_deterministic_output(capsys):
-    args = ("certify", "RL", "--n", "5", "--k", "0.5", "--pmax", "2",
-            "--seed", "7")
+    args = ("certify", "RL", "--n", "5", "--k", "0.5", "--seed", "7")
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second
+
+
+def readme_commands():
+    """(argv, comment) of every ``curvelab ...`` line in README's sh blocks."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.M | re.S)
+    for line in "".join(blocks).splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv[:1] == ["curvelab"]:
+            yield argv[1:], comment.strip()
+
+
+def test_readme_cli_examples_run_as_documented(capsys):
+    # each example exits 0 or 1 with strict JSON; a trailing comment that
+    # names a verdict, and a method in parentheses, must match the output
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    examples = list(readme_commands())
+    assert len(examples) >= 10
+    for argv, comment in examples:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1), (argv, err)
+        doc = json.loads(out, parse_constant=reject)
+        named = re.match(r"(certified|refuted|inconclusive_for_certification)"
+                         r"\b(?:\s*\((\w+)\))?", comment)
+        if named:
+            assert doc["verdict"] == named[1], argv
+            assert named[2] in (None, doc["method"]), argv
 
 
 def test_internal_error_exits_three_with_json(capsys, monkeypatch):
