@@ -7,11 +7,13 @@
   ``lambda_min(R - k Id + omega) >= 0`` for some omega proves
   ``sec >= k``.  At n = 4 the four-forms are the multiples of the Hodge
   star and the test is exact (Thorpe): ``lambda_min(R - k Id + t star)``
-  is concave in t, ``thorpe_sec_min`` maximizes it with ``concave_max``
-  from supergradients and Newton steps, and a negative maximum is
-  refuted by the plane read off the bottom eigenspace that its best
-  probe computed.  For other n the test takes omega = 0, which is
-  sufficient only.
+  is concave in t, and ``thorpe_sec_min`` maximizes it with
+  ``concave_max`` by Newton steps in an eigenbasis of star.  The bottom
+  eigenvector of each probe, its two halves rescaled to equal length, is
+  a real plane whose sec bounds the maximum from above, so the search
+  stops on a closed duality gap, and a negative maximum is refuted by
+  the plane of the least such bound.  For other n the test takes
+  omega = 0, which is sufficient only.
 
 * the plane search (refutations for n != 4): minimization of the
   sectional curvature over the Grassmannian of 2-planes by alternating
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,8 +53,9 @@ from .curvature import CurvatureOperator, TwoPlane, four_form_matrix, sec
 
 
 # Gap, on the scale of f's values, between the best probe and an upper
-# bound on the maximum at which the search for the star shift t* stops;
-# the bracket width at which it stops regardless, and the probes after
+# bound on the maximum at which the search for the star shift t* stops
+# (and the spread within which it counts lambda_0 as multiple); the
+# bracket width at which it stops regardless, and the probes after
 # which it only bisects, so that no input takes more than about
 # 40 + log2((hi - lo) / _T_TOL) of them.
 _GAP_TOL = 1e-13
@@ -59,30 +63,38 @@ _T_TOL = 1e-10
 _FAST_PROBES = 40
 
 
-def concave_max(f, lo, hi):
+def concave_max(f, lo, hi, start=None):
     """Maximize a concave function on [lo, hi] from its supergradients.
 
-    ``f(t)`` returns ``(value, slope, curvature)``: the slope is any
+    ``f(t)`` returns ``(value, slope, curvature)``, optionally followed by
+    an upper bound on the maximum (``inf`` for none): the slope is any
     supergradient at t, and the curvature an estimate of the second
-    derivative, used only when it is negative.  The ends are probed
-    first.  A probe with positive slope moves the bracket's left end to
-    it, a negative slope the right end, and a zero slope ends the search.
-    The tangents at the bracket ends cross at a point whose height bounds
-    the maximum from above, and the search stops once that height is
-    within ``_GAP_TOL`` of the best probe (values of order one, as
-    ``thorpe_sec_min`` scales them).  Otherwise the next probe is the
-    first of these that lies in the bracket: the Newton point of the last
-    probe, the crossing of the tangents, the midpoint.  It is kept
-    ``_T_TOL / 2`` away from the ends, and a bracket ``_T_TOL`` wide ends
-    the search too.  Concavity is checked along the way: each value must
-    lie on or below every earlier tangent line (up to noise), which holds
-    for every concave function -- kinked or monotone included -- and
-    fails for genuinely bimodal input.  Returns the best probe (t, value).
+    derivative, used only when it is negative.  A probe with positive
+    slope moves the bracket's left end to it, a negative slope the right
+    end, and a zero slope ends the search.  So does an upper bound within
+    ``_GAP_TOL`` of the best probe (values of order one, as
+    ``thorpe_sec_min`` scales them): the least bound f returned, or,
+    once both bracket ends are probes, the height at which their tangents
+    cross, which is what bounds a kinked maximum.  Without ``start`` the
+    ends are probed first; with it the first probe is at ``start``.  The
+    next probe is the first of these that lies in the bracket: the Newton
+    point of the last probe if it is at most half the bracket's width
+    away, the crossing of the tangents, a bracket end not yet probed, the
+    midpoint.  It is kept ``_T_TOL / 2`` away from the probed ends, and a
+    bracket ``_T_TOL`` wide ends the search too.
+    Concavity is checked along the way: each value must lie on or below
+    every earlier tangent line (up to noise), which holds for every
+    concave function -- kinked or monotone included -- and fails for
+    genuinely bimodal input.  Returns the best probe (t, value).
     """
     ts, values, slopes = [], [], []
+    least = math.inf        # the least upper bound f returned
+    a, b = float(lo), float(hi)
+    ia = ib = None          # the probes at the bracket ends
 
     def probe(t):
-        value, slope, curv = f(t)
+        nonlocal least, a, b, ia, ib
+        value, slope, curv, *bound = f(t)
         if ts:
             tangent = min(v + g * (t - s)
                           for s, v, g in zip(ts, values, slopes))
@@ -95,38 +107,44 @@ def concave_max(f, lo, hi):
         ts.append(t)
         values.append(value)
         slopes.append(slope)
+        if bound:
+            least = min(least, bound[0])
+        if slope > 0.0:
+            a, ia = t, len(ts) - 1
+        elif slope < 0.0:
+            b, ib = t, len(ts) - 1
         return curv
 
-    a, b = float(lo), float(hi)
-    probe(a)
-    curv = probe(b)
-    if slopes[0] <= 0.0:
-        return a, values[0]
-    if slopes[1] >= 0.0:
-        return b, values[1]
-    ia, ib = 0, 1           # the probes at the bracket ends
+    if start is None:
+        probe(float(lo))
+        curv = probe(float(hi))
+        if slopes[0] <= 0.0:
+            return ts[0], values[0]
+        if slopes[1] >= 0.0:
+            return ts[1], values[1]
+    else:
+        curv = probe(min(max(float(start), a), b))
     half = 0.5 * _T_TOL
-    while b - a > _T_TOL:
-        ga, gb = slopes[ia], slopes[ib]
-        cross = (values[ib] - values[ia] + ga * a - gb * b) / (ga - gb)
-        best = max(values[ia], values[ib])
-        if values[ia] + ga * (cross - a) - best <= _GAP_TOL:
+    while slopes[-1] != 0.0 and b - a > _T_TOL:
+        best = max(values)
+        if least - best <= _GAP_TOL:
             break
+        fast = len(ts) < _FAST_PROBES
         candidates = []
-        if len(ts) < _FAST_PROBES:
-            if curv < 0.0:
-                candidates.append(ts[-1] - slopes[-1] / curv)
-            candidates.append(cross)
-        candidates.append(0.5 * (a + b))
+        if fast and curv < 0.0 and abs(slopes[-1] / curv) <= 0.5 * (b - a):
+            candidates.append(ts[-1] - slopes[-1] / curv)
+        if ia is not None and ib is not None:
+            ga, gb = slopes[ia], slopes[ib]
+            cross = (values[ib] - values[ia] + ga * a - gb * b) / (ga - gb)
+            if values[ia] + ga * (cross - a) - best <= _GAP_TOL:
+                break
+            if fast:
+                candidates.append(cross)
+        candidates += [a if ia is None else b if ib is None else 0.5 * (a + b)]
         t = next(s for s in candidates if a <= s <= b)
-        curv = probe(min(max(t, a + half), b - half))
-        if slopes[-1] > 0.0:
-            a, ia = ts[-1], len(ts) - 1
-        elif slopes[-1] < 0.0:
-            b, ib = ts[-1], len(ts) - 1
-        else:
-            break
-    i = int(np.argmax(values))
+        curv = probe(min(max(t, a if ia is None else a + half),
+                         b if ib is None else b - half))
+    i = values.index(max(values))
     return ts[i], values[i]
 
 
@@ -274,79 +292,131 @@ def _eig_tol(norm, k):
     return 1e-9 * max(norm, abs(k))
 
 
+@lru_cache(maxsize=None)
+def _star_eigenbasis():
+    """``(Q, J, j)`` with ``star = Q J Q^T`` at n = 4 and ``J = diag(j)``,
+    ``j = (-1, -1, -1, 1, 1, 1)``: the anti-self-dual half first."""
+    j, Q = np.linalg.eigh(four_form_matrix(4))
+    j = np.sign(j)
+    J = np.diag(j)
+    for a in (Q, J, j):
+        a.flags.writeable = False
+    return Q, J, j
+
+
+def _decomposable(u):
+    """u, in the eigenbasis of star, with each half rescaled to length
+    1/sqrt 2 (a half that vanishes becomes its first basis vector): a unit
+    two-form w with ``<w, star w> = 0``, so decomposable by the Pluecker
+    relation."""
+    w = []
+    for half in (u[:3].tolist(), u[3:].tolist()):
+        r = math.hypot(*half)
+        if r == 0.0:
+            half, r = [1.0, 0.0, 0.0], 1.0
+        w += [h / (r * math.sqrt(2.0)) for h in half]
+    return np.array(w)
+
+
 def thorpe_sec_min(R, norm=None):
     """Exact minimum sectional curvature for n = 4 via the star shift.
 
     ``min sec = max_t lambda_min(R + t star)``: the bound ``sec >= k``
     holds iff the shifted operator can be made positive semidefinite, and
-    shifting by k Id moves every eigenvalue by -k.  The search runs on
-    ``R / |R|_2`` over t in [-2, 2] with ``concave_max``; the value and
-    t* are scaled back.  One ``eigh`` per probe gives the value
-    lambda_0, the supergradient ``v_0 . star v_0`` and the second
-    derivative ``2 sum_j (v_j . star v_0)^2 / (lambda_0 - lambda_j)``
-    from first-order perturbation, over the eigenvalues lambda_j split
-    from lambda_0.  ``norm`` is |R|_2 when the caller has it.  Returns
-    (value, t*, (lam, vec)), the last the eigendecomposition of
-    ``R + t* star`` that the best probe computed, so that no caller
-    solves it again.
+    shifting by k Id moves every eigenvalue by -k.  ``concave_max`` runs
+    on ``M = R / |R|_2`` over t in [-2, 2], in an eigenbasis of star,
+    where star is ``J = diag(-1, -1, -1, 1, 1, 1)``.  It starts where the
+    traces of M + t J on the two halves balance,
+    ``t = (tr M|- - tr M|+) / 6``; the value and t* are scaled back.
+
+    A probe is one ``eigh(M + t J)``.  Its bottom eigenvector v_0, with
+    anti-self-dual half p and self-dual half q, gives the supergradient
+    ``|q|^2 - |p|^2`` and, over the eigenvalues lambda_j split from
+    lambda_0, the second derivative
+    ``2 sum_j (v_j . J v_0)^2 / (lambda_0 - lambda_j)`` (first-order
+    perturbation).  v_0 with both halves rescaled to length 1/sqrt 2 is a
+    unit two-form w with ``<w, J w> = 0``, decomposable by the Pluecker
+    relation, so ``w^T M w = w^T (M + t J) w`` is the sec of a real plane
+    (shifted and scaled) and bounds the maximum from above.  With beta
+    half the difference of the two rescaling factors it equals
+    ``lambda_0 + beta^2 sum_j (lambda_j - lambda_0) (v_j . J v_0)^2``,
+    above lambda_0 by a term second order in the slope, and the search
+    stops once the least such bound is within ``_GAP_TOL`` of the best
+    probe.  The bound is formed only while |slope| <= 1/2, where neither
+    rescaling factor exceeds sqrt 2.  When lambda_0 is multiple (within
+    ``_GAP_TOL``) and the slopes over its eigenspace take both signs, the
+    probe is a kink at the maximum: its slope is 0, and w is the mix of
+    the two extreme-slope directions with ``<w, J w> = 0``.
+
+    ``norm`` is |R|_2 when the caller has it.  Returns (value, t*, w): the
+    best probe's lambda_0 and t, scaled back, and, in the pair basis, the
+    w of the least bound (of the best probe when none was formed); once
+    the gap has closed, ``w^T R w`` exceeds the value by at most
+    ``_GAP_TOL |R|_2``.
     """
     if R.n != 4:
         raise ValueError("the star-shift argument needs n = 4")
-    star = four_form_matrix(4)
     if norm is None:
         norm = _spectral_norm(R.mat)
     if norm == 0.0:
-        return 0.0, 0.0, (np.zeros(6), np.eye(6))
-    unit = R.mat / norm
-    eps = 4.0 * np.finfo(float).eps
-    solved = {}
+        return 0.0, 0.0, np.eye(6)[0]
+    Q, J, j = _star_eigenbasis()
+    unit = Q.T @ R.mat @ Q / norm
+    d = unit.diagonal().tolist()
+    start = (d[0] + d[1] + d[2] - d[3] - d[4] - d[5]) / 6.0
+    probes = []                 # (bound, value, v_0 or w) of each probe
 
     def mu(t):
-        lam, vec = solved[t] = np.linalg.eigh(unit + t * star)
-        # six numbers: Python floats cost less here than numpy calls
+        lam, vec = np.linalg.eigh(unit + t * J)
+        # c_j = v_j . J v_0, and c_0 = |q|^2 - |p|^2 is the slope; six
+        # numbers, for which Python floats cost less than numpy calls
         lam0, *lams = lam.tolist()
-        c0, *cs = ((star @ vec[:, 0]) @ vec).tolist()
-        curv = 0.0
+        slope, *cs = ((j * vec[:, 0]) @ vec).tolist()
+        curv = spread = 0.0
         for cj, lj in zip(cs, lams):
-            if lj - lam0 > eps:
-                curv -= 2.0 * cj * cj / (lj - lam0)
-        return lam0, c0, curv
+            split, c2 = lj - lam0, cj * cj
+            spread += split * c2
+            if split > _GAP_TOL:
+                curv -= 2.0 * c2 / split
+        u, bound = vec[:, 0], math.inf
+        if lams[0] - lam0 <= _GAP_TOL:
+            m = 1 + sum(lj - lam0 <= _GAP_TOL for lj in lams)
+            B = vec[:, :m]
+            s, W = np.linalg.eigh(B.T @ (j[:, None] * B))
+            lo, hi = float(s[0]), float(s[-1])
+            if lo <= 0.0 <= hi:
+                # cos^2 lo + sin^2 hi = 0; the value of a unit w in the
+                # cluster's span is at most its top eigenvalue
+                cos2 = hi / (hi - lo) if hi > lo else 1.0
+                u = B @ (math.sqrt(cos2) * W[:, 0]
+                         + math.sqrt(1.0 - cos2) * W[:, -1])
+                slope, bound = 0.0, lams[m - 2]
+        if bound == math.inf and abs(slope) <= 0.5:
+            beta = 0.5 * (1.0 / math.sqrt(1.0 + slope)
+                          - 1.0 / math.sqrt(1.0 - slope))
+            bound = lam0 + beta * beta * spread
+        probes.append((bound, lam0, u))
+        return lam0, slope, curv, bound
 
-    t_star, val = concave_max(mu, -2.0, 2.0)
-    lam, vec = solved[t_star]
-    return norm * val, norm * t_star, (norm * lam, vec)
+    t_star, val = concave_max(mu, -2.0, 2.0, start=start)
+    # the least bound; the best probe if every bound is infinite
+    _, _, u = min(probes, key=lambda p: (p[0], -p[1]))
+    return norm * val, norm * t_star, Q @ _decomposable(u)
 
 
-def _thorpe_plane(lam, vec, tol):
-    """A plane whose sec under S is about ``lambda_min(S + t star)`` at the
-    search's best probe t, read off its eigendecomposition (n = 4).
+def _thorpe_plane(w):
+    """The plane of a unit decomposable two-form w at n = 4.
 
-    Let B span the eigenvectors within ``tol`` of the least eigenvalue.
-    If B is one vector v, ``<v, star v>`` is the slope at t, which the
-    search has driven to zero.  Otherwise t is the optimum t*, where the
-    range of ``<v, star v>`` over unit v in span(B) is an interval
-    containing 0, and mixing its two extreme directions gives a unit
-    ``v = B c`` with ``<v, star v> = 0``.  That is the Pluecker relation
-    at n = 4: v is decomposable, its 4 x 4 skew matrix M is
-    ``x y^T - y x^T`` for an orthonormal pair, so M's longest column lies
-    in the plane, and M maps it to an orthogonal vector of the plane (M
-    is skew).  A small ``<v, star v>`` moves sec off the value only to
-    second order.
+    w's 4 x 4 skew matrix is ``x y^T - y x^T`` for an orthonormal basis
+    (x, y) of its plane, so its longest column lies in the plane (its
+    squared length is at least 1/2), and the matrix maps that column to
+    an orthogonal vector of the plane.
     """
-    B = vec[:, lam <= lam[0] + tol]
-    v = B[:, 0]
-    if B.shape[1] > 1:
-        star = four_form_matrix(4)
-        w, W = np.linalg.eigh(B.T @ star @ B)
-        lo, hi = w[0], w[-1]
-        # cos^2 lo + sin^2 hi = 0, clipped where rounding left 0 just outside
-        cos2 = float(np.clip(hi / (hi - lo), 0.0, 1.0)) if hi > lo else 1.0
-        v = B @ (math.sqrt(cos2) * W[:, 0] + math.sqrt(1.0 - cos2) * W[:, -1])
-    M = (v @ ml.two_forms(4).reshape(6, 16)).reshape(4, 4)
+    M = (w @ ml.two_forms(4).reshape(6, 16)).reshape(4, 4)
     x = M[:, np.argmax(np.einsum("ij,ij->j", M, M))]
-    x = x / np.linalg.norm(x)
+    x = x / math.sqrt(x @ x)
     y = M @ x
-    return TwoPlane(x, y / np.linalg.norm(y))
+    return TwoPlane(x, y / math.sqrt(y @ y))
 
 
 def _plane_doc(R, plane):
@@ -440,18 +510,18 @@ def certify_bound(R, k, direction="ge", strict=False, seed=None):
             method=inner.method, strict=strict, witness=witness,
             tolerances=inner.tolerances,
         )
-    # the extreme eigenvalues of R give both |R|_2 and |R - k Id|_2
-    lam = np.linalg.eigvalsh(R.mat)[[0, -1]]
-    tol = _eig_tol(float(max(-lam[0], lam[1])), k)
-    S = CurvatureOperator._from_symmetric(R.n, R.mat - k * np.eye(R.N))
+    # the extreme eigenvalues of R give |R|_2, |R - k Id|_2 and, for n != 4,
+    # lambda_min(R - k Id)
+    lo, hi = np.linalg.eigvalsh(R.mat)[[0, -1]].tolist()
+    tol = _eig_tol(max(-lo, hi), k)
     tolerances = {"eig_tol": tol}
     if R.n == 4:
-        mu, t_star, eig = thorpe_sec_min(
-            S, norm=float(max(k - lam[0], lam[1] - k)))
+        S = CurvatureOperator._from_symmetric(4, R.mat - k * np.eye(6))
+        mu, t_star, w = thorpe_sec_min(S, norm=max(k - lo, hi - k))
         method, witness = "thorpe_exact", {"t_star": t_star, "mu_max": mu}
         tolerances["gap_tol"] = _GAP_TOL
     else:
-        mu = float(np.linalg.eigvalsh(S.mat)[0])
+        mu = lo - k
         method, witness = "psd_shift", {"lambda_min": mu}
 
     def decide(verdict, how=method, **more_tolerances):
@@ -466,7 +536,7 @@ def certify_bound(R, k, direction="ge", strict=False, seed=None):
     if mu >= -tol:
         return decide("inconclusive_for_certification")
     if R.n == 4:
-        plane, how, margins = _thorpe_plane(*eig, tol), method, {}
+        plane, how, margins = _thorpe_plane(w), method, {}
     else:
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
         _, plane, _ = _sec_min(R, _PLANE_RESTARTS, rng)

@@ -71,27 +71,34 @@ def test_selfdual_split_rejects_wrong_shape():
 
 
 def test_concave_max_parabola():
-    # the Newton point of the second end probe is the maximizer
-    t, val = ce.concave_max(
-        lambda t: (3.0 - (t - 0.7) ** 2, -2.0 * (t - 0.7), -2.0), -2.0, 2.0)
-    assert t == pytest.approx(0.7, abs=1e-9)
-    assert val == pytest.approx(3.0, abs=1e-12)
+    # the Newton point of the second end probe, or of the start, is the
+    # maximizer
+    for start in (None, 1.5):
+        t, val = ce.concave_max(
+            lambda t: (3.0 - (t - 0.7) ** 2, -2.0 * (t - 0.7), -2.0),
+            -2.0, 2.0, start=start)
+        assert t == pytest.approx(0.7, abs=1e-9)
+        assert val == pytest.approx(3.0, abs=1e-12)
 
 
 def test_concave_max_kinked_concave():
     # at the kink any slope in [-1, 1] is a supergradient
-    t, val = ce.concave_max(
-        lambda t: (-abs(t - 0.3), -math.copysign(1.0, t - 0.3), 0.0),
-        -1.0, 1.0)
-    assert t == pytest.approx(0.3, abs=1e-9)
-    assert val == pytest.approx(0.0, abs=1e-9)
+    for start in (None, -0.5):
+        t, val = ce.concave_max(
+            lambda t: (-abs(t - 0.3), -math.copysign(1.0, t - 0.3), 0.0),
+            -1.0, 1.0, start=start)
+        assert t == pytest.approx(0.3, abs=1e-9)
+        assert val == pytest.approx(0.0, abs=1e-9)
 
 
 def test_concave_max_linear_edge():
-    # monotone concave: the maximum sits at an endpoint
-    t, val = ce.concave_max(lambda t: (t, 1.0, 0.0), 0.0, 1.0)
-    assert t == pytest.approx(1.0, abs=1e-8)
-    assert val == pytest.approx(1.0, abs=1e-8)
+    # monotone concave: the maximum sits at an endpoint, which a search
+    # from inside probes once nothing else lands in the bracket
+    for start in (None, 0.5):
+        t, val = ce.concave_max(lambda t: (t, 1.0, 0.0), 0.0, 1.0,
+                                start=start)
+        assert t == pytest.approx(1.0, abs=1e-8)
+        assert val == pytest.approx(1.0, abs=1e-8)
 
 
 def test_concave_max_rejects_bimodal():
@@ -133,17 +140,18 @@ def test_star_shift_max_dominates_a_fine_grid():
 
 
 def test_star_shift_probe_budget(monkeypatch):
-    # the golden-section search took 56 probes on every operator
+    # Newton steps from the balanced-trace start, stopped by the plane
+    # bound, take a median of 4 and at most 7 probes on these operators
     counts = []
     search = ce.concave_max
 
-    def counted(f, lo, hi):
+    def counted(f, *args, **kwargs):
         calls = []
 
         def g(t):
             calls.append(t)
             return f(t)
-        result = search(g, lo, hi)
+        result = search(g, *args, **kwargs)
         counts.append(len(calls))
         return result
 
@@ -151,8 +159,8 @@ def test_star_shift_probe_budget(monkeypatch):
     for R in seeded_n4_operators():
         ce.thorpe_sec_min(R)
     assert len(counts) == 200
-    assert np.median(counts) <= 6
-    assert max(counts) <= 11
+    assert np.median(counts) <= 4
+    assert max(counts) <= 7
 
 
 def exact_n4_operator(rng):
@@ -176,11 +184,11 @@ def test_n4_refutations_are_exact(monkeypatch):
     probes, solves = [], []
     search, eigh = ce.concave_max, np.linalg.eigh
 
-    def counted_search(f, lo, hi):
+    def counted_search(f, *args, **kwargs):
         def g(t):
             probes.append(t)
             return f(t)
-        return search(g, lo, hi)
+        return search(g, *args, **kwargs)
 
     def counted_eigh(*args, **kwargs):
         solves.append(1)
@@ -203,6 +211,39 @@ def test_n4_refutations_are_exact(monkeypatch):
         value = cv.sec(R, cv.TwoPlane(np.array(plane["x"]),
                                       np.array(plane["y"])))
         assert value == pytest.approx(m, abs=1e-12 * norm)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_star_shift_closes_its_gap_on_a_real_plane():
+    # the two-form thorpe_sec_min returns is a plane whose sec - k lies
+    # within gap_tol |R - k Id|_2 above the value, and both bracket m - k;
+    # the bands' lower ends allow the rounding of sec and of lambda_min
+    rng = np.random.default_rng(41)
+    queries = []
+    for _ in range(200):
+        m, R = exact_n4_operator(rng)
+        queries += [(R, m, m - 1e-3, "ge"), (R, m, m + 1e-3, "ge")]
+    for name, lo, hi in (("identity", 1.0, 1.0), ("s2xs2", 0.0, 1.0),
+                         ("hodge-star", 0.0, 0.0)):
+        R = fixture_operator(name, 4)
+        for d in (-1e-3, 1e-3):
+            queries += [(R, lo, lo + d, "ge"), (R, hi, hi - d, "le")]
+    for R, m, k, direction in queries:
+        cert = ce.certify_bound(R, k, direction=direction)
+        holds = k < m if direction == "ge" else k > m
+        assert cert.verdict == ("certified" if holds else "refuted")
+        sign = 1.0 if direction == "ge" else -1.0
+        Rs = cv.CurvatureOperator(4, sign * R.mat)
+        S = cv.CurvatureOperator(4, Rs.mat - sign * k * np.eye(6))
+        slack = 1e-15 * float(np.linalg.norm(R.mat, 2))
+        band = cert.tolerances["gap_tol"] * float(np.linalg.norm(S.mat, 2))
+        mu, _, w = ce.thorpe_sec_min(S)
+        plane = ce._thorpe_plane(w)
+        frame = np.array([plane.x, plane.y])
+        assert np.allclose(frame @ frame.T, np.eye(2), atol=1e-12)
+        assert -slack <= cv.sec(Rs, plane) - sign * k - mu <= band + slack
+        for value in (mu, cert.witness["mu_max"]):
+            assert -slack <= sign * (m - k) - value <= band + slack
 
 
 # ---------------------------------------------------------------------------
