@@ -63,7 +63,7 @@ _T_TOL = 1e-10
 _FAST_PROBES = 40
 
 
-def concave_max(f, lo, hi, start=None):
+def concave_max(f, lo, hi, start):
     """Maximize a concave function on [lo, hi] from its supergradients.
 
     ``f(t)`` returns ``(value, slope, curvature)``, optionally followed by
@@ -75,13 +75,13 @@ def concave_max(f, lo, hi, start=None):
     ``_GAP_TOL`` of the best probe (values of order one, as
     ``thorpe_sec_min`` scales them): the least bound f returned, or,
     once both bracket ends are probes, the height at which their tangents
-    cross, which is what bounds a kinked maximum.  Without ``start`` the
-    ends are probed first; with it the first probe is at ``start``.  The
-    next probe is the first of these that lies in the bracket: the Newton
-    point of the last probe if it is at most half the bracket's width
-    away, the crossing of the tangents, a bracket end not yet probed, the
-    midpoint.  It is kept ``_T_TOL / 2`` away from the probed ends, and a
-    bracket ``_T_TOL`` wide ends the search too.
+    cross, which is what bounds a kinked maximum.  The first probe is at
+    ``start``, clipped to the bracket, and each next one at the first of
+    these that lies in the bracket: the Newton point of the last probe if
+    it is at most half the bracket's width away, the crossing of the
+    tangents, a bracket end not yet probed, the midpoint.  It is kept
+    ``_T_TOL / 2`` away from the probed ends, and a bracket ``_T_TOL``
+    wide ends the search too.
     Concavity is checked along the way: each value must lie on or below
     every earlier tangent line (up to noise), which holds for every
     concave function -- kinked or monotone included -- and fails for
@@ -115,15 +115,7 @@ def concave_max(f, lo, hi, start=None):
             b, ib = t, len(ts) - 1
         return curv
 
-    if start is None:
-        probe(float(lo))
-        curv = probe(float(hi))
-        if slopes[0] <= 0.0:
-            return ts[0], values[0]
-        if slopes[1] >= 0.0:
-            return ts[1], values[1]
-    else:
-        curv = probe(min(max(float(start), a), b))
+    curv = probe(min(max(float(start), a), b))
     half = 0.5 * _T_TOL
     while slopes[-1] != 0.0 and b - a > _T_TOL:
         best = max(values)
@@ -163,7 +155,6 @@ class SecExtremes:
     max_value: float
     min_plane: TwoPlane
     max_plane: TwoPlane
-    restarts: int
     converged_fraction: float
 
 
@@ -247,7 +238,6 @@ def sec_extremes(R, restarts=100, seed=None):
         max_value=-neg_max,
         min_plane=min_plane,
         max_plane=max_plane,
-        restarts=restarts,
         converged_fraction=(conv_min + conv_max) / (2 * restarts),
     )
 
@@ -318,6 +308,19 @@ def _decomposable(u):
     return np.array(w)
 
 
+def _isotropic(B, j):
+    """A unit vector of the span of B's orthonormal columns on which the
+    form of ``J = diag(j)`` vanishes, or None when the form takes one sign
+    only there: ``cos a w_lo + sin a w_hi`` for the span's directions of
+    least and greatest J-value, with ``cos^2 a lo + sin^2 a hi = 0``."""
+    s, W = np.linalg.eigh(B.T @ (j[:, None] * B))
+    lo, hi = float(s[0]), float(s[-1])
+    if not lo <= 0.0 <= hi:
+        return None
+    cos2 = hi / (hi - lo) if hi > lo else 1.0
+    return B @ (math.sqrt(cos2) * W[:, 0] + math.sqrt(1.0 - cos2) * W[:, -1])
+
+
 def thorpe_sec_min(R, norm=None):
     """Exact minimum sectional curvature for n = 4 via the star shift.
 
@@ -346,7 +349,10 @@ def thorpe_sec_min(R, norm=None):
     rescaling factor exceeds sqrt 2.  When lambda_0 is multiple (within
     ``_GAP_TOL``) and the slopes over its eigenspace take both signs, the
     probe is a kink at the maximum: its slope is 0, and w is the mix of
-    the two extreme-slope directions with ``<w, J w> = 0``.
+    the two extreme-slope directions with ``<w, J w> = 0``.  A kink that
+    no probe lands on leaves the gap open; the bottom eigenvectors of the
+    last probes of positive and of negative slope are then mixed in the
+    same way, and the mix is a candidate w of its own value.
 
     ``norm`` is |R|_2 when the caller has it.  Returns (value, t*, w): the
     best probe's lambda_0 and t, scaled back, and, in the pair basis, the
@@ -381,26 +387,32 @@ def thorpe_sec_min(R, norm=None):
         u, bound = vec[:, 0], math.inf
         if lams[0] - lam0 <= _GAP_TOL:
             m = 1 + sum(lj - lam0 <= _GAP_TOL for lj in lams)
-            B = vec[:, :m]
-            s, W = np.linalg.eigh(B.T @ (j[:, None] * B))
-            lo, hi = float(s[0]), float(s[-1])
-            if lo <= 0.0 <= hi:
-                # cos^2 lo + sin^2 hi = 0; the value of a unit w in the
-                # cluster's span is at most its top eigenvalue
-                cos2 = hi / (hi - lo) if hi > lo else 1.0
-                u = B @ (math.sqrt(cos2) * W[:, 0]
-                         + math.sqrt(1.0 - cos2) * W[:, -1])
-                slope, bound = 0.0, lams[m - 2]
+            mix = _isotropic(vec[:, :m], j)
+            if mix is not None:
+                # the value of a unit w in the cluster's span is at most
+                # its top eigenvalue
+                u, slope, bound = mix, 0.0, lams[m - 2]
         if bound == math.inf and abs(slope) <= 0.5:
             beta = 0.5 * (1.0 / math.sqrt(1.0 + slope)
                           - 1.0 / math.sqrt(1.0 - slope))
             bound = lam0 + beta * beta * spread
-        probes.append((bound, lam0, u))
+        probes.append((bound, lam0, u, slope))
         return lam0, slope, curv, bound
 
     t_star, val = concave_max(mu, -2.0, 2.0, start=start)
+    if min(p[0] for p in probes) - val > _GAP_TOL:
+        # a kink that no probe landed on: mix the bottom eigenvectors of
+        # the last probes on its two sides, as a probe on it would
+        rising = [p[2] for p in probes if p[3] > 0.0]
+        falling = [p[2] for p in probes if p[3] < 0.0]
+        if rising and falling:
+            B = np.linalg.qr(np.column_stack([rising[-1], falling[-1]]))[0]
+            mix = _isotropic(B, j)
+            if mix is not None:
+                w = _decomposable(mix)
+                probes.append((w @ unit @ w, -math.inf, mix, 0.0))
     # the least bound; the best probe if every bound is infinite
-    _, _, u = min(probes, key=lambda p: (p[0], -p[1]))
+    u = min(probes, key=lambda p: (p[0], -p[1]))[2]
     return norm * val, norm * t_star, Q @ _decomposable(u)
 
 
@@ -417,11 +429,6 @@ def _thorpe_plane(w):
     x = x / math.sqrt(x @ x)
     y = M @ x
     return TwoPlane(x, y / math.sqrt(y @ y))
-
-
-def _plane_doc(R, plane):
-    return {"x": plane.x.tolist(), "y": plane.y.tolist(),
-            "sec": sec(R, plane)}
 
 
 @dataclass
@@ -492,41 +499,32 @@ def certify_bound(R, k, direction="ge", strict=False, seed=None):
     plane below ``k - tol`` (a minimizing run only) and refute with it
     (method ``grassmann_opt``); when none is found the answer is
     inconclusive.  The search is not guaranteed to find such a plane.
-    ``direction="le"`` is handled by negating the operator and the bound.
+    ``direction="le"`` is decided as ``sec >= -k`` of -R, and answered in
+    the caller's terms: its k and direction, and the plane's sec of R.
     """
     if direction not in ("ge", "le"):
         raise ValueError("direction must be 'ge' or 'le'")
-    if direction == "le":
-        inner = certify_bound(
-            CurvatureOperator._from_symmetric(R.n, -R.mat), -k, "ge",
-            strict=strict, seed=seed,
-        )
-        witness = dict(inner.witness)
-        if "plane" in witness:
-            witness["plane"] = dict(witness["plane"])
-            witness["plane"]["sec"] = -witness["plane"]["sec"]
-        return Certificate(
-            n=R.n, k=k, direction="le", verdict=inner.verdict,
-            method=inner.method, strict=strict, witness=witness,
-            tolerances=inner.tolerances,
-        )
+    le = direction == "le"
+    k_ge = -k if le else k          # the bound of the "ge" query decided
+    if le:
+        R = CurvatureOperator._from_symmetric(R.n, -R.mat)
     # the extreme eigenvalues of R give |R|_2, |R - k Id|_2 and, for n != 4,
     # lambda_min(R - k Id)
     lo, hi = np.linalg.eigvalsh(R.mat)[[0, -1]].tolist()
-    tol = _eig_tol(max(-lo, hi), k)
+    tol = _eig_tol(max(-lo, hi), k_ge)
     tolerances = {"eig_tol": tol}
     if R.n == 4:
-        S = CurvatureOperator._from_symmetric(4, R.mat - k * np.eye(6))
-        mu, t_star, w = thorpe_sec_min(S, norm=max(k - lo, hi - k))
+        S = CurvatureOperator._from_symmetric(4, R.mat - k_ge * np.eye(6))
+        mu, t_star, w = thorpe_sec_min(S, norm=max(k_ge - lo, hi - k_ge))
         method, witness = "thorpe_exact", {"t_star": t_star, "mu_max": mu}
         tolerances["gap_tol"] = _GAP_TOL
     else:
-        mu = lo - k
+        mu = lo - k_ge
         method, witness = "psd_shift", {"lambda_min": mu}
 
     def decide(verdict, how=method, **more_tolerances):
         return Certificate(
-            n=R.n, k=k, direction="ge", verdict=verdict, method=how,
+            n=R.n, k=k, direction=direction, verdict=verdict, method=how,
             strict=strict, witness=witness,
             tolerances=dict(tolerances, **more_tolerances),
         )
@@ -541,9 +539,10 @@ def certify_bound(R, k, direction="ge", strict=False, seed=None):
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
         _, plane, _ = _sec_min(R, _PLANE_RESTARTS, rng)
         how, margins = "grassmann_opt", {"plane_margin": tol}
-    plane = _plane_doc(R, plane)
-    if plane["sec"] >= k - tol:
+    value = sec(R, plane)
+    if value >= k_ge - tol:
         # the plane found does not violate the bound
         return decide("inconclusive_for_certification")
-    witness["plane"] = plane
+    witness["plane"] = {"x": plane.x.tolist(), "y": plane.y.tolist(),
+                        "sec": -value if le else value}
     return decide("refuted", how, **margins)

@@ -11,9 +11,11 @@ mandatory and validated so that inputs written under a different
 convention fail loudly instead of silently producing wrong numbers.
 
 Inputs are a file path, ``-`` for stdin, or a named fixture keyword
-(``identity``, ``hodge-star``, ``s2xs2``, ``scal-part`` / ``RU``,
+(``identity`` / ``scal-part`` / ``RU``, ``hodge-star``, ``s2xs2``,
 ``traceless-ricci`` / ``RL``, ``weyl-type`` / ``RW``, ``four-form`` /
-``RW4``), with ``--n`` fixing the dimension for fixtures.
+``RW4``), with ``--n`` fixing the dimension for fixtures.  ``--seed``
+is an option of ``verify`` and ``certify`` only, the commands with a
+randomized step.
 
 Exit codes: 0 success, 1 verification failure (a verify suite with a
 residual beyond tolerance, or a certify query that does not certify the
@@ -374,8 +376,6 @@ def build_parser():
                        help="dimension for fixture inputs (default 4)")
         p.add_argument("--out", default=None,
                        help="write JSON here (atomic) instead of stdout")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for any randomized step")
 
     p_dec = sub.add_parser("decompose",
                            help="split an operator into its four parts")
@@ -392,6 +392,8 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run an identity suite")
     add_common(p_ver, with_input=False)
+    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="seed for the random trials")
     p_ver.add_argument("--suite", required=True,
                        choices=("thmB", "integral", "lemmas", "gpowers"))
     p_ver.add_argument("--pmax", type=int, default=4,
@@ -403,6 +405,8 @@ def build_parser():
     p_cert = sub.add_parser("certify",
                             help="decide a sectional-curvature bound")
     add_common(p_cert)
+    p_cert.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="seed for the plane search (n != 4)")
     p_cert.add_argument("--k", type=float, required=True,
                         help="the bound to certify")
     p_cert.add_argument("--direction", choices=("ge", "le"), default="ge",

@@ -83,15 +83,6 @@ class CurvatureOperator:
             k, l, s = l, k, -s
         return s * self.mat[pair_index(self.n, i, j), pair_index(self.n, k, l)]
 
-    def __add__(self, other):
-        return CurvatureOperator(self.n, self.mat + other.mat)
-
-    def __sub__(self, other):
-        return CurvatureOperator(self.n, self.mat - other.mat)
-
-    def scale(self, a):
-        return CurvatureOperator(self.n, a * self.mat)
-
     @classmethod
     def identity(cls, n):
         N = n * (n - 1) // 2
@@ -143,10 +134,8 @@ class TwoPlane:
         return f"TwoPlane(n={self.n})"
 
 
-def sec(R, plane, y=None):
+def sec(R, plane):
     """Sectional curvature of a plane: the quadratic form at x ^ y."""
-    if y is not None:
-        plane = TwoPlane(plane, y)
     s = plane.coords()
     return float(s @ R.mat @ s)
 

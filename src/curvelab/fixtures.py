@@ -4,11 +4,11 @@ Each fixture is a pure example of one of the four orthogonal pieces of
 the curvature decomposition, or a geometrically meaningful operator:
 
 * ``identity``       — the identity on two-forms (round-sphere type,
-                       every sectional curvature equals 1).
+                       every sectional curvature equals 1); as the pure
+                       trace piece also ``scal-part``.
 * ``hodge-star``     — the Hodge star of R^4; a pure four-form part.
 * ``s2xs2``          — the curvature operator of a product of two round
                        2-spheres inside R^6 (rank two, sec in [0, 1]).
-* ``scal-part``      — the identity again, as the pure trace piece.
 * ``traceless-ricci``— the Kulkarni product of the metric with
                        diag(1, 0, ..., 0, -1); Ricci-type, scalar-free.
 * ``weyl-type``      — a Weyl-type operator built from two rank-one
@@ -49,11 +49,6 @@ def product_spheres_operator(n=4):
     mat[pair_index(4, 1, 2), pair_index(4, 1, 2)] = 1.0
     mat[pair_index(4, 3, 4), pair_index(4, 3, 4)] = 1.0
     return CurvatureOperator(4, mat)
-
-
-def scalar_part_operator(n):
-    """Pure trace part: the identity (unit-scale round operator)."""
-    return CurvatureOperator.identity(n)
 
 
 def traceless_ricci_operator(n):
@@ -99,15 +94,15 @@ FIXTURES = {
     "identity": identity_operator,
     "hodge-star": hodge_star_operator,
     "s2xs2": product_spheres_operator,
-    "scal-part": scalar_part_operator,
     "traceless-ricci": traceless_ricci_operator,
     "weyl-type": weyl_type_operator,
     "four-form": four_form_operator,
 }
 
-# compatibility keywords: one per irreducible piece, as used by the CLI
+# other keywords: one per irreducible piece, as the CLI uses them
 ALIASES = {
-    "RU": "scal-part",
+    "scal-part": "identity",
+    "RU": "identity",
     "RL": "traceless-ricci",
     "RW": "weyl-type",
     "RW4": "four-form",

@@ -27,77 +27,15 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-class Partition:
-    """Weakly decreasing tuple of positive integers (trailing zeros dropped)."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        parts = tuple(int(x) for x in parts if x != 0)
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError(f"not weakly decreasing: {parts}")
-        if any(x < 0 for x in parts):
-            raise ValueError(f"negative part: {parts}")
-        self.parts = parts
-
-    @property
-    def size(self):
-        return sum(self.parts)
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i] if i < len(self.parts) else 0
-
-    def __eq__(self, other):
-        other = other.parts if isinstance(other, Partition) else tuple(other)
-        return self.parts == other
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
-
-    def contains(self, other):
-        """Containment of Young diagrams."""
-        return all(self[i] >= other[i] for i in range(other.length))
-
-    def conjugate(self):
-        if not self.parts:
-            return Partition()
-        out = []
-        for c in range(self.parts[0]):
-            out.append(sum(1 for p in self.parts if p > c))
-        return Partition(out)
-
-    def is_even(self):
-        return all(p % 2 == 0 for p in self.parts)
-
-    def hook_lengths(self):
-        conj = self.conjugate()
-        return [
-            [self[r] - c + conj[c] - r - 1 for c in range(self[r])]
-            for r in range(self.length)
-        ]
-
-    def gl_dimension(self, n):
-        """Dimension of the general-linear irreducible, hook-content formula."""
-        if self.length > n:
-            return 0
-        num = den = 1
-        for r, hooks in enumerate(self.hook_lengths()):
-            for c, hook in enumerate(hooks):
-                num *= n + c - r
-                den *= hook
-        if num % den:
-            raise RuntimeError("hook-content product is not an integer")
-        return num // den
+def _parts(x):
+    """The partition x as a tuple of its positive parts, weakly decreasing:
+    zero parts are dropped, and a negative part or a rise is an error."""
+    parts = tuple(int(v) for v in x if v != 0)
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"not weakly decreasing: {parts}")
+    if any(v < 0 for v in parts):
+        raise ValueError(f"negative part: {parts}")
+    return parts
 
 
 @lru_cache(maxsize=1 << 14)
@@ -146,7 +84,7 @@ def _lr_cached(lam, mu, nu):
 
 def lr_coefficient(lam, mu, nu):
     """Number of LR skew tableaux of shape nu/lam and content mu."""
-    return _lr_cached(*(Partition(x).parts for x in (lam, mu, nu)))
+    return _lr_cached(*map(_parts, (lam, mu, nu)))
 
 
 def partitions_of(m, max_part=None):
@@ -175,7 +113,7 @@ def restriction_multiplicity(nu, lbar):
     Classical branching: sum over partitions delta with all even parts of
     the LR number for nu over (delta, lbar).
     """
-    nu, lbar = Partition(nu).parts, Partition(lbar).parts
+    nu, lbar = _parts(nu), _parts(lbar)
     return sum(_lr_cached(delta, lbar, nu)
                for delta in even_partitions_of(sum(nu) - sum(lbar)))
 

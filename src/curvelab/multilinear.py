@@ -65,13 +65,16 @@ def pair_index(n, i, j):
     return (i - 1) * n - (i - 1) * i // 2 + (j - i - 1)
 
 
+@lru_cache(maxsize=32)
 def two_forms(n):
     """The pair basis as skew matrices, shape (N, n, n): slice a is
     ``e_i ^ e_j`` with +1 at (i, j) and -1 at (j, i), scattered from the
-    ``(n, 1, 1)`` wedge table, so ``two_forms(n) @ y @ x`` is x ^ y."""
+    ``(n, 1, 1)`` wedge table, so ``two_forms(n) @ y @ x`` is x ^ y.
+    The array is cached and read-only."""
     out, i, j, val = product_table("exterior", n, 1, 1)
     E = np.zeros((dim_exterior(n, 2), n, n))
     E[out, i, j] = val
+    E.flags.writeable = False
     return E
 
 

@@ -71,9 +71,8 @@ def test_selfdual_split_rejects_wrong_shape():
 
 
 def test_concave_max_parabola():
-    # the Newton point of the second end probe, or of the start, is the
-    # maximizer
-    for start in (None, 1.5):
+    # the Newton point of the start is the maximizer
+    for start in (-1.5, 1.5):
         t, val = ce.concave_max(
             lambda t: (3.0 - (t - 0.7) ** 2, -2.0 * (t - 0.7), -2.0),
             -2.0, 2.0, start=start)
@@ -83,7 +82,7 @@ def test_concave_max_parabola():
 
 def test_concave_max_kinked_concave():
     # at the kink any slope in [-1, 1] is a supergradient
-    for start in (None, -0.5):
+    for start in (-0.5, 0.9):
         t, val = ce.concave_max(
             lambda t: (-abs(t - 0.3), -math.copysign(1.0, t - 0.3), 0.0),
             -1.0, 1.0, start=start)
@@ -94,7 +93,7 @@ def test_concave_max_kinked_concave():
 def test_concave_max_linear_edge():
     # monotone concave: the maximum sits at an endpoint, which a search
     # from inside probes once nothing else lands in the bracket
-    for start in (None, 0.5):
+    for start in (0.0, 0.5):
         t, val = ce.concave_max(lambda t: (t, 1.0, 0.0), 0.0, 1.0,
                                 start=start)
         assert t == pytest.approx(1.0, abs=1e-8)
@@ -102,9 +101,9 @@ def test_concave_max_linear_edge():
 
 
 def test_concave_max_rejects_bimodal():
+    # the probe at the far end rises above the start's tangent
     with pytest.raises(RuntimeError):
-        ce.concave_max(lambda t: (abs(t), math.copysign(1.0, t), 0.0),
-                       -2.0, 2.0)
+        ce.concave_max(lambda t: (t * t, 2.0 * t, 2.0), -2.0, 2.0, 0.5)
 
 
 def test_concave_max_bisects_past_a_bad_curvature_estimate():
@@ -116,7 +115,7 @@ def test_concave_max_bisects_past_a_bad_curvature_estimate():
         probes.append(t)
         return -abs(t - 0.3), -math.copysign(1.0, t - 0.3), -1e12
 
-    t, val = ce.concave_max(f, -1.0, 1.0)
+    t, val = ce.concave_max(f, -1.0, 1.0, 0.0)
     assert t == pytest.approx(0.3, abs=1e-9)
     assert len(probes) <= ce._FAST_PROBES + math.log2(2.0 / ce._T_TOL) + 1
 
@@ -244,6 +243,39 @@ def test_star_shift_closes_its_gap_on_a_real_plane():
         assert -slack <= cv.sec(Rs, plane) - sign * k - mu <= band + slack
         for value in (mu, cert.witness["mu_max"]):
             assert -slack <= sign * (m - k) - value <= band + slack
+
+
+def kinked_n4_operator(rng):
+    """``R = Q M Q^T`` with ``M = V diag(0, 0, l_3..l_6) V^T - t J`` in an
+    eigenbasis Q of star, where star is ``J = diag(j)``: the kernel of
+    M + t J is two-dimensional and J is indefinite on it, so it holds a
+    plane, min sec = 0 exactly, and lambda_min(R + s star) has a kink of
+    value 0 at s = t."""
+    j, Q = np.linalg.eigh(cv.four_form_matrix(4))
+    j = np.sign(j)
+    while True:
+        V = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        if np.linalg.det(V[:, :2].T @ (j[:, None] * V[:, :2])) < 0.0:
+            break
+    lam = np.concatenate([[0.0, 0.0], rng.uniform(0.2, 2.0, 4)])
+    M = V @ np.diag(lam) @ V.T - rng.uniform(-0.8, 0.8) * np.diag(j)
+    return cv.CurvatureOperator(4, Q @ M @ Q.T)
+
+
+def test_kinked_maxima_are_refuted_by_a_minimizing_plane():
+    # no probe lands on the kink, so the bottom eigenvectors on its two
+    # sides are mixed into a plane, as on a probe at a kink
+    rng = np.random.default_rng(2)
+    for _ in range(250):
+        R = kinked_n4_operator(rng)
+        delta = 1e-3 * float(np.linalg.norm(R.mat, 2))
+        assert ce.certify_bound(R, -delta).certified
+        cert = ce.certify_bound(R, delta)
+        assert cert.refuted and cert.method == "thorpe_exact"
+        plane = cert.witness["plane"]
+        value = cv.sec(R, cv.TwoPlane(np.array(plane["x"]),
+                                      np.array(plane["y"])))
+        assert value < delta - cert.tolerances["eig_tol"]
 
 
 # ---------------------------------------------------------------------------

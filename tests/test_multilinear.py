@@ -31,6 +31,18 @@ def test_pair_basis_is_lexicographic():
             assert ml.pair_index(n, i, j) == a
 
 
+def test_two_forms_is_one_read_only_array_per_n():
+    for n in (3, 4, 6):
+        E = ml.two_forms(n)
+        assert ml.two_forms(n) is E
+        assert not E.flags.writeable
+        with pytest.raises(ValueError):
+            E[0, 0, 1] = 2.0
+        for a, (i, j) in enumerate(ml.pair_basis(n)):
+            assert E[a, i - 1, j - 1] == 1.0 and E[a, j - 1, i - 1] == -1.0
+            assert np.count_nonzero(E[a]) == 2
+
+
 def test_so_generator_action_on_basis_vectors():
     # the generator for the pair (i, j) sends e_j to e_i and e_i to -e_j
     for n in (3, 5):
