@@ -12,8 +12,9 @@
   eigenvector of each probe, its two halves rescaled to equal length, is
   a real plane whose sec bounds the maximum from above, so the search
   stops on a closed duality gap, and a negative maximum is refuted by
-  the plane of the least such bound.  For other n the test takes
-  omega = 0, which is sufficient only.
+  the plane of the least such bound.  ``lambda_min(R - k Id + t star) + k``
+  does not depend on k, so one solve of R serves every k, and the last
+  is kept.  For other n the test takes omega = 0, which is sufficient only.
 
 * the plane search (refutations for n != 4): minimization of the
   sectional curvature over the Grassmannian of 2-planes by alternating
@@ -55,9 +56,11 @@ from .curvature import CurvatureOperator, TwoPlane, four_form_matrix, sec
 # Gap, on the scale of f's values, between the best probe and an upper
 # bound on the maximum at which the search for the star shift t* stops
 # (and the spread within which it counts lambda_0 as multiple); the
-# bracket width at which it stops regardless, and the probes after
-# which it only bisects, so that no input takes more than about
-# 40 + log2((hi - lo) / _T_TOL) of them.
+# bracket width at which it stops regardless, and the probes, the first
+# included, after which it only bisects.  A first probe of nonzero slope
+# leaves at most one bracket end unprobed, the next probe takes it, and
+# each midpoint, unclipped, halves the bracket until it is _T_TOL wide:
+# no input takes more than _FAST_PROBES + 1 + ceil(log2((hi - lo) / _T_TOL)).
 _GAP_TOL = 1e-13
 _T_TOL = 1e-10
 _FAST_PROBES = 40
@@ -431,6 +434,21 @@ def _thorpe_plane(w):
     return TwoPlane(x, y / math.sqrt(y @ y))
 
 
+@lru_cache(maxsize=1)
+def _n4_solve(key):
+    """``(lo, hi, m, t*, plane, sec(plane))`` of the n = 4 operator R with
+    matrix bytes ``key``: R's extreme eigenvalues and ``thorpe_sec_min``'s
+    value, shift and plane (read-only), which serve every k on R.  Only
+    the last operator is kept: that is the reuse of a sweep over k and of
+    a ge/le pair, and the memo does not grow with the queries."""
+    R = CurvatureOperator._from_symmetric(4, np.frombuffer(key).reshape(6, 6))
+    lo, hi = np.linalg.eigvalsh(R.mat)[[0, -1]].tolist()
+    m, t_star, w = thorpe_sec_min(R, norm=max(-lo, hi))
+    plane = _thorpe_plane(w)
+    plane.x.flags.writeable = plane.y.flags.writeable = False
+    return lo, hi, m, t_star, plane, sec(R, plane)
+
+
 @dataclass
 class HierarchyResult:
     rows: list                 # (p, lambda_min)
@@ -493,9 +511,10 @@ def certify_bound(R, k, direction="ge", strict=False, seed=None):
     omega = 0 otherwise (``psd_shift``, sufficient only).  The bound is
     certified when ``mu > tol``, or ``mu >= -tol`` if not strict; a strict
     query inside that band is inconclusive, since equality cannot be told
-    from a strict margin at working precision.  Below the band, n = 4 is
-    refuted by the plane read off the search's best probe when its sec is
-    below ``k - tol``, and inconclusive otherwise.  Other n search for a
+    from a strict margin at working precision.  At n = 4, ``mu = m - k``,
+    and m, ``t_star`` and the plane come from one solve of R, kept for the
+    next query.  Below the band, n = 4 is refuted by that plane when its
+    sec is below ``k - tol``, and inconclusive otherwise.  Other n search for a
     plane below ``k - tol`` (a minimizing run only) and refute with it
     (method ``grassmann_opt``); when none is found the answer is
     inconclusive.  The search is not guaranteed to find such a plane.
@@ -508,19 +527,20 @@ def certify_bound(R, k, direction="ge", strict=False, seed=None):
     k_ge = -k if le else k          # the bound of the "ge" query decided
     if le:
         R = CurvatureOperator._from_symmetric(R.n, -R.mat)
-    # the extreme eigenvalues of R give |R|_2, |R - k Id|_2 and, for n != 4,
+    # the extreme eigenvalues of R give |R|_2 and, for n != 4,
     # lambda_min(R - k Id)
-    lo, hi = np.linalg.eigvalsh(R.mat)[[0, -1]].tolist()
+    if R.n == 4:
+        lo, hi, m, t_star, plane, value = _n4_solve(R.mat.tobytes())
+        mu = m - k_ge
+        method, witness = "thorpe_exact", {"t_star": t_star, "mu_max": mu}
+    else:
+        lo, hi = np.linalg.eigvalsh(R.mat)[[0, -1]].tolist()
+        mu = lo - k_ge
+        method, witness = "psd_shift", {"lambda_min": mu}
     tol = _eig_tol(max(-lo, hi), k_ge)
     tolerances = {"eig_tol": tol}
     if R.n == 4:
-        S = CurvatureOperator._from_symmetric(4, R.mat - k_ge * np.eye(6))
-        mu, t_star, w = thorpe_sec_min(S, norm=max(k_ge - lo, hi - k_ge))
-        method, witness = "thorpe_exact", {"t_star": t_star, "mu_max": mu}
         tolerances["gap_tol"] = _GAP_TOL
-    else:
-        mu = lo - k_ge
-        method, witness = "psd_shift", {"lambda_min": mu}
 
     def decide(verdict, how=method, **more_tolerances):
         return Certificate(
@@ -533,13 +553,11 @@ def certify_bound(R, k, direction="ge", strict=False, seed=None):
         return decide("certified")
     if mu >= -tol:
         return decide("inconclusive_for_certification")
-    if R.n == 4:
-        plane, how, margins = _thorpe_plane(w), method, {}
-    else:
+    how, margins = method, {}
+    if R.n != 4:
         rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-        _, plane, _ = _sec_min(R, _PLANE_RESTARTS, rng)
+        value, plane, _ = _sec_min(R, _PLANE_RESTARTS, rng)
         how, margins = "grassmann_opt", {"plane_margin": tol}
-    value = sec(R, plane)
     if value >= k_ge - tol:
         # the plane found does not violate the bound
         return decide("inconclusive_for_certification")

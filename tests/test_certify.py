@@ -1,5 +1,6 @@
 """Star-shift certification, Grassmannian optimization, hierarchy checks."""
 
+import json
 import math
 
 import numpy as np
@@ -108,16 +109,23 @@ def test_concave_max_rejects_bimodal():
 
 def test_concave_max_bisects_past_a_bad_curvature_estimate():
     # a curvature 1e12 times too large makes every Newton step tiny; after
-    # _FAST_PROBES probes the search bisects instead of creeping
-    probes = []
+    # _FAST_PROBES probes the search probes the bracket end it has not,
+    # then bisects instead of creeping.  The budget stated above _GAP_TOL
+    # is attained from a start at either end.
+    budget = ce._FAST_PROBES + 1 + math.ceil(math.log2(2.0 / ce._T_TOL))
+    counts = {}
+    for start in (-1.0, 0.0, 0.5, 1.0):
+        probes = []
 
-    def f(t):
-        probes.append(t)
-        return -abs(t - 0.3), -math.copysign(1.0, t - 0.3), -1e12
+        def f(t):
+            probes.append(t)
+            return -abs(t - 0.3), -math.copysign(1.0, t - 0.3), -1e12
 
-    t, val = ce.concave_max(f, -1.0, 1.0, 0.0)
-    assert t == pytest.approx(0.3, abs=1e-9)
-    assert len(probes) <= ce._FAST_PROBES + math.log2(2.0 / ce._T_TOL) + 1
+        t, val = ce.concave_max(f, -1.0, 1.0, start)
+        assert t == pytest.approx(0.3, abs=1e-9)
+        counts[start] = len(probes)
+    assert max(counts.values()) <= budget
+    assert counts[-1.0] == counts[1.0] == budget
 
 
 def seeded_n4_operators(count=200):
@@ -428,17 +436,80 @@ def test_n4_refutations_read_the_plane_off_the_optimum(monkeypatch):
 
 def test_n4_refutation_needs_a_plane_below_the_bound(monkeypatch):
     # s2xs2 has sec 1 on e1^e2 and sec 0 on e1^e3; a plane read off the
-    # optimum that does not violate the bound refutes nothing
+    # optimum that does not violate the bound refutes nothing (the memo of
+    # the last solve is cleared whenever the plane reader changes)
     e = np.eye(4)
     R = fixture_operator("s2xs2", 4)
     for k, direction, plane in ((0.01, "ge", cv.TwoPlane(e[0], e[1])),
                                 (0.99, "le", cv.TwoPlane(e[0], e[2]))):
         assert ce.certify_bound(R, k, direction=direction).refuted
         monkeypatch.setattr(ce, "_thorpe_plane", lambda *args: plane)
+        ce._n4_solve.cache_clear()
         cert = ce.certify_bound(R, k, direction=direction)
         assert cert.verdict == "inconclusive_for_certification"
         assert "plane" not in cert.witness
         monkeypatch.undo()
+        ce._n4_solve.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# one star-shift solve per n = 4 operator
+
+
+def test_one_solve_serves_every_k_and_the_le_mirror(monkeypatch):
+    solves = []
+    solve = ce.thorpe_sec_min
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ce, "thorpe_sec_min", counted)
+    ce._n4_solve.cache_clear()
+    R = random_operator(4, np.random.default_rng(7))
+    minus = cv.CurvatureOperator(4, -R.mat)
+    for k in (-1.0, -0.1, 0.0, 0.05, 0.3, 2.0):
+        ce.certify_bound(R, k)
+        ce.certify_bound(minus, -k, direction="le")
+    assert len(solves) == 1
+    ce.certify_bound(minus, 0.0)
+    assert len(solves) == 2
+
+
+def test_memo_certificates_match_cold_ones():
+    # the same bytes with the solve reused as with the memo cleared
+    rng = np.random.default_rng(8)
+    for R in [random_operator(4, rng, scale=s) for s in (1e-6, 1.0, 1e6)]:
+        norm = float(np.linalg.norm(R.mat, 2))
+        m, _, _ = ce.thorpe_sec_min(R)
+        minus = cv.CurvatureOperator(4, -R.mat)
+        queries = [(Rq, sign * (m + d * norm), direction, strict)
+                   for d in (-0.3, -1e-3, 0.0, 1e-3, 0.1)
+                   for Rq, sign, direction in ((R, 1.0, "ge"),
+                                               (minus, -1.0, "le"))
+                   for strict in (False, True)]
+        ce._n4_solve.cache_clear()
+        warm = [json.dumps(ce.certify_bound(Rq, k, direction=direction,
+                                            strict=strict).to_dict())
+                for Rq, k, direction, strict in queries]
+        for doc, (Rq, k, direction, strict) in zip(warm, queries):
+            ce._n4_solve.cache_clear()
+            cold = ce.certify_bound(Rq, k, direction=direction, strict=strict)
+            assert json.dumps(cold.to_dict()) == doc
+
+
+def test_memo_is_not_shared_with_certificates():
+    R = fixture_operator("s2xs2", 4)
+    first = ce.certify_bound(R, 0.01)
+    expected = json.dumps(first.to_dict())
+    first.witness["plane"]["x"][0] = 7.0
+    first.witness["plane"]["y"].append(1.0)
+    assert json.dumps(ce.certify_bound(R, 0.01).to_dict()) == expected
+    plane = ce._n4_solve(R.mat.tobytes())[4]
+    for a in (plane.x, plane.y):
+        with pytest.raises(ValueError):
+            a[0] = 7.0
+    assert json.dumps(ce.certify_bound(R, 0.01).to_dict()) == expected
 
 
 def test_certificate_serialization():

@@ -5,6 +5,8 @@ either 0 (inside the tolerance band) or at least 1e-6 away from it, so a
 verdict never rests on rounding at the edge of the band.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,20 @@ def test_verdict_is_rotation_invariant(seed, scale, offset, strict, reflect):
     rotated = cv.CurvatureOperator(4, L @ R.mat @ L.T)
     assert (ce.certify_bound(rotated, k, strict=strict).verdict
             == ce.certify_bound(R, k, strict=strict).verdict)
+
+
+@PROPERTY
+@given(seeds, scales, st.lists(offsets, min_size=2, max_size=6))
+def test_one_solve_gives_t_star_plane_and_m_for_every_k(seed, scale, shifts):
+    # lambda_min(R - k Id + t star) + k does not depend on k
+    R, norm, exact, _ = query(seed, scale, 0.0)
+    certs = [ce.certify_bound(R, exact + shift * norm, strict=strict)
+             for shift in shifts for strict in (False, True)]
+    assert len({c.witness["t_star"] for c in certs}) == 1
+    ms = [c.witness["mu_max"] + c.k for c in certs]
+    assert max(ms) - min(ms) <= 1e-15 * max(norm, *(abs(c.k) for c in certs))
+    planes = {json.dumps(c.witness["plane"]) for c in certs if c.refuted}
+    assert len(planes) <= 1
 
 
 @PROPERTY
