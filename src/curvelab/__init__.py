@@ -11,8 +11,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# seed of every randomized step that is given none; the CLI's ``--seed``
-# default, readable without loading ``certify``
+# the default ``--seed`` of ``verify``, the one command with random trials
 DEFAULT_SEED = 0xC04A7
 
 # public name -> defining submodule

@@ -18,11 +18,13 @@
 
 * the plane search (refutations for n != 4): minimization of the
   sectional curvature over the Grassmannian of 2-planes by alternating
-  exact eigen-steps, batched over random restarts.  With x fixed,
-  sec(x, .) is the quadratic form of the Jacobi matrix ``L_x^T R L_x``
-  (``L_x y = x ^ y``), so the best y is its bottom eigenvector on
-  x^perp; then x and y swap roles.  The value never increases and there
-  is no step size.  ``certify_bound`` runs the minimizing search only;
+  exact eigen-steps, batched over one start per eigenvector of R, the
+  plane that eigenvector rounds to.  With x fixed, sec(x, .) is the
+  quadratic form of the Jacobi matrix ``L_x^T R L_x`` (``L_x y = x ^ y``),
+  so the best y is its bottom eigenvector on x^perp; then x and y swap
+  roles.  The value never increases and there is no step size, and no
+  step draws a random number: a verdict depends on (R, k, direction,
+  strict) alone.  ``certify_bound`` runs the minimizing search only;
   ``sec_extremes`` also runs it on -R and reports both extremal planes.
 
 ``hierarchy_check`` is the paper's necessary condition as a library
@@ -43,7 +45,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import DEFAULT_SEED
 from . import multilinear as ml
 from . import weitzenbock as wz
 from .curvature import CurvatureOperator, TwoPlane, four_form_matrix, sec
@@ -154,6 +155,11 @@ golden_max = concave_max
 
 @dataclass
 class SecExtremes:
+    """``sec_extremes``'s result.  Each value is ``sec`` of its plane;
+    ``converged_fraction`` is the share of the 2 C(n, 2) starts, one per
+    eigenvector of R and one per eigenvector of -R, that stopped
+    descending within ``_MAX_SWEEPS`` sweeps."""
+
     min_value: float
     max_value: float
     min_plane: TwoPlane
@@ -208,40 +214,38 @@ def _descend(Rmat, x, y):
     return value, x, y, x.shape[0] - active.size
 
 
-def _random_frames(n, count, rng):
-    g = rng.standard_normal((count, n, 2))
-    q = np.linalg.qr(g)[0]
-    return np.ascontiguousarray(q[:, :, 0]), np.ascontiguousarray(q[:, :, 1])
-
-
-def _sec_min(R, restarts, rng):
-    """Lowest sec reached by ``_descend`` from ``restarts`` random frames
-    drawn from rng: (value, plane, converged starts), where value is
-    ``sec`` of the returned orthonormal plane."""
-    x, y = _random_frames(R.n, restarts, rng)
-    f, x, y, converged = _descend(R.mat, x, y)
+def _sec_min(R):
+    """Lowest sec reached by ``_descend`` from the rounded plane of each
+    eigenvector v of R: the top two left singular vectors of v's skew
+    matrix ``sum_a v_a two_forms(n)[a]``, which span, when its top
+    singular value is simple, the plane of the decomposable two-form
+    nearest v.  Returns (value, plane, fraction of the starts that
+    converged), where value is ``sec`` of the returned orthonormal
+    plane."""
+    V = np.linalg.eigh(R.mat)[1]
+    U = np.linalg.svd(np.tensordot(V.T, ml.two_forms(R.n), 1))[0]
+    f, x, y, converged = _descend(R.mat, np.ascontiguousarray(U[:, :, 0]),
+                                  np.ascontiguousarray(U[:, :, 1]))
     b = int(np.argmin(f))
     plane = TwoPlane.orthonormalized(x[b], y[b])
-    return sec(R, plane), plane, converged
+    return sec(R, plane), plane, converged / f.size
 
 
-def sec_extremes(R, restarts=100, seed=None):
+def sec_extremes(R):
     """Extremal sectional curvatures with extremal planes as witnesses.
 
-    Alternating exact eigen-steps from ``restarts`` random frames: one
-    run on R for the minimum, then one on -R for the maximum.  Each
-    reported value is ``sec`` of the reported plane.
+    The plane search of ``certify_bound`` run on R for the minimum, then
+    on -R for the maximum.  Each reported value is ``sec`` of the
+    reported plane.
     """
-    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-    min_value, min_plane, conv_min = _sec_min(R, restarts, rng)
-    neg_max, max_plane, conv_max = _sec_min(
-        CurvatureOperator(R.n, -R.mat), restarts, rng)
+    min_value, min_plane, conv_min = _sec_min(R)
+    neg_max, max_plane, conv_max = _sec_min(CurvatureOperator(R.n, -R.mat))
     return SecExtremes(
         min_value=min_value,
         max_value=-neg_max,
         min_plane=min_plane,
         max_plane=max_plane,
-        converged_fraction=(conv_min + conv_max) / (2 * restarts),
+        converged_fraction=0.5 * (conv_min + conv_max),
     )
 
 
@@ -498,11 +502,7 @@ def witness_search(R, k, p_max=6):
     return hierarchy_check(R, k, p_max=p_max).witness
 
 
-# Random starts of the plane search in ``certify_bound`` (n != 4).
-_PLANE_RESTARTS = 40
-
-
-def certify_bound(R, k, direction="ge", strict=False, seed=None):
+def certify_bound(R, k, direction="ge", strict=False):
     """Top-level bound decision for an operator.
 
     The shift engine computes ``mu = max_omega lambda_min(R - k Id + omega)``
@@ -515,7 +515,8 @@ def certify_bound(R, k, direction="ge", strict=False, seed=None):
     and m, ``t_star`` and the plane come from one solve of R, kept for the
     next query.  Below the band, n = 4 is refuted by that plane when its
     sec is below ``k - tol``, and inconclusive otherwise.  Other n search for a
-    plane below ``k - tol`` (a minimizing run only) and refute with it
+    plane below ``k - tol`` (a minimizing run from the rounded plane of
+    each eigenvector of R) and refute with it
     (method ``grassmann_opt``); when none is found the answer is
     inconclusive.  The search is not guaranteed to find such a plane.
     ``direction="le"`` is decided as ``sec >= -k`` of -R, and answered in
@@ -555,8 +556,7 @@ def certify_bound(R, k, direction="ge", strict=False, seed=None):
         return decide("inconclusive_for_certification")
     how, margins = method, {}
     if R.n != 4:
-        rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-        value, plane, _ = _sec_min(R, _PLANE_RESTARTS, rng)
+        value, plane, _ = _sec_min(R)
         how, margins = "grassmann_opt", {"plane_margin": tol}
     if value >= k_ge - tol:
         # the plane found does not violate the bound

@@ -14,8 +14,7 @@ Inputs are a file path, ``-`` for stdin, or a named fixture keyword
 (``identity`` / ``scal-part`` / ``RU``, ``hodge-star``, ``s2xs2``,
 ``traceless-ricci`` / ``RL``, ``weyl-type`` / ``RW``, ``four-form`` /
 ``RW4``), with ``--n`` fixing the dimension for fixtures.  ``--seed``
-is an option of ``verify`` and ``certify`` only, the commands with a
-randomized step.
+is an option of ``verify`` only, the one command with a randomized step.
 
 Exit codes: 0 success, 1 verification failure (a verify suite with a
 residual beyond tolerance, or a certify query that does not certify the
@@ -347,7 +346,7 @@ def cmd_certify(args):
                          f"most {MAX_MAGNITUDE:g}, got {args.k!r}")
     R = load_operator(args.input, args.n)
     cert = certify_bound(R, args.k, direction=args.direction,
-                         strict=args.strict, seed=args.seed)
+                         strict=args.strict)
     doc = cert.to_dict()
     _maybe_warn_asymmetry(doc, R)
     emit(doc, args.out)
@@ -405,8 +404,6 @@ def build_parser():
     p_cert = sub.add_parser("certify",
                             help="decide a sectional-curvature bound")
     add_common(p_cert)
-    p_cert.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for the plane search (n != 4)")
     p_cert.add_argument("--k", type=float, required=True,
                         help="the bound to certify")
     p_cert.add_argument("--direction", choices=("ge", "le"), default="ge",

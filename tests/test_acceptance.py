@@ -12,6 +12,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+import curvelab
 from curvelab import certify as ce
 from curvelab import closedform as cf
 from curvelab import curvature as cv
@@ -77,7 +78,7 @@ def test_a1_reference_element_scalars():
 def test_a2_closed_form_operator_equality():
     t0 = time.perf_counter()
     report = cf.verify_thmB(n_values=(4, 5, 6), p_values=(2, 3, 4),
-                            trials=10, seed=ce.DEFAULT_SEED)
+                            trials=10, seed=curvelab.DEFAULT_SEED)
     dt = time.perf_counter() - t0
     worst = report["worst"]
     ok = report["passed"] and worst <= 1e-8 and dt < 60.0
@@ -226,13 +227,13 @@ class BatchEntry:
 
 @pytest.fixture(scope="module")
 def certification_batch():
-    rng = np.random.default_rng(ce.DEFAULT_SEED)
+    rng = np.random.default_rng(curvelab.DEFAULT_SEED)
     space2 = ml.build_traceless(4, 2)
     entries = []
     for i in range(200):
         R = random_operator(4, rng)
         exact_min, _, _ = ce.thorpe_sec_min(R)
-        ext = ce.sec_extremes(R, restarts=12, seed=1000 + i)
+        ext = ce.sec_extremes(R)
         entries.append(BatchEntry(
             R=R,
             exact_min=exact_min,
@@ -257,7 +258,7 @@ def test_a8_exact_vs_optimized_minimum(certification_batch):
                            ("s2xs2", 0.0)):
         R = fixture_operator(name, 4)
         exact, _, _ = ce.thorpe_sec_min(R)
-        opt = ce.sec_extremes(R, restarts=12, seed=7).min_value
+        opt = ce.sec_extremes(R).min_value
         if abs(exact - expected) > 1e-6 or abs(opt - expected) > 1e-6:
             problems.append(f"{name} fixture: exact {exact}, opt {opt}")
 
