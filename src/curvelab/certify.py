@@ -190,17 +190,18 @@ def _partner(Rmat, x, E):
     return w[:, 0], (P @ V[:, :, :1])[:, :, 0]
 
 
-def _descend(Rmat, x, y):
+def _descend(Rmat, x, y, norm):
     """Minimize sec from each start (x_b, y_b) by alternating eigen-steps.
 
     A sweep replaces y by the best partner of x, then x by the best
     partner of y.  Each step is exact, so the value never increases and
     there is no step size.  A start stops once a sweep no longer lowers
-    its value.  Returns the final values and frames and the number of
-    starts that stopped within ``_MAX_SWEEPS``.
+    its value (by ``_STALL * norm``, norm = |R|_2).  Returns the final
+    values and frames and the number of starts that stopped within
+    ``_MAX_SWEEPS``.
     """
     E = ml.two_forms(x.shape[1])
-    stall = _STALL * _spectral_norm(Rmat)
+    stall = _STALL * norm
     value = np.full(x.shape[0], np.inf)
     active = np.arange(x.shape[0])
     for _ in range(_MAX_SWEEPS):
@@ -214,18 +215,19 @@ def _descend(Rmat, x, y):
     return value, x, y, x.shape[0] - active.size
 
 
-def _sec_min(R):
+def _sec_min(R, eig=None):
     """Lowest sec reached by ``_descend`` from the rounded plane of each
     eigenvector v of R: the top two left singular vectors of v's skew
     matrix ``sum_a v_a two_forms(n)[a]``, which span, when its top
     singular value is simple, the plane of the decomposable two-form
-    nearest v.  Returns (value, plane, fraction of the starts that
-    converged), where value is ``sec`` of the returned orthonormal
-    plane."""
-    V = np.linalg.eigh(R.mat)[1]
+    nearest v, from ``eig = eigh(R.mat)`` (solved when not given).
+    Returns (value, plane, fraction of the starts that converged), where
+    value is ``sec`` of the returned orthonormal plane."""
+    lam, V = np.linalg.eigh(R.mat) if eig is None else eig
     U = np.linalg.svd(np.tensordot(V.T, ml.two_forms(R.n), 1))[0]
     f, x, y, converged = _descend(R.mat, np.ascontiguousarray(U[:, :, 0]),
-                                  np.ascontiguousarray(U[:, :, 1]))
+                                  np.ascontiguousarray(U[:, :, 1]),
+                                  max(-lam[0], lam[-1]))
     b = int(np.argmin(f))
     plane = TwoPlane.orthonormalized(x[b], y[b])
     return sec(R, plane), plane, converged / f.size
@@ -529,13 +531,14 @@ def certify_bound(R, k, direction="ge", strict=False):
     if le:
         R = CurvatureOperator._from_symmetric(R.n, -R.mat)
     # the extreme eigenvalues of R give |R|_2 and, for n != 4,
-    # lambda_min(R - k Id)
+    # lambda_min(R - k Id); n != 4 keeps the eigenvectors for the search
     if R.n == 4:
         lo, hi, m, t_star, plane, value = _n4_solve(R.mat.tobytes())
         mu = m - k_ge
         method, witness = "thorpe_exact", {"t_star": t_star, "mu_max": mu}
     else:
-        lo, hi = np.linalg.eigvalsh(R.mat)[[0, -1]].tolist()
+        eig = np.linalg.eigh(R.mat)
+        lo, hi = eig[0][[0, -1]].tolist()
         mu = lo - k_ge
         method, witness = "psd_shift", {"lambda_min": mu}
     tol = _eig_tol(max(-lo, hi), k_ge)
@@ -556,7 +559,7 @@ def certify_bound(R, k, direction="ge", strict=False):
         return decide("inconclusive_for_certification")
     how, margins = method, {}
     if R.n != 4:
-        value, plane, _ = _sec_min(R)
+        value, plane, _ = _sec_min(R, eig)
         how, margins = "grassmann_opt", {"plane_margin": tol}
     if value >= k_ge - tol:
         # the plane found does not violate the bound

@@ -18,9 +18,8 @@ generator matrices ``D_a`` of the standard basis ``a = (i, j)`` of so(n):
   the ambient ones restricted to it and are not stored.
 
 On the first two, the generators have pairwise disjoint supports, so all
-of them are stored once, as one shared pattern (``RepSpace.pattern``):
-row m lists the entries ``D_a[m, i]`` of every generator, each with its
-column i, its value and the generator a that owns it.
+of them are stored once, as one row-padded pattern (``RepSpace.pattern``,
+built when first read: the curvature term reads product tables instead).
 
 The generator ``A[(i, j)]`` of so(n) is the matrix with ``+1`` in entry
 ``(i, j)`` and ``-1`` in entry ``(j, i)``, so ``A e_j = e_i`` and
@@ -42,9 +41,8 @@ See ``docs/bases.md`` for the frozen ordering and normalization rules.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -242,20 +240,6 @@ def circle_harmonic(n, p):
 # representation spaces
 
 
-class Pattern(NamedTuple):
-    """All generators of a space in row-padded form, each of shape (dim, w).
-
-    Slot s of row m holds one entry ``D_a[m, i]``: ``cols[m, s] = i``,
-    ``vals[m, s]`` its value and ``pair[m, s] = a``.  w is the largest
-    number of entries in a row; shorter rows are padded with ``val = 0``
-    (and column and pair 0).
-    """
-
-    cols: np.ndarray
-    vals: np.ndarray
-    pair: np.ndarray
-
-
 class RepSpace:
     """An orthogonal representation of so(n) on an explicit orthonormal basis.
 
@@ -271,12 +255,11 @@ class RepSpace:
         Wedge index tuples or monomial exponent tuples.  For "traceless"
         this is the monomial basis of the ambient symmetric power.
     pairs : list of (i, j)
-        so(n) basis labels; ``pattern.pair`` indexes into this list.
-    pattern : Pattern or None
-        The generators ``D_a``, stored once: their supports are pairwise
-        disjoint, so each position belongs to at most one generator.
-        None for "traceless": its generators are the ambient ones
-        restricted by ``change_of_basis``, and are never formed.
+        so(n) basis labels; the pattern's ``pair`` indexes into this list.
+    pattern : tuple or None
+        The generators ``D_a``, stored once (their supports are pairwise
+        disjoint).  None for "traceless": its generators are the ambient
+        ones restricted by ``change_of_basis``, and are never formed.
     change_of_basis : ndarray or None
         For "traceless": rows are the orthonormal harmonic basis vectors in
         normalized-monomial coordinates of the ambient symmetric power.
@@ -287,8 +270,8 @@ class RepSpace:
         upper triangular, and ``change_of_basis = Q[:, k:].T``.
     """
 
-    def __init__(self, kind, n, p, dim, basis, entries=None,
-                 change_of_basis=None, reflectors=None):
+    def __init__(self, kind, n, p, dim, basis, change_of_basis=None,
+                 reflectors=None):
         self.kind = kind
         self.n = n
         self.p = p
@@ -297,16 +280,21 @@ class RepSpace:
         self.pairs = pair_basis(n)
         self.change_of_basis = change_of_basis
         self.reflectors = reflectors
-        self.pattern = None
-        if entries is not None:
-            self._set_pattern(*entries)
 
-    def _set_pattern(self, rows, cols, vals, pair):
-        """The shared row-padded pattern from COO entries.
+    @cached_property
+    def pattern(self):
+        """``(cols, vals, pair)``: every generator in row-padded form, built
+        when first read; None on "traceless".
 
-        ``pair[e]`` is the generator of entry e.  Raises if two entries
-        share a position, which would break the shared-pattern assembly.
+        Each array has shape (dim, w).  Slot s of row m holds one entry
+        ``D_a[m, i]``: ``cols[m, s] = i``, ``vals[m, s]`` its value and
+        ``pair[m, s] = a``.  w is the largest number of entries in a row;
+        shorter rows are padded with ``val = 0`` (and column and pair 0).
+        Raises if two entries share a position.
         """
+        if self.kind == "traceless":
+            return None
+        rows, cols, vals, pair = _generator_entries(self.kind, self.n, self.p)
         rows, cols, pair = (np.asarray(a, dtype=np.int64)
                             for a in (rows, cols, pair))
         vals = np.asarray(vals, dtype=float)
@@ -321,10 +309,11 @@ class RepSpace:
         counts = np.bincount(rows, minlength=self.dim)
         slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
         shape = (self.dim, int(counts.max(initial=0)))
-        self.pattern = Pattern(np.zeros(shape, dtype=np.int64),
-                               np.zeros(shape), np.zeros(shape, dtype=np.int64))
-        for padded, entry in zip(self.pattern, (cols, vals, pair)):
+        pattern = (np.zeros(shape, dtype=np.int64), np.zeros(shape),
+                   np.zeros(shape, dtype=np.int64))
+        for padded, entry in zip(pattern, (cols, vals, pair)):
             padded[rows, slot] = entry
+        return pattern
 
     def __repr__(self):
         return f"RepSpace({self.kind}, n={self.n}, p={self.p}, dim={self.dim})"
@@ -368,8 +357,7 @@ def build_exterior(n, p):
     if p > n:
         raise ValueError(f"exterior power needs p <= n, got p={p}, n={n}")
     basis = wedge_basis(n, p)
-    return RepSpace("exterior", n, p, len(basis), basis,
-                    _generator_entries("exterior", n, p))
+    return RepSpace("exterior", n, p, len(basis), basis)
 
 
 @lru_cache(maxsize=32)
@@ -377,8 +365,7 @@ def build_symmetric(n, p):
     """Symmetric power on the normalized monomial basis x^l / sqrt(l!)."""
     _check_np(n, p)
     basis = monomial_basis(n, p)
-    return RepSpace("symmetric", n, p, len(basis), basis,
-                    _generator_entries("symmetric", n, p))
+    return RepSpace("symmetric", n, p, len(basis), basis)
 
 
 def r2_multiplication_matrix(n, p):

@@ -6,6 +6,10 @@ D_a, the curvature term is the symmetric endomorphism
 
     K(R, V) = - sum_{a,b} R_ab D_a D_b.
 
+It is assembled in degree two, the paper's symmetric Kulkarni-Nomizu
+form: ``K = P_1 (Ric (x) I) P_1^T + P_2 (G (x) I) P_2^T``, with P_q the
+product maps of ``multilinear.product_table``; no D_a is formed.
+
 On vectors and on (n-1)-forms it reproduces the Ricci form; on full
 symmetric powers it is block-diagonal along the harmonic tower
 ``Sym^p = +_{m} r^{2m} Harm^{p-2m}``; on the traceless two-tensors its
@@ -50,40 +54,46 @@ class SymmetricEndomorphism:
         )
 
 
-# Products per gather/scatter in ``_assemble`` (rows of K times w^2): its
-# transients, a few arrays of this many 8-byte entries, stay at a few MB
-# whatever the space.
-_CHUNK_PRODUCTS = 1 << 16
-
-
 def _assemble(Rmat, space):
-    """Dense matrix of -sum_ab R_ab D_a D_b from the shared pattern.
+    """Dense -sum_ab R_ab D_a D_b on ^p or Sym^p, in degree two.
 
-    The generators are skew, so the sum is ``sum_m A_m^T R A_m`` with
-    ``A_m[a, i] = D_a[m, i]``, row m of every generator.  Supports are
-    disjoint, so A_m has at most one entry per column i, owned by one
-    generator ``a = pair_mi``, and
-
-        K[i, j] = sum_m v_mi v_mj R[pair_mi, pair_mj].
-
-    Skewness also gives the m with ``v_mi != 0``: they are the columns of
-    pattern row i, with ``v_mi = -D[i, m]``.  So a chunk of rows of K is
-    one gather (pattern rows i, the rows m they list, and R) and one
-    scatter into those rows of K alone.
+    ``A_1 = Ric``, ``A_2 = G``, ``G_ab = -sum c_ik c_jl R_ijkl`` over the
+    products ``e_i e_k = c_ik u_a``, ``e_j e_l = c_jl u_b`` (docs/bases.md
+    section 5).  The entries of P_q, one row per degree p - q factor, pair
+    within their row; one ``np.bincount`` sums the pairs' weights
+    ``(v_e v_f) A[a_e, a_f]``, so K is exactly symmetric.  so(n) acts
+    trivially in degree 0 and on ^n, where the terms cancel only to
+    rounding: K = 0 there.
     """
-    cols, vals, pair = space.pattern
-    dim, N = space.dim, Rmat.shape[0]
-    R = Rmat.ravel()
-    K = np.empty((dim, dim))
-    step = max(1, _CHUNK_PRODUCTS // max(1, cols.shape[1]) ** 2)
-    for lo in range(0, dim, step):
-        m, v, p = (a[lo:lo + step] for a in (cols, vals, pair))
-        rows = m.shape[0]
-        W = -v[:, :, None] * vals[m] * R[p[:, :, None] * N + pair[m]]
-        at = np.arange(rows)[:, None, None] * dim + cols[m]
-        K[lo:lo + rows] = np.bincount(at.ravel(), W.ravel(),
-                                      rows * dim).reshape(rows, dim)
-    return K
+    kind, n, p, dim = space.kind, space.n, space.p, space.dim
+    if p == 0 or (kind == "exterior" and p == n):
+        return np.zeros((1, 1))
+    dims = ml.dim_exterior if kind == "exterior" else ml.dim_symmetric
+    E = ml.two_forms(n).reshape(-1, n * n)
+    # H[(i, k), (j, l)] = R_ijkl
+    H = (E.T @ Rmat @ E).reshape((n,) * 4).swapaxes(1, 2).reshape(n * n, -1)
+    out, i, k, c = ml.product_table(kind, n, 1, 1)
+    C = np.zeros((dims(n, 2), n * n))
+    C[out, i * n + k] = c
+    ric, G = H[:, ::n + 1].sum(axis=1).reshape(n, n), -(C @ H @ C.T)
+    groups = []
+    for q, A in zip((1, 2), (ric, G)[:p]):
+        out, _, a, v = ml.product_table(kind, n, p - q, q)
+        w = out.size // dims(n, p - q)
+        groups.append((0.5 * (A + A.T),) + tuple(x.reshape(-1, w, 1)
+                                                 for x in (out, a, v)))
+    at = np.empty(sum(o.size * o.shape[1] for _, o, _, _ in groups),
+                  dtype=np.intp)
+    wt = np.empty(at.size)
+    lo = 0
+    for A, o, a, v in groups:
+        w = o.shape[1]
+        hi = lo + o.size * w
+        np.add(o * dim, o.swapaxes(1, 2), out=at[lo:hi].reshape(-1, w, w))
+        W = np.multiply(v, v.swapaxes(1, 2), out=wt[lo:hi].reshape(-1, w, w))
+        W *= A[a, a.swapaxes(1, 2)]
+        lo = hi
+    return np.bincount(at, wt, dim * dim).reshape(dim, dim)
 
 
 def _harmonic_split(K, reflectors):
@@ -108,9 +118,9 @@ def curvature_term(R, space):
     """Assemble K(R, V) on a representation space as a symmetric matrix.
 
     For traceless spaces the sum is assembled on the ambient symmetric
-    power (where the generators are stored) and moved onto the harmonic
-    basis, which the generators preserve: K(R, Harm^p) is the trailing
-    block of ``_harmonic_split`` with ``space.reflectors``, never C K C^T.
+    power and moved onto the harmonic basis, which the generators
+    preserve: K(R, Harm^p) is the trailing block of ``_harmonic_split``
+    with ``space.reflectors``, never C K C^T.
     ``sym_defect`` is measured on the assembled K, which is symmetrized
     only when the defect is nonzero.
     """

@@ -653,6 +653,26 @@ def test_certify_bound_refutes_by_plane_outside_dim_four():
     assert value < 0.5 - 1e-9
 
 
+def test_plane_refutation_solves_the_operator_once(monkeypatch):
+    # lambda_min, |R|_2 and the search's starts all come from one eigh of
+    # the N x N matrix; the search's own eigenproblems are (n-1) x (n-1)
+    R = fixture_operator("RL", 5)
+    solves = []
+
+    def counted(solve):
+        def run(a, *args, **kwargs):
+            if np.shape(a) == R.mat.shape:
+                solves.append(solve.__name__)
+            return solve(a, *args, **kwargs)
+        return run
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    cert = ce.certify_bound(R, 0.5)
+    assert cert.refuted and cert.method == "grassmann_opt"
+    assert solves == ["eigh"]
+
+
 def test_certify_and_extremes_draw_no_random_numbers(rng, monkeypatch):
     # the plane search starts from R's rounded eigenvectors, so a verdict
     # is a function of (R, k, direction, strict) alone

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvelab import multilinear as ml
 from curvelab import weitzenbock as wz
@@ -155,17 +157,51 @@ def test_asymmetric_assembly_is_symmetrized_with_its_defect(rng,
     np.testing.assert_array_equal(K.mat, K.mat.T)
 
 
-@pytest.mark.parametrize("build,n,p", [
-    (ml.build_exterior, 6, 3), (ml.build_symmetric, 4, 3),
-])
-def test_assembly_in_row_chunks_matches_dense_reference(build, n, p, rng,
-                                                         monkeypatch):
-    # one row of K per gather/scatter, as on spaces with wide pattern rows
-    monkeypatch.setattr(wz, "_CHUNK_PRODUCTS", 1)
-    space = build(n, p)
+def _four_form(n, rng):
+    """A random pure four-form on two-forms of R^n, with exact zeros off
+    its support: entry b_q val at each product e_a ^ e_c = val e_q."""
+    out, a, c, val = ml.product_table("exterior", n, 2, 2)
+    N = n * (n - 1) // 2
+    W = np.zeros((N, N))
+    W[a, c] = val * rng.standard_normal(ml.dim_exterior(n, 4))[out]
+    return W
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["exterior", "symmetric"]), n=st.integers(3, 6),
+       p=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_assembly_matches_dense_reference_and_misses_four_forms(kind, n, p,
+                                                                seed):
+    # Gaussian symmetric R, no Bianchi identity; Sym^p, like sec, cannot
+    # see a four-form, and its K is then exactly zero
+    assume(kind == "symmetric" or p <= n)
+    rng = np.random.default_rng(seed)
+    space = getattr(ml, "build_" + kind)(n, p)
     R = CurvatureOperator(n, _random_mat(n, rng))
-    _assert_matches(wz.curvature_term(R, space).mat,
-                    _dense_reference(R.mat, space))
+    K = wz.curvature_term(R, space)
+    _assert_matches(K.mat, _dense_reference(R.mat, space))
+    assert K.sym_defect == 0.0
+    if kind == "symmetric":
+        omega = CurvatureOperator(n, _four_form(n, rng))
+        np.testing.assert_array_equal(
+            wz.curvature_term(omega, space).mat, np.zeros(K.mat.shape))
+
+
+def test_assembly_never_builds_the_generator_pattern(rng, monkeypatch):
+    # K reads product tables alone; a space builds its pattern when the
+    # pattern is first read, once
+    calls = []
+    entries = ml._generator_entries
+    monkeypatch.setattr(ml, "_generator_entries",
+                        lambda *args: calls.append(args) or entries(*args))
+    for build, n, p in ((ml.build_symmetric, 5, 3), (ml.build_exterior, 6, 4),
+                        (ml.build_exterior, 6, 2), (ml.build_traceless, 4, 3)):
+        R = CurvatureOperator(n, _random_mat(n, rng))
+        wz.curvature_term(R, build.__wrapped__(n, p))
+    assert calls == []
+    space = ml.build_exterior.__wrapped__(6, 4)
+    assert space.pattern is space.pattern
+    assert calls == [("exterior", 6, 4)]
 
 
 @pytest.mark.parametrize("build,n,p", [
@@ -173,8 +209,8 @@ def test_assembly_in_row_chunks_matches_dense_reference(build, n, p, rng,
     (ml.build_symmetric, 2, 3), (ml.build_symmetric, 4, 3),
 ])
 def test_generator_supports_are_pairwise_disjoint(build, n, p):
-    # the shared-pattern assembly relies on this: every entry of the
-    # pattern belongs to exactly one generator
+    # the shared pattern relies on this: every entry of the pattern
+    # belongs to exactly one generator
     space = build(n, p)
     gens = dense_generators(space)
     owners = sum((D != 0).astype(int) for D in gens)
@@ -188,11 +224,14 @@ def test_generator_supports_are_pairwise_disjoint(build, n, p):
                                   vals[real])
 
 
-def test_overlapping_generator_supports_rejected():
-    # two generators of so(3) claiming the same entry
+def test_overlapping_generator_supports_rejected(monkeypatch):
+    # two generators of so(3) claiming the same entry; the pattern, and its
+    # check, are built when the pattern is first read
     entries = ([0, 0], [1, 1], [1.0, -1.0], [0, 1])
+    monkeypatch.setattr(ml, "_generator_entries", lambda *args: entries)
+    space = ml.build_exterior.__wrapped__(3, 1)
     with pytest.raises(RuntimeError, match="overlap"):
-        ml.RepSpace("exterior", 3, 1, 3, ml.wedge_basis(3, 1), entries)
+        space.pattern
 
 
 # ---------------------------------------------------------------------------
