@@ -13,8 +13,8 @@
   a real plane whose sec bounds the maximum from above, so the search
   stops on a closed duality gap, and a negative maximum is refuted by
   the plane of the least such bound.  ``lambda_min(R - k Id + t star) + k``
-  does not depend on k, so one solve of R serves every k, and the last
-  is kept.  For other n the test takes omega = 0, which is sufficient only.
+  does not depend on k, so one solve of R serves every k; the last two
+  are kept.  For other n the test takes omega = 0, which is sufficient only.
 
 * the plane search (refutations for n != 4): minimization of the
   sectional curvature over the Grassmannian of 2-planes by alternating
@@ -293,14 +293,15 @@ def _eig_tol(norm, k):
 
 @lru_cache(maxsize=None)
 def _star_eigenbasis():
-    """``(Q, J, j)`` with ``star = Q J Q^T`` at n = 4 and ``J = diag(j)``,
-    ``j = (-1, -1, -1, 1, 1, 1)``: the anti-self-dual half first."""
+    """``(Q, J, j, E)``: ``star = Q J Q^T`` at n = 4 with ``J = diag(j)``,
+    ``j = (-1, -1, -1, 1, 1, 1)`` (the anti-self-dual half first), and
+    ``E = two_forms(4)`` as a (6, 16) matrix."""
     j, Q = np.linalg.eigh(four_form_matrix(4))
     j = np.sign(j)
     J = np.diag(j)
     for a in (Q, J, j):
         a.flags.writeable = False
-    return Q, J, j
+    return Q, J, j, ml.two_forms(4).reshape(6, 16)
 
 
 def _decomposable(u):
@@ -375,7 +376,7 @@ def thorpe_sec_min(R, norm=None):
         norm = _spectral_norm(R.mat)
     if norm == 0.0:
         return 0.0, 0.0, np.eye(6)[0]
-    Q, J, j = _star_eigenbasis()
+    Q, J, j, _ = _star_eigenbasis()
     unit = Q.T @ R.mat @ Q / norm
     d = unit.diagonal().tolist()
     start = (d[0] + d[1] + d[2] - d[3] - d[4] - d[5]) / 6.0
@@ -433,20 +434,20 @@ def _thorpe_plane(w):
     squared length is at least 1/2), and the matrix maps that column to
     an orthogonal vector of the plane.
     """
-    M = (w @ ml.two_forms(4).reshape(6, 16)).reshape(4, 4)
+    M = (w @ _star_eigenbasis()[3]).reshape(4, 4)
     x = M[:, np.argmax(np.einsum("ij,ij->j", M, M))]
     x = x / math.sqrt(x @ x)
     y = M @ x
     return TwoPlane(x, y / math.sqrt(y @ y))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _n4_solve(key):
     """``(lo, hi, m, t*, plane, sec(plane))`` of the n = 4 operator R with
     matrix bytes ``key``: R's extreme eigenvalues and ``thorpe_sec_min``'s
-    value, shift and plane (read-only), which serve every k on R.  Only
-    the last operator is kept: that is the reuse of a sweep over k and of
-    a ge/le pair, and the memo does not grow with the queries."""
+    value, shift and plane (read-only), which serve every k on R.  The
+    last two operators are kept, so alternating ge and le queries on R
+    solve R and -R once each, and the memo does not grow with them."""
     R = CurvatureOperator._from_symmetric(4, np.frombuffer(key).reshape(6, 6))
     lo, hi = np.linalg.eigvalsh(R.mat)[[0, -1]].tolist()
     m, t_star, w = thorpe_sec_min(R, norm=max(-lo, hi))
@@ -514,18 +515,20 @@ def certify_bound(R, k, direction="ge", strict=False):
     certified when ``mu > tol``, or ``mu >= -tol`` if not strict; a strict
     query inside that band is inconclusive, since equality cannot be told
     from a strict margin at working precision.  At n = 4, ``mu = m - k``,
-    and m, ``t_star`` and the plane come from one solve of R, kept for the
-    next query.  Below the band, n = 4 is refuted by that plane when its
-    sec is below ``k - tol``, and inconclusive otherwise.  Other n search for a
-    plane below ``k - tol`` (a minimizing run from the rounded plane of
-    each eigenvector of R) and refute with it
-    (method ``grassmann_opt``); when none is found the answer is
-    inconclusive.  The search is not guaranteed to find such a plane.
+    and m, ``t_star`` and the plane come from one solve of R, kept with
+    the one before it (of -R for a ge/le pair).  Below the band, n = 4 is
+    refuted by that plane when its sec is below ``k - tol``, and
+    inconclusive otherwise.  Other n search for a plane below ``k - tol``
+    (a minimizing run from the rounded plane of each eigenvector of R) and
+    refute with it (method ``grassmann_opt``); when none is found the
+    answer is inconclusive.  The search is not guaranteed to find one.
     ``direction="le"`` is decided as ``sec >= -k`` of -R, and answered in
     the caller's terms: its k and direction, and the plane's sec of R.
-    """
+    A k that is not finite raises ``ValueError``."""
     if direction not in ("ge", "le"):
         raise ValueError("direction must be 'ge' or 'le'")
+    if not math.isfinite(k):
+        raise ValueError(f"the bound k must be finite, got {k!r}")
     le = direction == "le"
     k_ge = -k if le else k          # the bound of the "ge" query decided
     if le:

@@ -24,6 +24,7 @@ or through ``multilinear.product_congruence``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,28 +34,35 @@ from .multilinear import (pair_index, product_congruence, product_table,
                           two_forms)
 
 
-def _as_matrix(mat, n):
-    N = n * (n - 1) // 2
-    m = np.asarray(mat, dtype=float)
-    if m.shape != (N, N):
-        raise ValueError(f"expected shape {(N, N)} for n={n}, got {m.shape}")
-    return m
-
-
 class CurvatureOperator:
     """Symmetric endomorphism of the two-forms in the pair basis.
 
-    The input matrix is symmetrized on ingestion and the largest asymmetry
-    ``max |M - M^T| / 2`` is kept in ``asymmetry`` for diagnostics.
+    The input matrix is copied and, when it is not bitwise symmetric,
+    symmetrized as ``(M + M^T) / 2``; the largest asymmetry
+    ``max |M - M^T| / 2`` is kept in ``asymmetry`` for diagnostics.  An
+    entry that is not finite, or a difference or sum of entries that
+    overflows, raises ``ValueError``.
     """
 
     def __init__(self, n, mat):
         if n < 3:
             raise ValueError(f"need n >= 3, got n={n}")
         self.n = int(n)
-        m = _as_matrix(mat, self.n)
-        self.asymmetry = float(np.max(np.abs(m - m.T)) / 2) if m.size else 0.0
-        self.mat = 0.5 * (m + m.T)
+        N = self.N
+        m = np.array(mat, dtype=float)
+        if m.shape != (N, N):
+            raise ValueError(f"expected shape {(N, N)} for n={n}, "
+                             f"got {m.shape}")
+        if m.tobytes() == m.T.tobytes():
+            # (M + M^T) / 2 is M, signed zeros included, and M - M^T is 0
+            self.asymmetry, self.mat = 0.0, m
+        else:
+            # inf - inf and an overflow read as not finite, checked below
+            with np.errstate(invalid="ignore", over="ignore"):
+                self.asymmetry = float(np.abs(m - m.T).max()) / 2
+                self.mat = 0.5 * (m + m.T)
+        if not (math.isfinite(self.asymmetry) and np.isfinite(self.mat).all()):
+            raise ValueError("operator entries must be finite")
 
     @classmethod
     def _from_symmetric(cls, n, mat):

@@ -436,7 +436,7 @@ def test_n4_refutations_read_the_plane_off_the_optimum(monkeypatch):
 def test_n4_refutation_needs_a_plane_below_the_bound(monkeypatch):
     # s2xs2 has sec 1 on e1^e2 and sec 0 on e1^e3; a plane read off the
     # optimum that does not violate the bound refutes nothing (the memo of
-    # the last solve is cleared whenever the plane reader changes)
+    # the last solves is cleared whenever the plane reader changes)
     e = np.eye(4)
     R = fixture_operator("s2xs2", 4)
     for k, direction, plane in ((0.01, "ge", cv.TwoPlane(e[0], e[1])),
@@ -455,16 +455,23 @@ def test_n4_refutation_needs_a_plane_below_the_bound(monkeypatch):
 # one star-shift solve per n = 4 operator
 
 
-def test_one_solve_serves_every_k_and_the_le_mirror(monkeypatch):
+def _counted_solves(monkeypatch):
+    """Clear the memo and list the operators' bytes that the star-shift
+    search solves from here on."""
     solves = []
     solve = ce.thorpe_sec_min
 
-    def counted(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
+    def counted(R, *args, **kwargs):
+        solves.append(R.mat.tobytes())
+        return solve(R, *args, **kwargs)
 
     monkeypatch.setattr(ce, "thorpe_sec_min", counted)
     ce._n4_solve.cache_clear()
+    return solves
+
+
+def test_one_solve_serves_every_k_and_the_le_mirror(monkeypatch):
+    solves = _counted_solves(monkeypatch)
     R = random_operator(4, np.random.default_rng(7))
     minus = cv.CurvatureOperator(4, -R.mat)
     for k in (-1.0, -0.1, 0.0, 0.05, 0.3, 2.0):
@@ -473,6 +480,25 @@ def test_one_solve_serves_every_k_and_the_le_mirror(monkeypatch):
     assert len(solves) == 1
     ce.certify_bound(minus, 0.0)
     assert len(solves) == 2
+
+
+def test_alternating_ge_and_le_solve_r_and_minus_r_once(monkeypatch):
+    # a pinching check a <= sec <= b on one operator, swept over k
+    solves = _counted_solves(monkeypatch)
+    R = random_operator(4, np.random.default_rng(9))
+    for k in (-1.0, -0.2, 0.0, 0.1, 0.4, 1.5):
+        ce.certify_bound(R, k)
+        ce.certify_bound(R, k, direction="le")
+    assert solves == [R.mat.tobytes(), (-R.mat).tobytes()]
+
+
+def test_memo_keeps_two_operators_only(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    rng = np.random.default_rng(10)
+    R1, R2, R3 = (random_operator(4, rng) for _ in range(3))
+    for R in (R1, R2, R3, R1):
+        ce.certify_bound(R, 0.0)
+    assert solves == [R.mat.tobytes() for R in (R1, R2, R3, R1)]
 
 
 def test_memo_certificates_match_cold_ones():
@@ -720,6 +746,19 @@ def test_certify_bound_rejects_bad_direction():
     with pytest.raises(ValueError):
         ce.certify_bound(fixture_operator("identity", 4), 0.0,
                          direction="sideways")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_certify_bound_rejects_a_bound_that_is_not_finite(n):
+    # sec >= +inf is false and sec <= -inf too; neither may be certified,
+    # and no plane refutes sec >= nan
+    R = fixture_operator("identity", n)
+    for k in (math.inf, -math.inf, math.nan):
+        for direction in ("ge", "le"):
+            for strict in (False, True):
+                with pytest.raises(ValueError, match="finite"):
+                    ce.certify_bound(R, k, direction=direction,
+                                     strict=strict)
 
 
 # ---------------------------------------------------------------------------

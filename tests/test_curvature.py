@@ -26,10 +26,47 @@ from conftest import lambda2_matrix, random_operator, random_rotation
 
 def test_operator_symmetrizes_and_records(rng):
     M = rng.uniform(-1, 1, (6, 6))
+    M[0, 1], M[1, 0] = 0.0, -0.0            # equal, but not bitwise
     R = CurvatureOperator(4, M)
-    np.testing.assert_array_equal(R.mat, R.mat.T)
-    assert R.asymmetry == pytest.approx(np.abs(M - M.T).max() / 2.0)
+    assert R.mat.tobytes() == R.mat.T.tobytes()
+    assert R.mat.tobytes() == (0.5 * (M + M.T)).tobytes()
+    assert R.asymmetry == float(np.max(np.abs(M - M.T)) / 2)
     assert R.N == 6
+    A = CurvatureOperator(4, [[0.0, 1.0, 0, 0, 0, 0], [3.0] + [0.0] * 5]
+                          + [[0.0] * 6] * 4)
+    assert A.asymmetry == 1.0 and A.mat[0, 1] == A.mat[1, 0] == 2.0
+
+
+def test_operator_takes_a_symmetric_matrix_as_it_is(rng):
+    M = rng.uniform(-1, 1, (10, 10))
+    M = M + M.T
+    M[0, 1] = M[1, 0] = -0.0
+    R = CurvatureOperator(5, M)
+    assert R.mat is not M and not np.shares_memory(R.mat, M)
+    assert R.mat.tobytes() == M.tobytes()
+    assert R.asymmetry == 0.0
+    R.mat[2, 3] = 7.0
+    assert M[2, 3] != 7.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_operator_rejects_entries_that_are_not_finite(n):
+    N = n * (n - 1) // 2
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (0, N - 1), (N - 1, 0)):
+            M = np.eye(N)
+            M[i, j] = bad
+            with pytest.raises(ValueError, match="finite"):
+                CurvatureOperator(n, M)
+            M[j, i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                CurvatureOperator(n, M)
+    # finite entries whose difference, or sum, overflows
+    for upper, lower in ((1e308, -1e308), (1e308, 1.5e308)):
+        M = np.eye(N)
+        M[0, 1], M[1, 0] = upper, lower
+        with pytest.raises(ValueError, match="finite"):
+            CurvatureOperator(n, M)
 
 
 def test_operator_rejects_bad_shapes():
