@@ -472,8 +472,10 @@ def hierarchy_check(R, k, p_max=6):
     ``tol = 1e-9 * max(|R|_2, |k|)``, refutes ``sec >= k``; all-nonnegative
     rows are necessary-condition passes only, never a certification.  At
     the first refuting level the eigenpolynomial of the least eigenvalue
-    is kept as ``witness``.
+    is kept as ``witness``.  A k that is not finite raises ``ValueError``.
     """
+    if not math.isfinite(k):
+        raise ValueError(f"the bound k must be finite, got {k!r}")
     tol = _eig_tol(_spectral_norm(R.mat), k)
     n = R.n
     rows = []
@@ -501,7 +503,8 @@ class Witness:
 
 
 def witness_search(R, k, p_max=6):
-    """The hierarchy's witness polynomial, or None if every level passes."""
+    """The hierarchy's witness polynomial, or None if every level passes;
+    a k that is not finite raises ``ValueError``."""
     return hierarchy_check(R, k, p_max=p_max).witness
 
 

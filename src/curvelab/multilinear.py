@@ -1,8 +1,7 @@
-"""Representation spaces of so(n) and their infinitesimal generator matrices.
+"""Representation spaces of so(n): orthonormal bases and their products.
 
 Three families of orthogonal representations are supported, each with an
-explicit orthonormal basis; the first two carry the skew-symmetric
-generator matrices ``D_a`` of the standard basis ``a = (i, j)`` of so(n):
+explicit orthonormal basis:
 
 * exterior powers of R^n, with the wedge basis ``e_{i1} ^ ... ^ e_{ip}``
   over strictly increasing index tuples in lexicographic order;
@@ -14,12 +13,7 @@ generator matrices ``D_a`` of the standard basis ``a = (i, j)`` of so(n):
   and the differential-operator pairing is the dot product;
 * traceless (harmonic) symmetric powers, the orthogonal complement of
   ``r^2 * Sym^{p-2}`` inside ``Sym^p``, carried by a computed orthonormal
-  basis expressed in normalized-monomial coordinates; its generators are
-  the ambient ones restricted to it and are not stored.
-
-On the first two, the generators have pairwise disjoint supports, so all
-of them are stored once, as one row-padded pattern (``RepSpace.pattern``,
-built when first read: the curvature term reads product tables instead).
+  basis expressed in normalized-monomial coordinates.
 
 The generator ``A[(i, j)]`` of so(n) is the matrix with ``+1`` in entry
 ``(i, j)`` and ``-1`` in entry ``(j, i)``, so ``A e_j = e_i`` and
@@ -29,7 +23,8 @@ polynomials it acts as ``x_i d/dx_j - x_j d/dx_i``.
 ``product_table`` is the one place basis vectors are multiplied (the
 wedge sign, the ``x^l / sqrt(l!)`` normalization).  With ``M_i`` the
 product by the i-th degree-one basis vector, adjoint to ``i_{e_i}`` on
-the wedge and ``d/dx_i`` on polynomials, ``D_(i,j) = M_i M_j^T - M_j M_i^T``.
+the wedge and ``d/dx_i`` on polynomials, the so(n) action is
+``D_(i,j) = M_i M_j^T - M_j M_i^T``; no space stores it.
 ``product_congruence`` scatters the table into the product map P and
 returns ``P (A (x) B) P^T``, the graded product of ``knalgebra``.
 ``two_forms`` reads the degree-one wedge products as the skew matrices of
@@ -41,7 +36,7 @@ See ``docs/bases.md`` for the frozen ordering and normalization rules.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -243,6 +238,9 @@ def circle_harmonic(n, p):
 class RepSpace:
     """An orthogonal representation of so(n) on an explicit orthonormal basis.
 
+    It stores no generator matrices: the so(n) action on the exterior and
+    symmetric powers is read off ``product_table`` where it is needed.
+
     Attributes
     ----------
     kind : str
@@ -254,12 +252,6 @@ class RepSpace:
     basis : tuple
         Wedge index tuples or monomial exponent tuples.  For "traceless"
         this is the monomial basis of the ambient symmetric power.
-    pairs : list of (i, j)
-        so(n) basis labels; the pattern's ``pair`` indexes into this list.
-    pattern : tuple or None
-        The generators ``D_a``, stored once (their supports are pairwise
-        disjoint).  None for "traceless": its generators are the ambient
-        ones restricted by ``change_of_basis``, and are never formed.
     change_of_basis : ndarray or None
         For "traceless": rows are the orthonormal harmonic basis vectors in
         normalized-monomial coordinates of the ambient symmetric power.
@@ -277,43 +269,8 @@ class RepSpace:
         self.p = p
         self.dim = dim
         self.basis = basis
-        self.pairs = pair_basis(n)
         self.change_of_basis = change_of_basis
         self.reflectors = reflectors
-
-    @cached_property
-    def pattern(self):
-        """``(cols, vals, pair)``: every generator in row-padded form, built
-        when first read; None on "traceless".
-
-        Each array has shape (dim, w).  Slot s of row m holds one entry
-        ``D_a[m, i]``: ``cols[m, s] = i``, ``vals[m, s]`` its value and
-        ``pair[m, s] = a``.  w is the largest number of entries in a row;
-        shorter rows are padded with ``val = 0`` (and column and pair 0).
-        Raises if two entries share a position.
-        """
-        if self.kind == "traceless":
-            return None
-        rows, cols, vals, pair = _generator_entries(self.kind, self.n, self.p)
-        rows, cols, pair = (np.asarray(a, dtype=np.int64)
-                            for a in (rows, cols, pair))
-        vals = np.asarray(vals, dtype=float)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals, pair = (a[order] for a in (rows, cols, vals, pair))
-        key = rows * self.dim + cols
-        if np.any(key[1:] == key[:-1]):
-            raise RuntimeError(
-                f"generator supports overlap on {self!r}; the shared "
-                "pattern needs pairwise disjoint supports"
-            )
-        counts = np.bincount(rows, minlength=self.dim)
-        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-        shape = (self.dim, int(counts.max(initial=0)))
-        pattern = (np.zeros(shape, dtype=np.int64), np.zeros(shape),
-                   np.zeros(shape, dtype=np.int64))
-        for padded, entry in zip(pattern, (cols, vals, pair)):
-            padded[rows, slot] = entry
-        return pattern
 
     def __repr__(self):
         return f"RepSpace({self.kind}, n={self.n}, p={self.p}, dim={self.dim})"
@@ -326,33 +283,9 @@ def _check_np(n, p):
         raise ValueError(f"need p >= 0, got {p}")
 
 
-def _generator_entries(kind, n, p):
-    """COO entries (rows, cols, vals, pair) of every generator on degree p.
-
-    With ``M_i`` the product by the i-th degree-one basis vector, from
-    degree p - 1, ``D_(i,j) = M_i M_j^T - M_j M_i^T``.  Column y of the
-    ``(n, 1, p - 1)`` table holds ``M_i[z, y]`` for every i with a nonzero
-    product (n on Sym, n - p + 1 on the wedge), so each ordered pair of its
-    entries ``(i, z), (j, x)`` gives ``sign(j - i) M_i[z, y] M_j[x, y]`` at
-    ``D_(i,j)[z, x]`` (``D_(j,i)`` for i > j).
-    """
-    if p == 0:
-        return (), (), (), ()
-    out, i, y, val = product_table(kind, n, 1, p - 1)
-    order = np.argsort(y, kind="stable")
-    width = y.size // (y.max() + 1)
-    z, i, v = (a[order].reshape(-1, width, 1) for a in (out, i, val))
-    x, j, w = (a.transpose(0, 2, 1) for a in (z, i, v))
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    pair = lo * n - lo * (lo + 1) // 2 + hi - lo - 1   # pair_index, 0-based
-    keep = i != j
-    return tuple(np.broadcast_to(a, pair.shape)[keep]
-                 for a in (z, x, np.sign(j - i) * v * w, pair))
-
-
 @lru_cache(maxsize=32)
 def build_exterior(n, p):
-    """Exterior power with wedge basis and its generator pattern."""
+    """Exterior power on the lexicographic wedge basis."""
     _check_np(n, p)
     if p > n:
         raise ValueError(f"exterior power needs p <= n, got p={p}, n={n}")

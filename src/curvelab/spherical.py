@@ -131,16 +131,26 @@ def c_constant(n, p, probes=3, seed=0):
 def _generator_images(n, p, phi):
     """Coordinates of ``D_a phi`` for every so(n) generator a, as rows.
 
-    Row m of ``build_symmetric(n, p).pattern`` holds the entries
-    ``D_a[m, i]``, so one scatter over it gives every image at once.
+    ``D_(i,j) = M_i M_j^T - M_j M_i^T``, with ``M_i[z, y] = val`` read off
+    the products ``x_i u_y = val u_z`` of the ``(n, 1, p - 1)`` table.
+    One scatter lays the table out by column, ``x_j u_y = W[j, y]
+    u_X[j, y]``; a second writes ``U[i, j] = M_i M_j^T phi``, entry
+    (z, i, y) carrying ``(val W[j, y]) phi[X[j, y]]`` to z.  The entry
+    ``D_a[z, x]`` is formed before it meets phi, so each image entry is
+    the sum of the two rounded products ``D_a[z, x] phi[x]``.  Row (i, j)
+    of the lexicographic pair basis is ``U[i, j] - U[j, i]``; in degree 0
+    every image is 0.
     """
-    space = ml.build_symmetric(n, p)
-    cols, vals, pair = space.pattern
-    rows = np.broadcast_to(np.arange(space.dim)[:, None], cols.shape)
-    images = np.bincount((pair * space.dim + rows).ravel(),
-                         (vals * phi[cols]).ravel(),
-                         minlength=len(space.pairs) * space.dim)
-    return images.reshape(len(space.pairs), space.dim)
+    i, j = np.triu_indices(n, 1)
+    if p == 0:
+        return np.zeros((i.size, 1))
+    z, m, y, val = ml.product_table("symmetric", n, 1, p - 1)
+    X = np.zeros((n, ml.dim_symmetric(n, p - 1)), dtype=np.intp)
+    W = np.zeros(X.shape)
+    X[m, y], W[m, y] = z, val
+    U = np.zeros((n, n, phi.size))
+    U[m, :, z] = val[:, None] * W[:, y].T * phi[X[:, y].T]
+    return U[i, j] - U[j, i]
 
 
 def integral_form(R, phi, psi):

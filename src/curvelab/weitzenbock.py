@@ -29,9 +29,10 @@ from . import multilinear as ml
 class SymmetricEndomorphism:
     """Symmetric matrix acting on a representation space.
 
-    ``sym_defect`` is the largest asymmetry removed when the assembled
-    matrix was symmetrized: on a traceless space, the ambient K(R, Sym^p)
-    before it is moved onto the harmonic basis."""
+    ``sym_defect`` is always 0.0: ``_assemble`` is exactly symmetric by
+    construction and ``_harmonic_split`` keeps exact symmetry, so nothing
+    is measured or removed.  The field stays because the benchmark's
+    ``perfbench/workloads.py`` still passes it to ``checks.check_kterm``."""
 
     space: ml.RepSpace
     mat: np.ndarray
@@ -61,7 +62,8 @@ def _assemble(Rmat, space):
     products ``e_i e_k = c_ik u_a``, ``e_j e_l = c_jl u_b`` (docs/bases.md
     section 5).  The entries of P_q, one row per degree p - q factor, pair
     within their row; one ``np.bincount`` sums the pairs' weights
-    ``(v_e v_f) A[a_e, a_f]``, so K is exactly symmetric.  so(n) acts
+    ``(v_e v_f) A[a_e, a_f]``.  Bins (x, y) and (y, x) receive the same
+    products in the same row order, so K is exactly symmetric.  so(n) acts
     trivially in degree 0 and on ^n, where the terms cancel only to
     rounding: K = 0 there.
     """
@@ -120,24 +122,19 @@ def curvature_term(R, space):
     For traceless spaces the sum is assembled on the ambient symmetric
     power and moved onto the harmonic basis, which the generators
     preserve: K(R, Harm^p) is the trailing block of ``_harmonic_split``
-    with ``space.reflectors``, never C K C^T.
-    ``sym_defect`` is measured on the assembled K, which is symmetrized
-    only when the defect is nonzero.
+    with ``space.reflectors``, never C K C^T.  K comes out exactly
+    symmetric.
     """
     if R.n != space.n:
         raise ValueError(f"operator has n={R.n}, space has n={space.n}")
     traceless = space.kind == "traceless"
     K = _assemble(R.mat, ml.build_symmetric(space.n, space.p) if traceless
                   else space)
-    D = K - K.T
-    defect = float(np.max(np.abs(D, out=D), initial=0.0)) / 2
-    if defect:
-        K = 0.5 * (K + K.T)
     if traceless:
         k = space.reflectors[1].shape[0]
         # a copy, so the ambient-sized split is not kept alive by a view
         K = _harmonic_split(K, space.reflectors)[k:, k:].copy()
-    return SymmetricEndomorphism(space, K, defect)
+    return SymmetricEndomorphism(space, K)
 
 
 def quadratic_form(K, vec):

@@ -1,6 +1,9 @@
 """Shared helpers for the test-suite."""
 
+import functools
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,13 +49,37 @@ def random_rotation(n, rng):
 
 
 def dense_generators(space):
-    """Dense generators D_a, one per so(n) pair, rebuilt from a space's
-    row-padded pattern; padding slots (value 0) are skipped."""
-    cols, vals, pair = space.pattern
-    rows = np.broadcast_to(np.arange(space.dim)[:, None], cols.shape)
-    real = vals != 0
-    gens = np.zeros((len(space.pairs), space.dim, space.dim))
-    gens[pair[real], rows[real], cols[real]] = vals[real]
+    """Dense generators D_a of a symmetric or exterior space, one per
+    so(n) pair in lex order, from the oracles alone.
+
+    On Sym^p column l is ``x_i d/dx_j - x_j d/dx_i`` applied to x^l
+    (``Polynomial.rotation_action``), in coordinates, over the norm
+    sqrt(l!) of x^l.  On ^p it is the derivation taking each factor e_j
+    to e_i and e_i to -e_j, summed over the factors (``wedge_coords``).
+    Reads only the space's kind, n, dim and basis; cached, read-only.
+    """
+    return _dense_generators(space.kind, space.n, space.dim, space.basis)
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_generators(kind, n, dim, basis):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    # the coordinate oracles check the degree, read off the first basis tuple
+    p = len(basis[0]) if kind == "exterior" else sum(basis[0])
+    space = SimpleNamespace(kind=kind, n=n, p=p, dim=dim, basis=basis)
+    gens = np.zeros((len(pairs), dim, dim))
+    for a, (i, j) in enumerate(pairs):
+        for col, e in enumerate(basis):
+            if kind == "symmetric":
+                image = Polynomial(n, {e: 1}).rotation_action(i, j)
+                gens[a, :, col] = (polynomial_coords(space, image)
+                                   / math.sqrt(_factorial_prod(e)))
+            else:
+                swap = {j: (1, i), i: (-1, j)}
+                gens[a, :, col] = wedge_coords(space, [
+                    (swap[f][0], e[:t] + (swap[f][1],) + e[t + 1:])
+                    for t, f in enumerate(e) if f in swap])
+    gens.flags.writeable = False
     return gens
 
 

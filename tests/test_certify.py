@@ -619,6 +619,17 @@ def test_hierarchy_rows_match_the_shifted_assembly(rng):
             assert any(refuted)         # the witness rows were compared too
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_hierarchy_rejects_a_bound_that_is_not_finite(n):
+    # sec >= nan passes no level, and k = -inf would give rows of +inf
+    R = fixture_operator("identity", n)
+    for k in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ce.hierarchy_check(R, k, p_max=2)
+        with pytest.raises(ValueError, match="finite"):
+            ce.witness_search(R, k, p_max=2)
+
+
 # ---------------------------------------------------------------------------
 # the combined front end
 

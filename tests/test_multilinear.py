@@ -239,7 +239,7 @@ def _as_dense(space):
         C = space.change_of_basis
         amb = _as_dense(ml.build_symmetric(space.n, space.p))
         return {pair: C @ D @ C.T for pair, D in amb.items()}
-    return dict(zip(space.pairs, dense_generators(space)))
+    return dict(zip(ml.pair_basis(space.n), dense_generators(space)))
 
 
 @pytest.mark.parametrize("build,n,p", [
@@ -265,13 +265,14 @@ def test_bracket_compatibility(build, n, p):
     # [D_a, D_b] must represent the so(n) bracket [E_a, E_b]
     space = build(n, p)
     dense = _as_dense(space)
-    gens = {pair: so_generator(n, *pair) for pair in space.pairs}
-    flat = np.array([gens[q].ravel() for q in space.pairs])
-    for a in space.pairs:
-        for b in space.pairs:
+    pairs = ml.pair_basis(n)
+    gens = {pair: so_generator(n, *pair) for pair in pairs}
+    flat = np.array([gens[q].ravel() for q in pairs])
+    for a in pairs:
+        for b in pairs:
             C = gens[a] @ gens[b] - gens[b] @ gens[a]
             coeff = np.linalg.lstsq(flat.T, C.ravel(), rcond=None)[0]
-            want = sum(c * dense[q] for c, q in zip(coeff, space.pairs))
+            want = sum(c * dense[q] for c, q in zip(coeff, pairs))
             got = dense[a] @ dense[b] - dense[b] @ dense[a]
             assert np.abs(got - want).max() < 1e-10
 
@@ -302,9 +303,10 @@ def test_exponential_equivariance(build, n, p, tol, rng):
     # e_i wedge ..., so rep(exp(A)) = exp(+D)
     space = build(n, p)
     dense = _as_dense(space)
-    coeffs = rng.standard_normal(len(space.pairs))
-    A = sum(c * so_generator(n, *q) for c, q in zip(coeffs, space.pairs))
-    D = sum(c * dense[q] for c, q in zip(coeffs, space.pairs))
+    pairs = ml.pair_basis(n)
+    coeffs = rng.standard_normal(len(pairs))
+    A = sum(c * so_generator(n, *q) for c, q in zip(coeffs, pairs))
+    D = sum(c * dense[q] for c, q in zip(coeffs, pairs))
     lhs = scipy.linalg.expm(D)
     rhs = rep_matrix(space, scipy.linalg.expm(A))
     assert np.abs(lhs - rhs).max() < tol
@@ -373,7 +375,7 @@ def test_casimir_is_scalar_on_irreducibles():
     for p in (1, 2, 3):
         space = ml.build_traceless(n, p)
         dense = _as_dense(space)
-        cas = sum(-dense[q] @ dense[q] for q in space.pairs)
+        cas = sum(-D @ D for D in dense.values())
         np.testing.assert_allclose(cas, p * (p + n - 2) * np.eye(space.dim),
                                    atol=1e-12)
 

@@ -9,8 +9,8 @@ from curvelab import multilinear as ml
 from curvelab import spherical as sp
 from curvelab import weitzenbock as wz
 
-from conftest import (Polynomial, harmonic_projection, polynomial_coords,
-                      r_squared, random_operator)
+from conftest import (Polynomial, dense_generators, harmonic_projection,
+                      polynomial_coords, r_squared, random_operator)
 
 
 def _random_poly(n, p, rng):
@@ -200,6 +200,20 @@ def test_integral_form_matches_double_sum(rng, n, p, q):
         for a, pa in enumerate(pairs) for b, pb in enumerate(pairs))
     f, g = _coords(f), _coords(g)
     assert abs(sp.integral_form(R, f, g) - expect) <= 1e-12 * abs(expect)
+
+
+@pytest.mark.parametrize("p", range(6))
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_generator_images_match_dense_generators(rng, n, p):
+    # the two scatters of the (n, 1, p - 1) table against the oracle's
+    # dense D_a; p = 0 is one zero coordinate per pair
+    phi = rng.standard_normal(ml.dim_symmetric(n, p))
+    want = dense_generators(ml.build_symmetric(n, p)) @ phi
+    got = sp._generator_images(n, p, phi)
+    assert got.shape == want.shape == (math.comb(n, 2),
+                                       ml.dim_symmetric(n, p))
+    assert (np.abs(got - want).max(initial=0.0)
+            <= 1e-14 * np.abs(want).max(initial=0.0))
 
 
 def test_cross_degree_harmonics_decouple(rng):

@@ -23,7 +23,6 @@ def test_output_is_symmetric_with_recorded_defect(rng):
     R = random_operator(4, rng)
     K = wz.curvature_term(R, ml.build_exterior(4, 2))
     np.testing.assert_array_equal(K.mat, K.mat.T)
-    assert K.sym_defect < 1e-12
 
 
 def test_dimension_mismatch_rejected(rng):
@@ -137,24 +136,6 @@ def test_reflector_update_matches_dense_conjugation(kind, n, p, rng):
         np.testing.assert_array_equal(K.mat, ambient)
     assert K.mat.shape == (space.dim, space.dim)
     np.testing.assert_array_equal(K.mat, K.mat.T)
-    assert K.sym_defect == 0.0
-
-
-def test_asymmetric_assembly_is_symmetrized_with_its_defect(rng,
-                                                            monkeypatch):
-    # the defect is measured on the assembled ambient K, before the update
-    n, p = 4, 3
-    R = random_operator(n, rng)
-    space = ml.build_traceless(n, p)
-    ambient = wz._assemble(R.mat, ml.build_symmetric(n, p))
-    skew = np.triu(np.ones_like(ambient), 1) * 1e-3
-    skew -= skew.T
-    monkeypatch.setattr(wz, "_assemble", lambda Rmat, sp: ambient + skew)
-    K = wz.curvature_term(R, space)
-    assert K.sym_defect == pytest.approx(1e-3, rel=1e-12)
-    C = space.change_of_basis
-    np.testing.assert_allclose(K.mat, C @ ambient @ C.T, rtol=0, atol=1e-13)
-    np.testing.assert_array_equal(K.mat, K.mat.T)
 
 
 def _four_form(n, rng):
@@ -180,58 +161,11 @@ def test_assembly_matches_dense_reference_and_misses_four_forms(kind, n, p,
     R = CurvatureOperator(n, _random_mat(n, rng))
     K = wz.curvature_term(R, space)
     _assert_matches(K.mat, _dense_reference(R.mat, space))
-    assert K.sym_defect == 0.0
+    np.testing.assert_array_equal(K.mat, K.mat.T)
     if kind == "symmetric":
         omega = CurvatureOperator(n, _four_form(n, rng))
         np.testing.assert_array_equal(
             wz.curvature_term(omega, space).mat, np.zeros(K.mat.shape))
-
-
-def test_assembly_never_builds_the_generator_pattern(rng, monkeypatch):
-    # K reads product tables alone; a space builds its pattern when the
-    # pattern is first read, once
-    calls = []
-    entries = ml._generator_entries
-    monkeypatch.setattr(ml, "_generator_entries",
-                        lambda *args: calls.append(args) or entries(*args))
-    for build, n, p in ((ml.build_symmetric, 5, 3), (ml.build_exterior, 6, 4),
-                        (ml.build_exterior, 6, 2), (ml.build_traceless, 4, 3)):
-        R = CurvatureOperator(n, _random_mat(n, rng))
-        wz.curvature_term(R, build.__wrapped__(n, p))
-    assert calls == []
-    space = ml.build_exterior.__wrapped__(6, 4)
-    assert space.pattern is space.pattern
-    assert calls == [("exterior", 6, 4)]
-
-
-@pytest.mark.parametrize("build,n,p", [
-    (ml.build_exterior, 5, 2), (ml.build_exterior, 6, 3),
-    (ml.build_symmetric, 2, 3), (ml.build_symmetric, 4, 3),
-])
-def test_generator_supports_are_pairwise_disjoint(build, n, p):
-    # the shared pattern relies on this: every entry of the pattern
-    # belongs to exactly one generator
-    space = build(n, p)
-    gens = dense_generators(space)
-    owners = sum((D != 0).astype(int) for D in gens)
-    assert owners.max() == 1
-    # no position is stored twice, and every stored entry is its owner's
-    cols, vals, pair = space.pattern
-    rows = np.broadcast_to(np.arange(space.dim)[:, None], cols.shape)
-    real = vals != 0
-    assert real.sum() == owners.sum()
-    np.testing.assert_array_equal(gens[pair[real], rows[real], cols[real]],
-                                  vals[real])
-
-
-def test_overlapping_generator_supports_rejected(monkeypatch):
-    # two generators of so(3) claiming the same entry; the pattern, and its
-    # check, are built when the pattern is first read
-    entries = ([0, 0], [1, 1], [1.0, -1.0], [0, 1])
-    monkeypatch.setattr(ml, "_generator_entries", lambda *args: entries)
-    space = ml.build_exterior.__wrapped__(3, 1)
-    with pytest.raises(RuntimeError, match="overlap"):
-        space.pattern
 
 
 # ---------------------------------------------------------------------------
