@@ -144,7 +144,7 @@ def concave_max(f, lo, hi, start):
     return ts[i], values[i]
 
 
-# The perfbench tracer binds the search by this name; ROADMAP item 4
+# The perfbench tracer binds the search by this name; ROADMAP item 3
 # removes the alias.
 golden_max = concave_max
 
@@ -286,9 +286,9 @@ def _spectral_norm(M):
     return float(max(-lam[0], lam[-1]))
 
 
-def _eig_tol(norm, k):
-    """Tolerance on eigenvalues of ``R - k Id``, relative to the query."""
-    return 1e-9 * max(norm, abs(k))
+# Tolerance on eigenvalues of ``R - k Id``, relative to the query:
+# ``tol = _EIG_TOL * max(|R|_2, |k|)``.
+_EIG_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -443,17 +443,21 @@ def _thorpe_plane(w):
 
 @lru_cache(maxsize=2)
 def _n4_solve(key):
-    """``(lo, hi, m, t*, plane, sec(plane))`` of the n = 4 operator R with
-    matrix bytes ``key``: R's extreme eigenvalues and ``thorpe_sec_min``'s
-    value, shift and plane (read-only), which serve every k on R.  The
-    last two operators are kept, so alternating ge and le queries on R
-    solve R and -R once each, and the memo does not grow with them."""
+    """``(lo, hi, m, t*, plane, sec(plane), x, y)`` of the n = 4 operator R
+    with matrix bytes ``key``: R's extreme eigenvalues, ``thorpe_sec_min``'s
+    value and shift, its plane (read-only) with the plane's sec, and the
+    plane's x and y as tuples of Python floats.  The record serves every
+    k on R, all of it floats but the plane, so a query that finds it runs
+    no numpy past its key.  The last two operators are kept, so
+    alternating ge and le queries on R solve R and -R once each, and the
+    memo does not grow with them."""
     R = CurvatureOperator._from_symmetric(4, np.frombuffer(key).reshape(6, 6))
     lo, hi = np.linalg.eigvalsh(R.mat)[[0, -1]].tolist()
     m, t_star, w = thorpe_sec_min(R, norm=max(-lo, hi))
     plane = _thorpe_plane(w)
     plane.x.flags.writeable = plane.y.flags.writeable = False
-    return lo, hi, m, t_star, plane, sec(R, plane)
+    return (lo, hi, m, t_star, plane, sec(R, plane),
+            tuple(plane.x.tolist()), tuple(plane.y.tolist()))
 
 
 @dataclass
@@ -476,7 +480,7 @@ def hierarchy_check(R, k, p_max=6):
     """
     if not math.isfinite(k):
         raise ValueError(f"the bound k must be finite, got {k!r}")
-    tol = _eig_tol(_spectral_norm(R.mat), k)
+    tol = _EIG_TOL * max(_spectral_norm(R.mat), abs(k))
     n = R.n
     rows = []
     refuted_at = witness = None
@@ -519,8 +523,9 @@ def certify_bound(R, k, direction="ge", strict=False):
     query inside that band is inconclusive, since equality cannot be told
     from a strict margin at working precision.  At n = 4, ``mu = m - k``,
     and m, ``t_star`` and the plane come from one solve of R, kept with
-    the one before it (of -R for a ge/le pair).  Below the band, n = 4 is
-    refuted by that plane when its sec is below ``k - tol``, and
+    the one before it (of -R for a ge/le pair): a query on a kept
+    operator reads its record and calls no eigensolver.  Below the band,
+    n = 4 is refuted by that plane when its sec is below ``k - tol``, and
     inconclusive otherwise.  Other n search for a plane below ``k - tol``
     (a minimizing run from the rounded plane of each eigenvector of R) and
     refute with it (method ``grassmann_opt``); when none is found the
@@ -534,42 +539,40 @@ def certify_bound(R, k, direction="ge", strict=False):
         raise ValueError(f"the bound k must be finite, got {k!r}")
     le = direction == "le"
     k_ge = -k if le else k          # the bound of the "ge" query decided
-    if le:
-        R = CurvatureOperator._from_symmetric(R.n, -R.mat)
-    # the extreme eigenvalues of R give |R|_2 and, for n != 4,
+    mat = -R.mat if le else R.mat   # and the operator it is decided on
+    # the extreme eigenvalues give |R|_2 and, for n != 4,
     # lambda_min(R - k Id); n != 4 keeps the eigenvectors for the search
     if R.n == 4:
-        lo, hi, m, t_star, plane, value = _n4_solve(R.mat.tobytes())
+        lo, hi, m, t_star, _, value, x, y = _n4_solve(mat.tobytes())
         mu = m - k_ge
         method, witness = "thorpe_exact", {"t_star": t_star, "mu_max": mu}
     else:
-        eig = np.linalg.eigh(R.mat)
+        eig = np.linalg.eigh(mat)
         lo, hi = eig[0][[0, -1]].tolist()
         mu = lo - k_ge
         method, witness = "psd_shift", {"lambda_min": mu}
-    tol = _eig_tol(max(-lo, hi), k_ge)
+    tol = _EIG_TOL * max(-lo, hi, abs(k_ge))
     tolerances = {"eig_tol": tol}
     if R.n == 4:
         tolerances["gap_tol"] = _GAP_TOL
-
-    def decide(verdict, how=method, **more_tolerances):
-        return Certificate(
-            n=R.n, k=k, direction=direction, verdict=verdict, method=how,
-            strict=strict, witness=witness,
-            tolerances=dict(tolerances, **more_tolerances),
-        )
-
     if mu > tol or (mu >= -tol and not strict):
-        return decide("certified")
-    if mu >= -tol:
-        return decide("inconclusive_for_certification")
-    how, margins = method, {}
-    if R.n != 4:
-        value, plane, _ = _sec_min(R, eig)
-        how, margins = "grassmann_opt", {"plane_margin": tol}
-    if value >= k_ge - tol:
-        # the plane found does not violate the bound
-        return decide("inconclusive_for_certification")
-    witness["plane"] = {"x": plane.x.tolist(), "y": plane.y.tolist(),
-                        "sec": -value if le else value}
-    return decide("refuted", how, **margins)
+        verdict = "certified"
+    elif mu >= -tol:
+        verdict = "inconclusive_for_certification"
+    else:
+        if R.n != 4:
+            value, plane, _ = _sec_min(
+                CurvatureOperator._from_symmetric(R.n, mat), eig)
+            x, y = plane.x.tolist(), plane.y.tolist()
+        if value >= k_ge - tol:
+            # the plane found does not violate the bound
+            verdict = "inconclusive_for_certification"
+        else:
+            verdict = "refuted"
+            witness["plane"] = {"x": list(x), "y": list(y),
+                                "sec": -value if le else value}
+            if R.n != 4:
+                method, tolerances["plane_margin"] = "grassmann_opt", tol
+    return Certificate(n=R.n, k=k, direction=direction, verdict=verdict,
+                       method=method, strict=strict, witness=witness,
+                       tolerances=tolerances)

@@ -228,15 +228,15 @@ def cmd_kterm(args):
     _check_build_dimension(args.rep, R.n, args.p)
     space = kn.space_for(args.rep, R.n, args.p)
     K = wz.curvature_term(R, space)
-    spectrum = np.sort(np.linalg.eigvalsh(K.mat))
+    spectrum = np.linalg.eigvalsh(K.mat).tolist()      # ascending
     doc = {
         "n": R.n,
         "rep": args.rep,
         "p": args.p,
         "dim": space.dim,
-        "matrix": [[float(v) for v in row] for row in K.mat],
-        "spectrum": [float(v) for v in spectrum],
-        "lambda_min": float(spectrum[0]),
+        "matrix": K.mat.tolist(),
+        "spectrum": spectrum,
+        "lambda_min": spectrum[0],
     }
     if args.rep == "sym":
         bs = wz.block_structure(R, K)
@@ -244,8 +244,7 @@ def cmd_kterm(args):
             "degrees": bs.degrees,
             "dims": bs.block_dims,
             "offdiag_max": bs.offdiag_max,
-            "spectra": {str(d): [float(v) for v in bs.spectra[d]]
-                        for d in bs.degrees},
+            "spectra": {str(d): bs.spectra[d].tolist() for d in bs.degrees},
         }
     _maybe_warn_asymmetry(doc, R)
     emit(doc, args.out)

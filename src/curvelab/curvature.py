@@ -61,7 +61,11 @@ class CurvatureOperator:
             with np.errstate(invalid="ignore", over="ignore"):
                 self.asymmetry = float(np.abs(m - m.T).max()) / 2
                 self.mat = 0.5 * (m + m.T)
-        if not (math.isfinite(self.asymmetry) and np.isfinite(self.mat).all()):
+        # a zero byte of the isfinite mask is an entry that is not finite;
+        # the mask's bytes are searched in C, where ndarray.all's Python
+        # wrapper costs more than the test
+        if not (math.isfinite(self.asymmetry)
+                and b"\0" not in np.isfinite(self.mat).tobytes()):
             raise ValueError("operator entries must be finite")
 
     @classmethod

@@ -523,6 +523,39 @@ def test_memo_certificates_match_cold_ones():
             assert json.dumps(cold.to_dict()) == doc
 
 
+def test_memo_hit_runs_no_solve_and_no_eigensolver(monkeypatch):
+    # a query on a kept operator is answered from its record: with the
+    # solve and numpy's eigensolvers made to raise, every query on R and
+    # -R still answers, with the bytes of its cold certificate
+    R = fixture_operator("s2xs2", 4)        # sec ranges over [0, 1]
+    minus = cv.CurvatureOperator(4, -R.mat)
+    queries = [(Rq, k, direction, strict)
+               for Rq in (R, minus) for k in (-1.5, -0.5, 0.0, 0.5, 1.0)
+               for direction in ("ge", "le") for strict in (False, True)]
+    cold = []
+    for Rq, k, direction, strict in queries:
+        ce._n4_solve.cache_clear()
+        cold.append(json.dumps(ce.certify_bound(
+            Rq, k, direction=direction, strict=strict).to_dict()))
+    ce._n4_solve.cache_clear()
+    ce.certify_bound(R, 0.0)
+    ce.certify_bound(minus, 0.0)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a memo hit solved")
+
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                        (ce, "thorpe_sec_min")):
+        monkeypatch.setattr(owner, name, boom)
+    verdicts = set()
+    for doc, (Rq, k, direction, strict) in zip(cold, queries):
+        cert = ce.certify_bound(Rq, k, direction=direction, strict=strict)
+        assert json.dumps(cert.to_dict()) == doc
+        verdicts.add(cert.verdict)
+    assert verdicts == {"certified", "refuted",
+                        "inconclusive_for_certification"}
+
+
 def test_memo_is_not_shared_with_certificates():
     R = fixture_operator("s2xs2", 4)
     first = ce.certify_bound(R, 0.01)

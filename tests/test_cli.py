@@ -306,6 +306,21 @@ def test_kterm_symmetric_blocks(capsys):
     assert np.allclose(blocks["spectra"]["1"], 3.0, atol=1e-9)
 
 
+def test_kterm_emits_the_matrix_and_an_ascending_spectrum(capsys):
+    # the document's lists are K's own floats, and eigvalsh's order
+    from curvelab import knalgebra as kn
+    from curvelab import weitzenbock as wz
+    doc = run_json(capsys, "kterm", "s2xs2", "--n", "4", "--rep", "sym",
+                   "--p", "2")
+    K = wz.curvature_term(fixture_operator("s2xs2", 4),
+                          kn.space_for("sym", 4, 2))
+    assert doc["matrix"] == K.mat.tolist()
+    assert doc["spectrum"] == sorted(doc["spectrum"])
+    assert doc["lambda_min"] == doc["spectrum"][0]
+    for spectrum in doc["blocks"]["spectra"].values():
+        assert spectrum == sorted(spectrum)
+
+
 def test_kterm_sym_assembles_the_ambient_power_once(capsys, monkeypatch):
     # the block check reuses the reported K(R, Sym^p); only the lower
     # tower degrees are assembled again
