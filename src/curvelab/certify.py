@@ -293,15 +293,14 @@ _EIG_TOL = 1e-9
 
 @lru_cache(maxsize=None)
 def _star_eigenbasis():
-    """``(Q, J, j, E)``: ``star = Q J Q^T`` at n = 4 with ``J = diag(j)``,
-    ``j = (-1, -1, -1, 1, 1, 1)`` (the anti-self-dual half first), and
-    ``E = two_forms(4)`` as a (6, 16) matrix."""
+    """``(Q, J, j)``: ``star = Q J Q^T`` at n = 4 with ``J = diag(j)``,
+    ``j = (-1, -1, -1, 1, 1, 1)`` (the anti-self-dual half first)."""
     j, Q = np.linalg.eigh(four_form_matrix(4))
     j = np.sign(j)
     J = np.diag(j)
     for a in (Q, J, j):
         a.flags.writeable = False
-    return Q, J, j, ml.two_forms(4).reshape(6, 16)
+    return Q, J, j
 
 
 def _decomposable(u):
@@ -309,8 +308,9 @@ def _decomposable(u):
     1/sqrt 2 (a half that vanishes becomes its first basis vector): a unit
     two-form w with ``<w, star w> = 0``, so decomposable by the Pluecker
     relation."""
+    u = u.tolist()
     w = []
-    for half in (u[:3].tolist(), u[3:].tolist()):
+    for half in (u[:3], u[3:]):
         r = math.hypot(*half)
         if r == 0.0:
             half, r = [1.0, 0.0, 0.0], 1.0
@@ -319,16 +319,43 @@ def _decomposable(u):
 
 
 def _isotropic(B, j):
-    """A unit vector of the span of B's orthonormal columns on which the
+    """A unit vector of the span of B's m orthonormal columns on which the
     form of ``J = diag(j)`` vanishes, or None when the form takes one sign
     only there: ``cos a w_lo + sin a w_hi`` for the span's directions of
-    least and greatest J-value, with ``cos^2 a lo + sin^2 a hi = 0``."""
-    s, W = np.linalg.eigh(B.T @ (j[:, None] * B))
+    least and greatest J-value, with ``cos^2 a lo + sin^2 a hi = 0``.
+
+    j is star's, three entries of each sign, so at m = 6, where the span
+    is all of R^6, the unit vector with halves (e_1, e_1) / sqrt 2 serves.
+    At m = 2 the 2 x 2 eigenproblem is solved in closed form; other m
+    take ``eigh``.
+    """
+    m = B.shape[1]
+    if m == 6:
+        h = math.sqrt(0.5)
+        return np.array([h, 0.0, 0.0, h, 0.0, 0.0])
+    if m == 2:
+        # [[a, b], [b, c]] has eigenvalues mid -+ r, and (p, q) is an
+        # eigenvector of mid + r in whichever of its two forms does not
+        # cancel
+        (a, b), (_, c) = (B.T * j).dot(B).tolist()
+        mid, half = 0.5 * (a + c), 0.5 * (a - c)
+        r = math.hypot(half, b)
+        lo, hi = mid - r, mid + r
+        if not lo <= 0.0 <= hi:
+            return None
+        if r == 0.0:            # the form vanishes on the span
+            return B[:, 0]
+        p, q = (half + r, b) if half >= 0.0 else (b, r - half)
+        n = math.hypot(p, q)
+        cos2 = hi / (hi - lo)
+        ca, sa = math.sqrt(cos2) / n, math.sqrt(1.0 - cos2) / n
+        return B.dot([sa * p - ca * q, ca * p + sa * q])
+    s, W = np.linalg.eigh(B.T.dot(j[:, None] * B))
     lo, hi = float(s[0]), float(s[-1])
     if not lo <= 0.0 <= hi:
         return None
     cos2 = hi / (hi - lo) if hi > lo else 1.0
-    return B @ (math.sqrt(cos2) * W[:, 0] + math.sqrt(1.0 - cos2) * W[:, -1])
+    return B.dot(math.sqrt(cos2) * W[:, 0] + math.sqrt(1.0 - cos2) * W[:, -1])
 
 
 def thorpe_sec_min(R, norm=None):
@@ -342,10 +369,11 @@ def thorpe_sec_min(R, norm=None):
     traces of M + t J on the two halves balance,
     ``t = (tr M|- - tr M|+) / 6``; the value and t* are scaled back.
 
-    A probe is one ``eigh(M + t J)``.  Its bottom eigenvector v_0, with
-    anti-self-dual half p and self-dual half q, gives the supergradient
-    ``|q|^2 - |p|^2`` and, over the eigenvalues lambda_j split from
-    lambda_0, the second derivative
+    A probe is one ``eigh(M + t J)`` and one product of its eigenvectors
+    with ``J v_0``; the rest is arithmetic on Python floats.  Its bottom
+    eigenvector v_0, with anti-self-dual half p and self-dual half q,
+    gives the supergradient ``|q|^2 - |p|^2`` and, over the eigenvalues
+    lambda_j split from lambda_0, the second derivative
     ``2 sum_j (v_j . J v_0)^2 / (lambda_0 - lambda_j)`` (first-order
     perturbation).  v_0 with both halves rescaled to length 1/sqrt 2 is a
     unit two-form w with ``<w, J w> = 0``, decomposable by the Pluecker
@@ -359,10 +387,12 @@ def thorpe_sec_min(R, norm=None):
     rescaling factor exceeds sqrt 2.  When lambda_0 is multiple (within
     ``_GAP_TOL``) and the slopes over its eigenspace take both signs, the
     probe is a kink at the maximum: its slope is 0, and w is the mix of
-    the two extreme-slope directions with ``<w, J w> = 0``.  A kink that
-    no probe lands on leaves the gap open; the bottom eigenvectors of the
-    last probes of positive and of negative slope are then mixed in the
-    same way, and the mix is a candidate w of its own value.
+    the two extreme-slope directions with ``<w, J w> = 0`` that
+    ``_isotropic`` forms, in closed form when the eigenspace has
+    dimension 2 or 6.  A kink that no probe lands on leaves the gap open;
+    the bottom eigenvectors of the last probes of positive and of
+    negative slope are then mixed in the same way, and the mix is a
+    candidate w of its own value.
 
     ``norm`` is |R|_2 when the caller has it.  Returns (value, t*, w): the
     best probe's lambda_0 and t, scaled back, and, in the pair basis, the
@@ -376,25 +406,28 @@ def thorpe_sec_min(R, norm=None):
         norm = _spectral_norm(R.mat)
     if norm == 0.0:
         return 0.0, 0.0, np.eye(6)[0]
-    Q, J, j, _ = _star_eigenbasis()
-    unit = Q.T @ R.mat @ Q / norm
+    Q, J, j = _star_eigenbasis()
+    # ndarray.dot, here and below: on 6 x 6 operands the matmul ufunc's
+    # dispatch costs as much as the product, and the result is the same
+    unit = Q.T.dot(R.mat).dot(Q) / norm
     d = unit.diagonal().tolist()
     start = (d[0] + d[1] + d[2] - d[3] - d[4] - d[5]) / 6.0
-    probes = []                 # (bound, value, v_0 or w) of each probe
+    probes = []                 # (bound, value, u, slope) of each probe
 
     def mu(t):
         lam, vec = np.linalg.eigh(unit + t * J)
+        u = vec[:, 0]
         # c_j = v_j . J v_0, and c_0 = |q|^2 - |p|^2 is the slope; six
         # numbers, for which Python floats cost less than numpy calls
         lam0, *lams = lam.tolist()
-        slope, *cs = ((j * vec[:, 0]) @ vec).tolist()
+        slope, *cs = (j * u).dot(vec).tolist()
         curv = spread = 0.0
         for cj, lj in zip(cs, lams):
             split, c2 = lj - lam0, cj * cj
             spread += split * c2
             if split > _GAP_TOL:
                 curv -= 2.0 * c2 / split
-        u, bound = vec[:, 0], math.inf
+        bound = math.inf
         if lams[0] - lam0 <= _GAP_TOL:
             m = 1 + sum(lj - lam0 <= _GAP_TOL for lj in lams)
             mix = _isotropic(vec[:, :m], j)
@@ -410,7 +443,10 @@ def thorpe_sec_min(R, norm=None):
         return lam0, slope, curv, bound
 
     t_star, val = concave_max(mu, -2.0, 2.0, start=start)
-    if min(p[0] for p in probes) - val > _GAP_TOL:
+    # the least bound; the best probe if every bound is infinite
+    bound, _, u, _ = min(probes, key=lambda p: (p[0], -p[1]))
+    w = _decomposable(u)
+    if bound - val > _GAP_TOL:
         # a kink that no probe landed on: mix the bottom eigenvectors of
         # the last probes on its two sides, as a probe on it would
         rising = [p[2] for p in probes if p[3] > 0.0]
@@ -419,45 +455,59 @@ def thorpe_sec_min(R, norm=None):
             B = np.linalg.qr(np.column_stack([rising[-1], falling[-1]]))[0]
             mix = _isotropic(B, j)
             if mix is not None:
-                w = _decomposable(mix)
-                probes.append((w @ unit @ w, -math.inf, mix, 0.0))
-    # the least bound; the best probe if every bound is infinite
-    u = min(probes, key=lambda p: (p[0], -p[1]))[2]
-    return norm * val, norm * t_star, Q @ _decomposable(u)
+                v = _decomposable(mix)
+                if v @ unit @ v < bound:
+                    w = v
+    return norm * val, norm * t_star, Q.dot(w)
 
 
 def _thorpe_plane(w):
-    """The plane of a unit decomposable two-form w at n = 4.
+    """The plane ``(x, y)``, two tuples of Python floats, of a unit
+    decomposable two-form w at n = 4, read off w's six coordinates.
 
-    w's 4 x 4 skew matrix is ``x y^T - y x^T`` for an orthonormal basis
+    w's 4 x 4 skew matrix M is ``x y^T - y x^T`` for an orthonormal basis
     (x, y) of its plane, so its longest column lies in the plane (its
-    squared length is at least 1/2), and the matrix maps that column to
-    an orthogonal vector of the plane.
+    squared length is at least 1/2), and M maps that column to an
+    orthogonal vector of the plane.
     """
-    M = (w @ _star_eigenbasis()[3]).reshape(4, 4)
-    x = M[:, np.argmax(np.einsum("ij,ij->j", M, M))]
-    x = x / math.sqrt(x @ x)
-    y = M @ x
-    return TwoPlane(x, y / math.sqrt(y @ y))
+    a, b, c, d, e, f = w.tolist()       # w_12, w_13, w_14, w_23, w_24, w_34
+    # M's columns: M_ij = w_ij above the diagonal, so column j is -(row j)
+    cols = ((0.0, -a, -b, -c), (a, 0.0, -d, -e), (b, d, 0.0, -f),
+            (c, e, f, 0.0))
+    lengths = [p * p + q * q + r * r + s * s for p, q, r, s in cols]
+    longest = max(lengths)
+    r = math.sqrt(longest)
+    x0, x1, x2, x3 = [p / r for p in cols[lengths.index(longest)]]
+    y0, y1, y2, y3 = (a * x1 + b * x2 + c * x3, -a * x0 + d * x2 + e * x3,
+                      -b * x0 - d * x1 + f * x3, -c * x0 - e * x1 - f * x2)
+    r = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3)
+    return (x0, x1, x2, x3), (y0 / r, y1 / r, y2 / r, y3 / r)
 
 
 @lru_cache(maxsize=2)
 def _n4_solve(key):
-    """``(lo, hi, m, t*, plane, sec(plane), x, y)`` of the n = 4 operator R
-    with matrix bytes ``key``: R's extreme eigenvalues, ``thorpe_sec_min``'s
-    value and shift, its plane (read-only) with the plane's sec, and the
-    plane's x and y as tuples of Python floats.  The record serves every
-    k on R, all of it floats but the plane, so a query that finds it runs
-    no numpy past its key.  The last two operators are kept, so
+    """``(lo, hi, m, t*, sec, x, y)`` of the n = 4 operator R with matrix
+    bytes ``key``: R's extreme eigenvalues, ``thorpe_sec_min``'s value and
+    shift, and the plane (x, y) that ``_thorpe_plane`` reads off its
+    two-form with the plane's sec, all Python floats and tuples of them.
+    The record serves every k on R, so a query that finds it runs no
+    numpy past its key, and no caller can change it.  A cold solve makes
+    one ``eigvalsh`` and one ``eigh`` per probe, plus an ``eigh`` at a
+    kink whose eigenspace has dimension 3, 4 or 5 and a ``qr`` at a kink
+    that no probe lands on.  The last two operators are kept, so
     alternating ge and le queries on R solve R and -R once each, and the
     memo does not grow with them."""
-    R = CurvatureOperator._from_symmetric(4, np.frombuffer(key).reshape(6, 6))
-    lo, hi = np.linalg.eigvalsh(R.mat)[[0, -1]].tolist()
-    m, t_star, w = thorpe_sec_min(R, norm=max(-lo, hi))
-    plane = _thorpe_plane(w)
-    plane.x.flags.writeable = plane.y.flags.writeable = False
-    return (lo, hi, m, t_star, plane, sec(R, plane),
-            tuple(plane.x.tolist()), tuple(plane.y.tolist()))
+    mat = np.frombuffer(key).reshape(6, 6)
+    lam = np.linalg.eigvalsh(mat).tolist()
+    lo, hi = lam[0], lam[-1]
+    m, t_star, w = thorpe_sec_min(CurvatureOperator._from_symmetric(4, mat),
+                                  norm=max(-lo, hi))
+    x, y = _thorpe_plane(w)
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = x, y
+    # sec is the form of R at the pair coordinates of x ^ y
+    s = np.array([x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x0 * y3 - x3 * y0,
+                  x1 * y2 - x2 * y1, x1 * y3 - x3 * y1, x2 * y3 - x3 * y2])
+    return lo, hi, m, t_star, float(s.dot(mat).dot(s)), x, y
 
 
 @dataclass
@@ -543,7 +593,7 @@ def certify_bound(R, k, direction="ge", strict=False):
     # the extreme eigenvalues give |R|_2 and, for n != 4,
     # lambda_min(R - k Id); n != 4 keeps the eigenvectors for the search
     if R.n == 4:
-        lo, hi, m, t_star, _, value, x, y = _n4_solve(mat.tobytes())
+        lo, hi, m, t_star, value, x, y = _n4_solve(mat.tobytes())
         mu = m - k_ge
         method, witness = "thorpe_exact", {"t_star": t_star, "mu_max": mu}
     else:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelab import certify as ce
 from curvelab import curvature as cv
@@ -245,7 +247,7 @@ def test_star_shift_closes_its_gap_on_a_real_plane():
         slack = 1e-15 * float(np.linalg.norm(R.mat, 2))
         band = cert.tolerances["gap_tol"] * float(np.linalg.norm(S.mat, 2))
         mu, _, w = ce.thorpe_sec_min(S)
-        plane = ce._thorpe_plane(w)
+        plane = cv.TwoPlane(*ce._thorpe_plane(w))
         frame = np.array([plane.x, plane.y])
         assert np.allclose(frame @ frame.T, np.eye(2), atol=1e-12)
         assert -slack <= cv.sec(Rs, plane) - sign * k - mu <= band + slack
@@ -288,6 +290,33 @@ def test_kinked_maxima_are_refuted_by_a_minimizing_plane():
 
 # ---------------------------------------------------------------------------
 # exact minimum sectional curvature in dimension four
+
+
+def isotropic_by_eigh(B, j):
+    """``_isotropic`` by ``eigh`` of the form on span(B) at every m."""
+    s, W = np.linalg.eigh(B.T @ (j[:, None] * B))
+    lo, hi = float(s[0]), float(s[-1])
+    if not lo <= 0.0 <= hi:
+        return None
+    cos2 = hi / (hi - lo) if hi > lo else 1.0
+    return B @ (math.sqrt(cos2) * W[:, 0] + math.sqrt(1.0 - cos2) * W[:, -1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_isotropic_matches_the_eigh_formula(m, seed):
+    # the closed forms at m = 2 and 6 return None exactly when eigh does,
+    # and otherwise a unit vector of span(B) on which J's form vanishes
+    j = ce._star_eigenbasis()[2]
+    B = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, m)))[0]
+    u = ce._isotropic(B, j)
+    if isotropic_by_eigh(B, j) is None:
+        assert u is None
+        return
+    assert u is not None and u.shape == (6,)
+    assert abs(u @ u - 1.0) <= 1e-14
+    assert np.abs(u - B @ (B.T @ u)).max() <= 1e-14
+    assert abs(u @ (j * u)) <= 1e-14
 
 
 def test_shifted_minimum_on_fixtures():
@@ -437,10 +466,10 @@ def test_n4_refutation_needs_a_plane_below_the_bound(monkeypatch):
     # s2xs2 has sec 1 on e1^e2 and sec 0 on e1^e3; a plane read off the
     # optimum that does not violate the bound refutes nothing (the memo of
     # the last solves is cleared whenever the plane reader changes)
-    e = np.eye(4)
+    e = np.eye(4).tolist()
     R = fixture_operator("s2xs2", 4)
-    for k, direction, plane in ((0.01, "ge", cv.TwoPlane(e[0], e[1])),
-                                (0.99, "le", cv.TwoPlane(e[0], e[2]))):
+    for k, direction, plane in ((0.01, "ge", (e[0], e[1])),
+                                (0.99, "le", (e[0], e[2]))):
         assert ce.certify_bound(R, k, direction=direction).refuted
         monkeypatch.setattr(ce, "_thorpe_plane", lambda *args: plane)
         ce._n4_solve.cache_clear()
@@ -557,17 +586,68 @@ def test_memo_hit_runs_no_solve_and_no_eigensolver(monkeypatch):
 
 
 def test_memo_is_not_shared_with_certificates():
+    # the record holds Python floats and tuples of them, which no caller
+    # can change, and a certificate its caller mutates leaves the next
+    # one as it was
     R = fixture_operator("s2xs2", 4)
     first = ce.certify_bound(R, 0.01)
     expected = json.dumps(first.to_dict())
+    record = ce._n4_solve(R.mat.tobytes())
+    lo, hi, m, t_star, value, x, y = record
+    assert type(x) is type(y) is tuple
+    assert all(type(v) is float for v in (lo, hi, m, t_star, value, *x, *y))
     first.witness["plane"]["x"][0] = 7.0
     first.witness["plane"]["y"].append(1.0)
+    first.witness["t_star"] = 7.0
     assert json.dumps(ce.certify_bound(R, 0.01).to_dict()) == expected
-    plane = ce._n4_solve(R.mat.tobytes())[4]
-    for a in (plane.x, plane.y):
-        with pytest.raises(ValueError):
-            a[0] = 7.0
-    assert json.dumps(ce.certify_bound(R, 0.01).to_dict()) == expected
+    assert ce._n4_solve(R.mat.tobytes()) == record
+
+
+def test_cold_solve_linalg_budget(monkeypatch):
+    # a certify_n4 round's seven solve keys: an exact-answer operator, and
+    # identity, s2xs2 and hodge-star with their negatives.  A cold solve
+    # calls np.linalg once for |R|_2 and once per probe; only a kink whose
+    # eigenspace has dimension 3, 4 or 5 adds an eigh, and the closed
+    # forms at dimensions 2 and 6 add none
+    calls, probes, clusters = [], [], []
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+    search, isotropic = ce.concave_max, ce._isotropic
+
+    def counted_search(f, *args, **kwargs):
+        def g(t):
+            probes.append(t)
+            return f(t)
+        return search(g, *args, **kwargs)
+
+    def counted_isotropic(B, j):
+        clusters.append(B.shape[1])
+        return isotropic(B, j)
+
+    monkeypatch.setattr(ce, "concave_max", counted_search)
+    monkeypatch.setattr(ce, "_isotropic", counted_isotropic)
+    rng = np.random.default_rng(29)
+    keys = [exact_n4_operator(rng)[1].mat for _ in range(20)]
+    for name in ("identity", "s2xs2", "hodge-star"):
+        mat = fixture_operator(name, 4).mat
+        keys += [mat, -mat]
+    seen = set()
+    for mat in keys:
+        ce._n4_solve.cache_clear()
+        calls.clear()
+        probes.clear()
+        clusters.clear()
+        ce._n4_solve(mat.tobytes())
+        seen.update(clusters)
+        fallbacks = sum(m not in (2, 6) for m in clusters)
+        assert 0 < len(calls) <= len(probes) + 1 + fallbacks
+    ce._n4_solve.cache_clear()
+    assert {2, 4, 6} <= seen
 
 
 def test_certificate_serialization():

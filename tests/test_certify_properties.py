@@ -55,6 +55,31 @@ def test_refutation_plane_attains_the_exact_minimum(seed, scale, offset,
     assert cert.witness["plane"]["sec"] == pytest.approx(value, abs=1e-12 * norm)
 
 
+@PROPERTY
+@given(seeds, st.floats(-6.0, 6.0), st.sampled_from([1e-6, 1e-3, 0.1, 1.0]),
+       st.sampled_from(["ge", "le"]), st.booleans())
+def test_n4_refutation_planes_on_gaussian_operators(seed, exponent, offset,
+                                                    direction, strict):
+    # a bound offset * |R|_2 past the extreme sec is refuted by a plane
+    # that is orthonormal, whose sec recomputed from (x, y) is the one
+    # reported, and which violates the bound by more than the tolerance
+    A = np.random.default_rng(seed).standard_normal((6, 6))
+    R = cv.CurvatureOperator(4, 10.0 ** exponent * 0.5 * (A + A.T))
+    norm = float(np.linalg.norm(R.mat, 2))
+    sign = 1.0 if direction == "ge" else -1.0
+    extreme = sign * ce.thorpe_sec_min(cv.CurvatureOperator(4, sign * R.mat))[0]
+    k = extreme + sign * offset * norm
+    cert = ce.certify_bound(R, k, direction=direction, strict=strict)
+    assert (cert.verdict, cert.method) == ("refuted", "thorpe_exact")
+    plane = cert.witness["plane"]
+    frame = np.array([plane["x"], plane["y"]])
+    assert np.abs(frame @ frame.T - np.eye(2)).max() <= 1e-12
+    value = plane_sec(R, cert)
+    assert abs(value - plane["sec"]) <= 1e-13 * norm
+    tol = cert.tolerances["eig_tol"]
+    assert sign * (k - value) > tol
+
+
 def mirrored(ge, k):
     """The certificate of ``sec <= -k`` on -R that mirrors ge, ``sec >= k``
     on R: the same witness and tolerances, with k, the direction and the
