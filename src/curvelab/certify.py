@@ -7,7 +7,10 @@
   ``lambda_min(R - k Id + omega) >= 0`` for some omega proves
   ``sec >= k``.  At n = 4 the four-forms are the multiples of the Hodge
   star and the test is exact (Thorpe): ``lambda_min(R - k Id + t star)``
-  is concave in t, and ``thorpe_sec_min`` maximizes it with
+  is concave in t.  When R commutes with star (the Einstein operators
+  and their four-form shifts), ``lambda_min(R + t star) = min(a - t, c +
+  t)`` for the least eigenvalues a, c of R on the two halves of star,
+  maximal at ``t = (a - c) / 2``; else ``thorpe_sec_min`` maximizes it with
   ``concave_max`` by Newton steps in an eigenbasis of star.  The bottom
   eigenvector of each probe, its two halves rescaled to equal length, is
   a real plane whose sec bounds the maximum from above, so the search
@@ -303,6 +306,34 @@ def _star_eigenbasis():
     return Q, J, j
 
 
+def _star_split(mat):
+    """``(lo, hi, m, t*, w)``, floats and a 6-tuple of floats, of an n = 4
+    operator matrix with ``star R star = R`` exactly (by value), else None.
+
+    star is the signed reversal ``e_i -> s_i e_{5-i}`` (i from 0), so such
+    an R is ``diag(A, C)`` on star's halves ``(e_i -+ s_i e_{5-i}) / sqrt 2``,
+    i < 3, with ``A_ij = R_ij - s_j R_{i,5-j}`` and ``C_ij = R_ij + s_j
+    R_{i,5-j}``, exactly symmetric.  ``lambda_min(R + t star) = min(a - t,
+    c + t)`` for the least eigenvalues a of A and c of C peaks at ``t* =
+    (a - c) / 2`` with ``m = (a + c) / 2``, and their bottom eigenvectors
+    u, v give a plane of sec m: ``w_i = (u_i + v_i) / 2``, ``w_{5-i} =
+    s_i (v_i - u_i) / 2``.  One stacked ``eigh`` gives all of it, and R's
+    extreme eigenvalues lo and hi."""
+    star = four_form_matrix(4)
+    # R_00 = R_55 first: a scalar test that most operators fail
+    if mat[0, 0] != mat[5, 5] or not (star.dot(mat).dot(star) == mat).all():
+        return None
+    s = star[::-1].diagonal()
+    top, cross = mat[:3, :3], mat[:3, :2:-1] * s[:3]
+    lam, vec = np.linalg.eigh(np.array([top - cross, top + cross]))
+    (a, _, a_top), (c, _, c_top) = lam.tolist()
+    (u0, u1, u2), (v0, v1, v2) = vec[:, :, 0].tolist()
+    s0, s1, s2 = s[:3].tolist()
+    w = (0.5 * (u0 + v0), 0.5 * (u1 + v1), 0.5 * (u2 + v2),
+         0.5 * s2 * (v2 - u2), 0.5 * s1 * (v1 - u1), 0.5 * s0 * (v0 - u0))
+    return min(a, c), max(a_top, c_top), 0.5 * (a + c), 0.5 * (a - c), w
+
+
 def _decomposable(u):
     """u, in the eigenbasis of star, with each half rescaled to length
     1/sqrt 2 (a half that vanishes becomes its first basis vector): a unit
@@ -324,16 +355,10 @@ def _isotropic(B, j):
     only there: ``cos a w_lo + sin a w_hi`` for the span's directions of
     least and greatest J-value, with ``cos^2 a lo + sin^2 a hi = 0``.
 
-    j is star's, three entries of each sign, so at m = 6, where the span
-    is all of R^6, the unit vector with halves (e_1, e_1) / sqrt 2 serves.
     At m = 2 the 2 x 2 eigenproblem is solved in closed form; other m
     take ``eigh``.
     """
-    m = B.shape[1]
-    if m == 6:
-        h = math.sqrt(0.5)
-        return np.array([h, 0.0, 0.0, h, 0.0, 0.0])
-    if m == 2:
+    if B.shape[1] == 2:
         # [[a, b], [b, c]] has eigenvalues mid -+ r, and (p, q) is an
         # eigenvector of mid + r in whichever of its two forms does not
         # cancel
@@ -363,7 +388,9 @@ def thorpe_sec_min(R, norm=None):
 
     ``min sec = max_t lambda_min(R + t star)``: the bound ``sec >= k``
     holds iff the shifted operator can be made positive semidefinite, and
-    shifting by k Id moves every eigenvalue by -k.  ``concave_max`` runs
+    shifting by k Id moves every eigenvalue by -k.  An R that commutes
+    with star is answered in closed form by ``_star_split``, one 3 x 3
+    eigensolve of each half; for any other R ``concave_max`` runs
     on ``M = R / |R|_2`` over t in [-2, 2], in an eigenbasis of star,
     where star is ``J = diag(-1, -1, -1, 1, 1, 1)``.  It starts where the
     traces of M + t J on the two halves balance,
@@ -389,10 +416,10 @@ def thorpe_sec_min(R, norm=None):
     probe is a kink at the maximum: its slope is 0, and w is the mix of
     the two extreme-slope directions with ``<w, J w> = 0`` that
     ``_isotropic`` forms, in closed form when the eigenspace has
-    dimension 2 or 6.  A kink that no probe lands on leaves the gap open;
+    dimension 2.  A kink that no probe lands on leaves the gap open;
     the bottom eigenvectors of the last probes of positive and of
-    negative slope are then mixed in the same way, and the mix is a
-    candidate w of its own value.
+    negative slope, made orthonormal, are then mixed in the same way, and
+    the mix is a candidate w of its own value.
 
     ``norm`` is |R|_2 when the caller has it.  Returns (value, t*, w): the
     best probe's lambda_0 and t, scaled back, and, in the pair basis, the
@@ -402,10 +429,11 @@ def thorpe_sec_min(R, norm=None):
     """
     if R.n != 4:
         raise ValueError("the star-shift argument needs n = 4")
+    split = _star_split(R.mat)
+    if split is not None:
+        return split[2], split[3], np.array(split[4])
     if norm is None:
         norm = _spectral_norm(R.mat)
-    if norm == 0.0:
-        return 0.0, 0.0, np.eye(6)[0]
     Q, J, j = _star_eigenbasis()
     # ndarray.dot, here and below: on 6 x 6 operands the matmul ufunc's
     # dispatch costs as much as the product, and the result is the same
@@ -452,8 +480,10 @@ def thorpe_sec_min(R, norm=None):
         rising = [p[2] for p in probes if p[3] > 0.0]
         falling = [p[2] for p in probes if p[3] < 0.0]
         if rising and falling:
-            B = np.linalg.qr(np.column_stack([rising[-1], falling[-1]]))[0]
-            mix = _isotropic(B, j)
+            # unit eigenvectors of slopes of opposite signs: not parallel
+            r, f = rising[-1], falling[-1]
+            f = f - f.dot(r) * r
+            mix = _isotropic(np.column_stack([r, f / math.sqrt(f.dot(f))]), j)
             if mix is not None:
                 v = _decomposable(mix)
                 if v @ unit @ v < bound:
@@ -470,7 +500,7 @@ def _thorpe_plane(w):
     squared length is at least 1/2), and M maps that column to an
     orthogonal vector of the plane.
     """
-    a, b, c, d, e, f = w.tolist()       # w_12, w_13, w_14, w_23, w_24, w_34
+    a, b, c, d, e, f = w                # w_12, w_13, w_14, w_23, w_24, w_34
     # M's columns: M_ij = w_ij above the diagonal, so column j is -(row j)
     cols = ((0.0, -a, -b, -c), (a, 0.0, -d, -e), (b, d, 0.0, -f),
             (c, e, f, 0.0))
@@ -491,17 +521,21 @@ def _n4_solve(key):
     shift, and the plane (x, y) that ``_thorpe_plane`` reads off its
     two-form with the plane's sec, all Python floats and tuples of them.
     The record serves every k on R, so a query that finds it runs no
-    numpy past its key, and no caller can change it.  A cold solve makes
-    one ``eigvalsh`` and one ``eigh`` per probe, plus an ``eigh`` at a
-    kink whose eigenspace has dimension 3, 4 or 5 and a ``qr`` at a kink
-    that no probe lands on.  The last two operators are kept, so
+    numpy past its key, and no caller can change it.  A cold solve of an
+    R that commutes with star is ``_star_split``'s one ``eigh``; any other
+    R makes one ``eigvalsh`` and one ``eigh`` per probe, plus an ``eigh``
+    at a kink whose eigenspace has dimension 3 or more.  The last two
+    operators are kept, so
     alternating ge and le queries on R solve R and -R once each, and the
     memo does not grow with them."""
     mat = np.frombuffer(key).reshape(6, 6)
-    lam = np.linalg.eigvalsh(mat).tolist()
-    lo, hi = lam[0], lam[-1]
-    m, t_star, w = thorpe_sec_min(CurvatureOperator._from_symmetric(4, mat),
-                                  norm=max(-lo, hi))
+    split = _star_split(mat)
+    if split is None:
+        lam = np.linalg.eigvalsh(mat).tolist()
+        m, t_star, w = thorpe_sec_min(CurvatureOperator._from_symmetric(
+            4, mat), norm=max(-lam[0], lam[-1]))
+        split = lam[0], lam[-1], m, t_star, w.tolist()
+    lo, hi, m, t_star, w = split
     x, y = _thorpe_plane(w)
     (x0, x1, x2, x3), (y0, y1, y2, y3) = x, y
     # sec is the form of R at the pair coordinates of x ^ y

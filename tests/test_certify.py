@@ -272,6 +272,39 @@ def kinked_n4_operator(rng):
     return cv.CurvatureOperator(4, Q @ M @ Q.T)
 
 
+def clustered_n4_operator(rng, m):
+    """``R = Q (P - t J) Q^T`` in an eigenbasis Q of star, where star is
+    ``J = diag(j)``, with ``P = V diag(0, .., 0, l) V^T >= 0`` of kernel
+    dimension m (2 <= m <= 4), J indefinite on the kernel and
+    ``tr J P = 0``.  The search's balanced-trace start is then t, where
+    lambda_min(R + s star) = 0 is a kink of multiplicity m, so its first
+    probe mixes an m-dimensional eigenspace.  P does not commute with J,
+    so R takes the search."""
+    j, Q = np.linalg.eigh(cv.four_form_matrix(4))
+    j = np.sign(j)
+    while True:
+        V = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        form = np.linalg.eigvalsh(V[:, :m].T @ (j[:, None] * V[:, :m]))
+        c = np.einsum("ik,i,ik->k", V, j, V)[m:]      # v_k . J v_k
+        lam = rng.uniform(0.2, 2.0, 6 - m)
+        lam[-1] = -(lam[:-1] @ c[:-1]) / c[-1]
+        if form[0] < 0.0 < form[-1] and lam[-1] >= 0.2:
+            break
+    M = (V[:, m:] @ np.diag(lam) @ V[:, m:].T
+         - rng.uniform(-0.8, 0.8) * np.diag(j))
+    return cv.CurvatureOperator(4, Q @ M @ Q.T)
+
+
+def star_commuting(A):
+    """``(M + star M star) / 2`` for the symmetric part M of a 6 x 6 A:
+    each entry and its mirror ``s_i s_j M_{5-i,5-j}`` are rounded by one
+    operation on the same two numbers, so it commutes with star exactly,
+    and so does any multiple of it."""
+    star = cv.four_form_matrix(4)
+    M = 0.5 * (A + A.T)
+    return 0.5 * (M + star @ M @ star)
+
+
 def test_kinked_maxima_are_refuted_by_a_minimizing_plane():
     # no probe lands on the kink, so the bottom eigenvectors on its two
     # sides are mixed into a plane, as on a probe at a kink
@@ -305,7 +338,7 @@ def isotropic_by_eigh(B, j):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_isotropic_matches_the_eigh_formula(m, seed):
-    # the closed forms at m = 2 and 6 return None exactly when eigh does,
+    # the closed form at m = 2 and eigh return None exactly when eigh does,
     # and otherwise a unit vector of span(B) on which J's form vanishes
     j = ce._star_eigenbasis()[2]
     B = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, m)))[0]
@@ -320,17 +353,75 @@ def test_isotropic_matches_the_eigh_formula(m, seed):
 
 
 def test_shifted_minimum_on_fixtures():
-    val, t, _ = ce.thorpe_sec_min(fixture_operator("identity", 4))
-    assert val == pytest.approx(1.0, abs=1e-9)
-    assert t == pytest.approx(0.0, abs=1e-6)
+    # the fixtures commute with star, and the closed form answers them
+    # exactly, through the library function and the solve record alike
+    for name, m, t in (("identity", 1.0, 0.0), ("hodge-star", 0.0, -1.0),
+                       ("s2xs2", 0.0, 0.0)):
+        R = fixture_operator(name, 4)
+        assert ce.thorpe_sec_min(R)[:2] == (m, t)
+        assert ce._n4_solve(R.mat.tobytes())[2:4] == (m, t)
+    ce._n4_solve.cache_clear()
 
-    val, t, _ = ce.thorpe_sec_min(fixture_operator("hodge-star", 4))
-    assert val == pytest.approx(0.0, abs=1e-9)
-    assert t == pytest.approx(-1.0, abs=1e-6)
 
-    val, t, _ = ce.thorpe_sec_min(fixture_operator("s2xs2", 4))
-    assert val == pytest.approx(0.0, abs=1e-9)
-    assert t == pytest.approx(0.0, abs=1e-5)
+def test_star_commuting_operators_take_the_closed_form(monkeypatch):
+    # the operators that commute with star, and only those, are answered
+    # without the search: fixtures and their negatives, through
+    # certify_bound and thorpe_sec_min
+    searches = []
+    search = ce.concave_max
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(ce, "concave_max", counted)
+    nudged = fixture_operator("s2xs2", 4).mat.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], 2.0)
+    cases = [(name, sign * fixture_operator(name, 4).mat, True)
+             for name in ("identity", "hodge-star", "s2xs2", "weyl-type",
+                          "four-form")
+             for sign in (1.0, -1.0)]
+    cases += [("traceless-ricci", fixture_operator("traceless-ricci", 4).mat,
+               False), ("nudged s2xs2", nudged, False)]
+    for name, mat, closed in cases:
+        R = cv.CurvatureOperator(4, mat)
+        for solve in (lambda: ce.certify_bound(R, 0.0),
+                      lambda: ce.thorpe_sec_min(R)):
+            ce._n4_solve.cache_clear()
+            searches.clear()
+            solve()
+            assert (not searches) == closed, name
+    ce._n4_solve.cache_clear()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
+def test_star_commuting_closed_form_is_the_star_shift_maximum(seed, exponent):
+    # on exactly star-commuting operators scaled by 10^U(-6, 6): the
+    # record's plane is orthonormal and its sec meets lambda_min(R + t* star)
+    # from an independent eigvalsh, and the search on a copy one ulp off
+    # commutation finds the same maximum
+    A = np.random.default_rng(seed).standard_normal((6, 6))
+    R = cv.CurvatureOperator(4, 10.0 ** exponent * star_commuting(A))
+    norm = float(np.linalg.norm(R.mat, 2))
+    lam = np.linalg.eigvalsh(R.mat)
+    lo, hi, m, t_star, value, x, y = ce._n4_solve(R.mat.tobytes())
+    assert ce.thorpe_sec_min(R)[:2] == (m, t_star)
+    assert abs(lo - lam[0]) <= 1e-14 * norm
+    assert abs(hi - lam[-1]) <= 1e-14 * norm
+    frame = np.array([x, y])
+    assert np.abs(frame @ frame.T - np.eye(2)).max() <= 1e-14
+    shifted = np.linalg.eigvalsh(R.mat + t_star * cv.four_form_matrix(4))[0]
+    sec = cv.sec(R, cv.TwoPlane(np.array(x), np.array(y)))
+    assert abs(sec - value) <= 1e-14 * norm
+    assert abs(sec - shifted) <= 1e-13 * norm
+    assert abs(m - shifted) <= 1e-13 * norm
+    nudged = R.mat.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], math.inf)
+    assert ce._star_split(nudged) is None
+    searched = ce.thorpe_sec_min(cv.CurvatureOperator(4, nudged))[0]
+    assert abs(searched - m) <= ce._GAP_TOL * norm
+    ce._n4_solve.cache_clear()
 
 
 def test_shifted_minimum_rejects_other_dimensions():
@@ -604,11 +695,11 @@ def test_memo_is_not_shared_with_certificates():
 
 
 def test_cold_solve_linalg_budget(monkeypatch):
-    # a certify_n4 round's seven solve keys: an exact-answer operator, and
-    # identity, s2xs2 and hodge-star with their negatives.  A cold solve
-    # calls np.linalg once for |R|_2 and once per probe; only a kink whose
-    # eigenspace has dimension 3, 4 or 5 adds an eigh, and the closed
-    # forms at dimensions 2 and 6 add none
+    # a cold solve of an operator that commutes with star is one stacked
+    # eigh and no probe.  Any other operator calls np.linalg once for
+    # |R|_2 and once per probe; only a kink whose eigenspace has dimension
+    # 3 or more adds an eigh.  The mix at dimension 2 is in closed form,
+    # and so is the orthonormal pair a kink that no probe lands on mixes
     calls, probes, clusters = [], [], []
     for name in dir(np.linalg):
         fn = getattr(np.linalg, name)
@@ -632,22 +723,32 @@ def test_cold_solve_linalg_budget(monkeypatch):
     monkeypatch.setattr(ce, "concave_max", counted_search)
     monkeypatch.setattr(ce, "_isotropic", counted_isotropic)
     rng = np.random.default_rng(29)
-    keys = [exact_n4_operator(rng)[1].mat for _ in range(20)]
-    for name in ("identity", "s2xs2", "hodge-star"):
-        mat = fixture_operator(name, 4).mat
-        keys += [mat, -mat]
+    commuting = [fixture_operator(name, 4).mat
+                 for name in ("identity", "s2xs2", "hodge-star")]
+    commuting += [star_commuting(rng.standard_normal((6, 6)))
+                  for _ in range(10)]
+    searched = [exact_n4_operator(rng)[1].mat for _ in range(20)]
+    searched += [kinked_n4_operator(rng).mat for _ in range(20)]
+    searched += [clustered_n4_operator(rng, m).mat
+                 for m in (2, 3, 4) for _ in range(3)]
     seen = set()
-    for mat in keys:
+    for mat in [sign * mat for mat in commuting for sign in (1.0, -1.0)]:
+        ce._n4_solve.cache_clear()
+        calls.clear()
+        probes.clear()
+        ce._n4_solve(mat.tobytes())
+        assert calls == ["eigh"] and not probes
+    for mat in searched:
         ce._n4_solve.cache_clear()
         calls.clear()
         probes.clear()
         clusters.clear()
         ce._n4_solve(mat.tobytes())
         seen.update(clusters)
-        fallbacks = sum(m not in (2, 6) for m in clusters)
+        fallbacks = sum(m != 2 for m in clusters)
         assert 0 < len(calls) <= len(probes) + 1 + fallbacks
     ce._n4_solve.cache_clear()
-    assert {2, 4, 6} <= seen
+    assert {2, 3, 4} <= seen
 
 
 def test_certificate_serialization():
