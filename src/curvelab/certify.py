@@ -15,9 +15,12 @@
   eigenvector of each probe, its two halves rescaled to equal length, is
   a real plane whose sec bounds the maximum from above, so the search
   stops on a closed duality gap, and a negative maximum is refuted by
-  the plane of the least such bound.  ``lambda_min(R - k Id + t star) + k``
-  does not depend on k, so one solve of R serves every k; the last two
-  are kept.  For other n the test takes omega = 0, which is sufficient only.
+  the plane of the least such bound; a kinked maximum is closed by a
+  last probe at the crossing of the bracket ends' tangents, which lands
+  on it.  ``lambda_min(R - k Id + t star) + k`` does not depend on k, so
+  one solve of R (``_n4_solve``) serves every k and ``sec_extremes``;
+  the last two are kept.  For other n the test takes omega = 0, which is
+  sufficient only.
 
 * the plane search (refutations for n != 4): minimization of the
   sectional curvature over the Grassmannian of 2-planes by alternating
@@ -29,6 +32,7 @@
   step draws a random number: a verdict depends on (R, k, direction,
   strict) alone.  ``certify_bound`` runs the minimizing search only;
   ``sec_extremes`` also runs it on -R and reports both extremal planes.
+  At n = 4 neither runs it: the star-shift solve is exact.
 
 ``hierarchy_check`` is the paper's necessary condition as a library
 check, outside the decision: ``K(R - k Id, Harm^p)`` is positive
@@ -62,9 +66,10 @@ from .curvature import CurvatureOperator, TwoPlane, four_form_matrix, sec
 # (and the spread within which it counts lambda_0 as multiple); the
 # bracket width at which it stops regardless, and the probes, the first
 # included, after which it only bisects.  A first probe of nonzero slope
-# leaves at most one bracket end unprobed, the next probe takes it, and
-# each midpoint, unclipped, halves the bracket until it is _T_TOL wide:
-# no input takes more than _FAST_PROBES + 1 + ceil(log2((hi - lo) / _T_TOL)).
+# leaves at most one bracket end unprobed, the next probe takes it, each
+# midpoint, unclipped, halves the bracket until it is _T_TOL wide, and
+# one probe at the crossing of the ends' tangents comes last: no input
+# takes more than _FAST_PROBES + 2 + ceil(log2((hi - lo) / _T_TOL)).
 _GAP_TOL = 1e-13
 _T_TOL = 1e-10
 _FAST_PROBES = 40
@@ -78,17 +83,20 @@ def concave_max(f, lo, hi, start):
     supergradient at t, and the curvature an estimate of the second
     derivative, used only when it is negative.  A probe with positive
     slope moves the bracket's left end to it, a negative slope the right
-    end, and a zero slope ends the search.  So does an upper bound within
-    ``_GAP_TOL`` of the best probe (values of order one, as
-    ``thorpe_sec_min`` scales them): the least bound f returned, or,
-    once both bracket ends are probes, the height at which their tangents
-    cross, which is what bounds a kinked maximum.  The first probe is at
-    ``start``, clipped to the bracket, and each next one at the first of
-    these that lies in the bracket: the Newton point of the last probe if
-    it is at most half the bracket's width away, the crossing of the
-    tangents, a bracket end not yet probed, the midpoint.  It is kept
-    ``_T_TOL / 2`` away from the probed ends, and a bracket ``_T_TOL``
-    wide ends the search too.
+    end, and a zero slope ends the search.  So does the least upper bound
+    f returned once it is within ``_GAP_TOL`` of the best probe (values
+    of order one, as ``thorpe_sec_min`` scales them).  The first probe is
+    at ``start``, clipped to the bracket, and each next one at the first
+    of these that lies in the bracket: the Newton point of the last probe
+    if it is at most half the bracket's width away, the crossing of the
+    tangents at the bracket ends once both are probes, a bracket end not
+    yet probed, the midpoint.  It is kept ``_T_TOL / 2`` away from the
+    probed ends.  A bracket ``_T_TOL`` wide ends the search, and so does a
+    height at which the ends' tangents cross (which bounds a kinked
+    maximum) within ``_GAP_TOL`` of the best probe; when both ends are
+    probes, one last probe goes to that crossing, where the maximum is
+    pinned: on a kink it lands on the tip, where f can return the bound
+    that closes the gap.
     Concavity is checked along the way: each value must lie on or below
     every earlier tangent line (up to noise), which holds for every
     concave function -- kinked or monotone included -- and fails for
@@ -124,10 +132,7 @@ def concave_max(f, lo, hi, start):
 
     curv = probe(min(max(float(start), a), b))
     half = 0.5 * _T_TOL
-    while slopes[-1] != 0.0 and b - a > _T_TOL:
-        best = max(values)
-        if least - best <= _GAP_TOL:
-            break
+    while slopes[-1] != 0.0 and least - max(values) > _GAP_TOL:
         fast = len(ts) < _FAST_PROBES
         candidates = []
         if fast and curv < 0.0 and abs(slopes[-1] / curv) <= 0.5 * (b - a):
@@ -135,10 +140,16 @@ def concave_max(f, lo, hi, start):
         if ia is not None and ib is not None:
             ga, gb = slopes[ia], slopes[ib]
             cross = (values[ib] - values[ia] + ga * a - gb * b) / (ga - gb)
-            if values[ia] + ga * (cross - a) - best <= _GAP_TOL:
+            height = values[ia] + ga * (cross - a)
+            if b - a <= _T_TOL or height - max(values) <= _GAP_TOL:
+                # the maximum is pinned between the ends: a last probe at
+                # the crossing lands on a kink there
+                probe(min(max(cross, a), b))
                 break
             if fast:
                 candidates.append(cross)
+        elif b - a <= _T_TOL:
+            break
         candidates += [a if ia is None else b if ib is None else 0.5 * (a + b)]
         t = next(s for s in candidates if a <= s <= b)
         curv = probe(min(max(t, a if ia is None else a + half),
@@ -161,7 +172,8 @@ class SecExtremes:
     """``sec_extremes``'s result.  Each value is ``sec`` of its plane;
     ``converged_fraction`` is the share of the 2 C(n, 2) starts, one per
     eigenvector of R and one per eigenvector of -R, that stopped
-    descending within ``_MAX_SWEEPS`` sweeps."""
+    descending within ``_MAX_SWEEPS`` sweeps, and 1.0 at n = 4, where
+    no descent runs."""
 
     min_value: float
     max_value: float
@@ -239,10 +251,17 @@ def _sec_min(R, eig=None):
 def sec_extremes(R):
     """Extremal sectional curvatures with extremal planes as witnesses.
 
-    The plane search of ``certify_bound`` run on R for the minimum, then
-    on -R for the maximum.  Each reported value is ``sec`` of the
-    reported plane.
+    At n = 4 the records of the star-shift solves of R and of -R
+    (``_n4_solve``): exact, and kept in the memo that ``certify_bound``
+    reads, so ge and le queries on R solve nothing more.  Other n run the
+    plane search of ``certify_bound`` on R for the minimum, then on -R
+    for the maximum.  Each reported value is ``sec`` of the reported
+    plane.
     """
+    if R.n == 4:
+        *_, low, x, y = _n4_solve(R.mat.tobytes())
+        *_, high, u, v = _n4_solve((-R.mat).tobytes())
+        return SecExtremes(low, -high, TwoPlane(x, y), TwoPlane(u, v), 1.0)
     min_value, min_plane, conv_min = _sec_min(R)
     neg_max, max_plane, conv_max = _sec_min(CurvatureOperator(R.n, -R.mat))
     return SecExtremes(
@@ -353,28 +372,9 @@ def _isotropic(B, j):
     """A unit vector of the span of B's m orthonormal columns on which the
     form of ``J = diag(j)`` vanishes, or None when the form takes one sign
     only there: ``cos a w_lo + sin a w_hi`` for the span's directions of
-    least and greatest J-value, with ``cos^2 a lo + sin^2 a hi = 0``.
-
-    At m = 2 the 2 x 2 eigenproblem is solved in closed form; other m
-    take ``eigh``.
+    least and greatest J-value, with ``cos^2 a lo + sin^2 a hi = 0``,
+    from one ``eigh`` of the form on the span.
     """
-    if B.shape[1] == 2:
-        # [[a, b], [b, c]] has eigenvalues mid -+ r, and (p, q) is an
-        # eigenvector of mid + r in whichever of its two forms does not
-        # cancel
-        (a, b), (_, c) = (B.T * j).dot(B).tolist()
-        mid, half = 0.5 * (a + c), 0.5 * (a - c)
-        r = math.hypot(half, b)
-        lo, hi = mid - r, mid + r
-        if not lo <= 0.0 <= hi:
-            return None
-        if r == 0.0:            # the form vanishes on the span
-            return B[:, 0]
-        p, q = (half + r, b) if half >= 0.0 else (b, r - half)
-        n = math.hypot(p, q)
-        cos2 = hi / (hi - lo)
-        ca, sa = math.sqrt(cos2) / n, math.sqrt(1.0 - cos2) / n
-        return B.dot([sa * p - ca * q, ca * p + sa * q])
     s, W = np.linalg.eigh(B.T.dot(j[:, None] * B))
     lo, hi = float(s[0]), float(s[-1])
     if not lo <= 0.0 <= hi:
@@ -415,11 +415,10 @@ def thorpe_sec_min(R, norm=None):
     ``_GAP_TOL``) and the slopes over its eigenspace take both signs, the
     probe is a kink at the maximum: its slope is 0, and w is the mix of
     the two extreme-slope directions with ``<w, J w> = 0`` that
-    ``_isotropic`` forms, in closed form when the eigenspace has
-    dimension 2.  A kink that no probe lands on leaves the gap open;
-    the bottom eigenvectors of the last probes of positive and of
-    negative slope, made orthonormal, are then mixed in the same way, and
-    the mix is a candidate w of its own value.
+    ``_isotropic`` forms, whose bound is the eigenspace's top eigenvalue.
+    ``concave_max`` ends a search that has not closed the gap with a
+    probe at the crossing of its bracket ends' tangents, which lands on
+    a kinked maximum, so the gap closes on kinks too.
 
     ``norm`` is |R|_2 when the caller has it.  Returns (value, t*, w): the
     best probe's lambda_0 and t, scaled back, and, in the pair basis, the
@@ -440,7 +439,7 @@ def thorpe_sec_min(R, norm=None):
     unit = Q.T.dot(R.mat).dot(Q) / norm
     d = unit.diagonal().tolist()
     start = (d[0] + d[1] + d[2] - d[3] - d[4] - d[5]) / 6.0
-    probes = []                 # (bound, value, u, slope) of each probe
+    probes = []                 # (bound, value, u) of each probe
 
     def mu(t):
         lam, vec = np.linalg.eigh(unit + t * J)
@@ -467,28 +466,13 @@ def thorpe_sec_min(R, norm=None):
             beta = 0.5 * (1.0 / math.sqrt(1.0 + slope)
                           - 1.0 / math.sqrt(1.0 - slope))
             bound = lam0 + beta * beta * spread
-        probes.append((bound, lam0, u, slope))
+        probes.append((bound, lam0, u))
         return lam0, slope, curv, bound
 
     t_star, val = concave_max(mu, -2.0, 2.0, start=start)
     # the least bound; the best probe if every bound is infinite
-    bound, _, u, _ = min(probes, key=lambda p: (p[0], -p[1]))
-    w = _decomposable(u)
-    if bound - val > _GAP_TOL:
-        # a kink that no probe landed on: mix the bottom eigenvectors of
-        # the last probes on its two sides, as a probe on it would
-        rising = [p[2] for p in probes if p[3] > 0.0]
-        falling = [p[2] for p in probes if p[3] < 0.0]
-        if rising and falling:
-            # unit eigenvectors of slopes of opposite signs: not parallel
-            r, f = rising[-1], falling[-1]
-            f = f - f.dot(r) * r
-            mix = _isotropic(np.column_stack([r, f / math.sqrt(f.dot(f))]), j)
-            if mix is not None:
-                v = _decomposable(mix)
-                if v @ unit @ v < bound:
-                    w = v
-    return norm * val, norm * t_star, Q.dot(w)
+    _, _, u = min(probes, key=lambda p: (p[0], -p[1]))
+    return norm * val, norm * t_star, Q.dot(_decomposable(u))
 
 
 def _thorpe_plane(w):
@@ -507,11 +491,12 @@ def _thorpe_plane(w):
     lengths = [p * p + q * q + r * r + s * s for p, q, r, s in cols]
     longest = max(lengths)
     r = math.sqrt(longest)
-    x0, x1, x2, x3 = [p / r for p in cols[lengths.index(longest)]]
+    # + 0.0 turns the negative zeros of the negated entries into 0.0
+    x0, x1, x2, x3 = [p / r + 0.0 for p in cols[lengths.index(longest)]]
     y0, y1, y2, y3 = (a * x1 + b * x2 + c * x3, -a * x0 + d * x2 + e * x3,
                       -b * x0 - d * x1 + f * x3, -c * x0 - e * x1 - f * x2)
     r = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3)
-    return (x0, x1, x2, x3), (y0 / r, y1 / r, y2 / r, y3 / r)
+    return (x0, x1, x2, x3), tuple(v / r + 0.0 for v in (y0, y1, y2, y3))
 
 
 @lru_cache(maxsize=2)
@@ -524,10 +509,9 @@ def _n4_solve(key):
     numpy past its key, and no caller can change it.  A cold solve of an
     R that commutes with star is ``_star_split``'s one ``eigh``; any other
     R makes one ``eigvalsh`` and one ``eigh`` per probe, plus an ``eigh``
-    at a kink whose eigenspace has dimension 3 or more.  The last two
-    operators are kept, so
-    alternating ge and le queries on R solve R and -R once each, and the
-    memo does not grow with them."""
+    per probe on a kink.  The last two operators are kept, so alternating
+    ge and le queries on R, or ``sec_extremes`` and then such queries,
+    solve R and -R once each, and the memo does not grow with them."""
     mat = np.frombuffer(key).reshape(6, 6)
     split = _star_split(mat)
     if split is None:
@@ -654,7 +638,7 @@ def certify_bound(R, k, direction="ge", strict=False):
         else:
             verdict = "refuted"
             witness["plane"] = {"x": list(x), "y": list(y),
-                                "sec": -value if le else value}
+                                "sec": (-value if le else value) + 0.0}
             if R.n != 4:
                 method, tolerances["plane_margin"] = "grassmann_opt", tol
     return Certificate(n=R.n, k=k, direction=direction, verdict=verdict,

@@ -112,9 +112,10 @@ def test_concave_max_rejects_bimodal():
 def test_concave_max_bisects_past_a_bad_curvature_estimate():
     # a curvature 1e12 times too large makes every Newton step tiny; after
     # _FAST_PROBES probes the search probes the bracket end it has not,
-    # then bisects instead of creeping.  The budget stated above _GAP_TOL
+    # then bisects instead of creeping, and ends on a probe at the
+    # crossing of the ends' tangents.  The budget stated above _GAP_TOL
     # is attained from a start at either end.
-    budget = ce._FAST_PROBES + 1 + math.ceil(math.log2(2.0 / ce._T_TOL))
+    budget = ce._FAST_PROBES + 2 + math.ceil(math.log2(2.0 / ce._T_TOL))
     counts = {}
     for start in (-1.0, 0.0, 0.5, 1.0):
         probes = []
@@ -306,8 +307,8 @@ def star_commuting(A):
 
 
 def test_kinked_maxima_are_refuted_by_a_minimizing_plane():
-    # no probe lands on the kink, so the bottom eigenvectors on its two
-    # sides are mixed into a plane, as on a probe at a kink
+    # the search's last probe, at the crossing of its bracket ends'
+    # tangents, lands on the kink and mixes its eigenspace into a plane
     rng = np.random.default_rng(2)
     for _ in range(250):
         R = kinked_n4_operator(rng)
@@ -319,6 +320,18 @@ def test_kinked_maxima_are_refuted_by_a_minimizing_plane():
         value = cv.sec(R, cv.TwoPlane(np.array(plane["x"]),
                                       np.array(plane["y"])))
         assert value < delta - cert.tolerances["eig_tol"]
+
+
+def test_kinked_maxima_close_the_gap_to_their_plane():
+    # on a kinked maximum too, the value m comes within _GAP_TOL |R|_2 of
+    # the sec of the record's own plane, which bounds the maximum above
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        R = kinked_n4_operator(rng)
+        norm = float(np.linalg.norm(R.mat, 2))
+        _, _, m, _, value, _, _ = ce._n4_solve(R.mat.tobytes())
+        assert m >= value - ce._GAP_TOL * norm
+    ce._n4_solve.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +351,8 @@ def isotropic_by_eigh(B, j):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_isotropic_matches_the_eigh_formula(m, seed):
-    # the closed form at m = 2 and eigh return None exactly when eigh does,
-    # and otherwise a unit vector of span(B) on which J's form vanishes
+    # None exactly when the formula is, and otherwise a unit vector of
+    # span(B) on which J's form vanishes
     j = ce._star_eigenbasis()[2]
     B = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, m)))[0]
     u = ce._isotropic(B, j)
@@ -463,11 +476,47 @@ def test_extreme_planes_reproduce_reported_values(rng, scale):
 
 
 def test_extremes_match_exact_minimum_on_random_operators(rng):
+    # the plane search, which sec_extremes runs for n != 4, against the
+    # star shift
     for _ in range(10):
         R = random_operator(4, rng)
         exact, _, _ = ce.thorpe_sec_min(R)
+        assert ce._sec_min(R)[0] == pytest.approx(exact, abs=1e-6)
+
+
+def test_extremes_in_dim_four_read_the_solve_records():
+    # sec_extremes at n = 4 is the record of R and of -R, exact on kinks,
+    # where the plane search stops above the minimum 0
+    rng = np.random.default_rng(3)
+    ops = [random_operator(4, rng) for _ in range(20)]
+    ops += [kinked_n4_operator(rng) for _ in range(50)]
+    for i, R in enumerate(ops):
         ext = ce.sec_extremes(R)
-        assert ext.min_value == pytest.approx(exact, abs=1e-6)
+        *_, low, x, y = ce._n4_solve(R.mat.tobytes())
+        assert ext.min_value == low
+        assert (tuple(ext.min_plane.x), tuple(ext.min_plane.y)) == (x, y)
+        *_, high, x, y = ce._n4_solve((-R.mat).tobytes())
+        assert ext.max_value == -high
+        assert (tuple(ext.max_plane.x), tuple(ext.max_plane.y)) == (x, y)
+        assert ext.converged_fraction == 1.0
+        if i >= 20:
+            norm = float(np.linalg.norm(R.mat, 2))
+            assert abs(ext.min_value) <= ce._GAP_TOL * norm
+    ce._n4_solve.cache_clear()
+
+
+def test_extremes_in_dim_four_serve_later_bound_queries(monkeypatch):
+    # sec_extremes fills the memo that certify_bound reads
+    solves = _counted_solves(monkeypatch)
+    R = random_operator(4, np.random.default_rng(12))
+    ext = ce.sec_extremes(R)
+    assert solves == [R.mat.tobytes(), (-R.mat).tobytes()]
+    for k in (ext.min_value - 0.1, ext.min_value + 0.1):
+        ce.certify_bound(R, k)
+    for k in (ext.max_value + 0.1, ext.max_value - 0.1):
+        ce.certify_bound(R, k, direction="le")
+    assert len(solves) == 2
+    ce._n4_solve.cache_clear()
 
 
 def test_extremes_are_deterministic(rng):
@@ -697,9 +746,8 @@ def test_memo_is_not_shared_with_certificates():
 def test_cold_solve_linalg_budget(monkeypatch):
     # a cold solve of an operator that commutes with star is one stacked
     # eigh and no probe.  Any other operator calls np.linalg once for
-    # |R|_2 and once per probe; only a kink whose eigenspace has dimension
-    # 3 or more adds an eigh.  The mix at dimension 2 is in closed form,
-    # and so is the orthonormal pair a kink that no probe lands on mixes
+    # |R|_2 and once per probe, and each probe on a kink adds the eigh
+    # that mixes its eigenspace
     calls, probes, clusters = [], [], []
     for name in dir(np.linalg):
         fn = getattr(np.linalg, name)
@@ -745,8 +793,7 @@ def test_cold_solve_linalg_budget(monkeypatch):
         clusters.clear()
         ce._n4_solve(mat.tobytes())
         seen.update(clusters)
-        fallbacks = sum(m != 2 for m in clusters)
-        assert 0 < len(calls) <= len(probes) + 1 + fallbacks
+        assert 0 < len(calls) <= len(probes) + 1 + len(clusters)
     ce._n4_solve.cache_clear()
     assert {2, 3, 4} <= seen
 

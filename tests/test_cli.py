@@ -469,6 +469,18 @@ def test_certify_deterministic_output(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("name", ["identity", "hodge-star", "s2xs2",
+                                  "weyl-type", "four-form", "traceless-ricci"])
+def test_certify_writes_no_negative_zero(capsys, name):
+    # a zero coordinate or sec is written 0.0, so witnesses compare as text
+    for k in ("-2", "0.01", "2"):
+        for direction in ("ge", "le"):
+            code, out, _ = run(capsys, "certify", name, "--n", "4", "--k", k,
+                               "--direction", direction)
+            assert code in (0, 1)
+            assert re.search(r"-0\.0\b", out) is None, (k, direction, out)
+
+
 def readme_commands():
     """(argv, comment) of every ``curvelab ...`` line in README's sh blocks."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
