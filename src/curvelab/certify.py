@@ -1,28 +1,30 @@
 """Certification of sectional-curvature bounds for curvature operators.
 
-``certify_bound`` decides with two engines:
+``certify_bound`` and ``sec_extremes`` read one record per operator,
+``_solve``, kept for the last two operators:
 
 * the shift test: sec is the quadratic form of R on unit decomposable
   two-forms, and a four-form omega vanishes on them, so
   ``lambda_min(R - k Id + omega) >= 0`` for some omega proves
-  ``sec >= k``.  At n = 4 the four-forms are the multiples of the Hodge
-  star and the test is exact (Thorpe): ``lambda_min(R - k Id + t star)``
-  is concave in t.  When R commutes with star (the Einstein operators
-  and their four-form shifts), ``lambda_min(R + t star) = min(a - t, c +
-  t)`` for the least eigenvalues a, c of R on the two halves of star,
-  maximal at ``t = (a - c) / 2``; else ``thorpe_sec_min`` maximizes it with
-  ``concave_max`` by Newton steps in an eigenbasis of star.  The bottom
-  eigenvector of each probe, its two halves rescaled to equal length, is
-  a real plane whose sec bounds the maximum from above, so the search
-  stops on a closed duality gap, and a negative maximum is refuted by
-  the plane of the least such bound; a kinked maximum is closed by a
-  last probe at the crossing of the bracket ends' tangents, which lands
-  on it.  ``lambda_min(R - k Id + t star) + k`` does not depend on k, so
-  one solve of R (``_n4_solve``) serves every k and ``sec_extremes``;
-  the last two are kept.  For other n the test takes omega = 0, which is
-  sufficient only.
+  ``sec >= k``.  ``lambda_min(R - k Id + omega) + k`` does not depend on
+  k, so the record keeps its maximum m over the four-forms tried, a lower
+  bound on min sec, and the sec of a plane, an upper bound: one solve of
+  R serves every k, and with one of -R both directions and
+  ``sec_extremes``.  At n = 4 the four-forms are the multiples of the
+  Hodge star and the test is exact (Thorpe): ``lambda_min(R - k Id + t
+  star)`` is concave in t.  When R commutes with star (the Einstein
+  operators and their four-form shifts), ``lambda_min(R + t star) = min(a
+  - t, c + t)`` for the least eigenvalues a, c of R on the two halves of
+  star, maximal at ``t = (a - c) / 2``; else ``thorpe_sec_min`` maximizes
+  it with ``concave_max`` by Newton steps in an eigenbasis of star.  The
+  bottom eigenvector of each probe, its two halves rescaled to equal
+  length, is a real plane whose sec bounds the maximum from above, so the
+  search stops on a closed duality gap, and the plane of the least such
+  bound is the record's; a kinked maximum is closed by a last probe at
+  the crossing of the bracket ends' tangents, which lands on it.  For
+  other n the test takes omega = 0, which is sufficient only.
 
-* the plane search (refutations for n != 4): minimization of the
+* the plane search (the record's plane for n != 4): minimization of the
   sectional curvature over the Grassmannian of 2-planes by alternating
   exact eigen-steps, batched over one start per eigenvector of R, the
   plane that eigenvector rounds to.  With x fixed, sec(x, .) is the
@@ -30,9 +32,8 @@
   so the best y is its bottom eigenvector on x^perp; then x and y swap
   roles.  The value never increases and there is no step size, and no
   step draws a random number: a verdict depends on (R, k, direction,
-  strict) alone.  ``certify_bound`` runs the minimizing search only;
-  ``sec_extremes`` also runs it on -R and reports both extremal planes.
-  At n = 4 neither runs it: the star-shift solve is exact.
+  strict) alone.  At n = 4 it does not run: the star-shift solve is
+  exact.
 
 ``hierarchy_check`` is the paper's necessary condition as a library
 check, outside the decision: ``K(R - k Id, Harm^p)`` is positive
@@ -170,10 +171,10 @@ golden_max = concave_max
 @dataclass
 class SecExtremes:
     """``sec_extremes``'s result.  Each value is ``sec`` of its plane;
-    ``converged_fraction`` is the share of the 2 C(n, 2) starts, one per
-    eigenvector of R and one per eigenvector of -R, that stopped
-    descending within ``_MAX_SWEEPS`` sweeps, and 1.0 at n = 4, where
-    no descent runs."""
+    ``converged_fraction`` is the mean over the solves of R and -R of the
+    share of the plane search's starts, one per eigenvector, that stopped
+    descending within ``_MAX_SWEEPS`` sweeps: 1.0 at n = 4, where no
+    descent runs."""
 
     min_value: float
     max_value: float
@@ -251,26 +252,16 @@ def _sec_min(R, eig=None):
 def sec_extremes(R):
     """Extremal sectional curvatures with extremal planes as witnesses.
 
-    At n = 4 the records of the star-shift solves of R and of -R
-    (``_n4_solve``): exact, and kept in the memo that ``certify_bound``
-    reads, so ge and le queries on R solve nothing more.  Other n run the
-    plane search of ``certify_bound`` on R for the minimum, then on -R
-    for the maximum.  Each reported value is ``sec`` of the reported
-    plane.
+    The planes of the records (``_solve``) of R, for the minimum, and of
+    -R, for the maximum: exact at n = 4, the plane search's for other n.
+    The records stay in the memo that ``certify_bound`` reads, so ge and le
+    queries on R solve nothing more.  Each reported value is ``sec`` of
+    the reported plane.
     """
-    if R.n == 4:
-        *_, low, x, y = _n4_solve(R.mat.tobytes())
-        *_, high, u, v = _n4_solve((-R.mat).tobytes())
-        return SecExtremes(low, -high, TwoPlane(x, y), TwoPlane(u, v), 1.0)
-    min_value, min_plane, conv_min = _sec_min(R)
-    neg_max, max_plane, conv_max = _sec_min(CurvatureOperator(R.n, -R.mat))
-    return SecExtremes(
-        min_value=min_value,
-        max_value=-neg_max,
-        min_plane=min_plane,
-        max_plane=max_plane,
-        converged_fraction=0.5 * (conv_min + conv_max),
-    )
+    *_, low, x, y, conv_low = _solve(R.mat.tobytes(), R.n)
+    *_, high, u, v, conv_high = _solve((-R.mat).tobytes(), R.n)
+    return SecExtremes(low, -high, TwoPlane(x, y), TwoPlane(u, v),
+                       0.5 * (conv_low + conv_high))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +278,7 @@ class Certificate:
     verdict: str              # certified / refuted / inconclusive_for_certification
     method: str               # thorpe_exact / psd_shift / grassmann_opt
     strict: bool
+    bounds: dict              # {"lower", "upper"} of the queried extreme
     witness: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
 
@@ -500,19 +492,35 @@ def _thorpe_plane(w):
 
 
 @lru_cache(maxsize=2)
-def _n4_solve(key):
-    """``(lo, hi, m, t*, sec, x, y)`` of the n = 4 operator R with matrix
-    bytes ``key``: R's extreme eigenvalues, ``thorpe_sec_min``'s value and
-    shift, and the plane (x, y) that ``_thorpe_plane`` reads off its
-    two-form with the plane's sec, all Python floats and tuples of them.
-    The record serves every k on R, so a query that finds it runs no
-    numpy past its key, and no caller can change it.  A cold solve of an
-    R that commutes with star is ``_star_split``'s one ``eigh``; any other
-    R makes one ``eigvalsh`` and one ``eigh`` per probe, plus an ``eigh``
-    per probe on a kink.  The last two operators are kept, so alternating
-    ge and le queries on R, or ``sec_extremes`` and then such queries,
-    solve R and -R once each, and the memo does not grow with them."""
-    mat = np.frombuffer(key).reshape(6, 6)
+def _solve(key, n):
+    """``(lo, hi, m, t*, sec, x, y, converged)`` of the operator R on
+    R^n with matrix bytes ``key``: R's extreme eigenvalues; m, the
+    largest ``lambda_min(R + omega)`` found over four-forms omega, a lower
+    bound on min sec, with the star shift t* at n = 4 (None otherwise);
+    a plane (x, y) with its sec, an upper bound; and the share of the
+    plane search's starts that converged (1.0 at n = 4, where it does not
+    run).  All Python floats, tuples of them, or None, so a query that
+    finds the record runs no numpy past its key, and no caller can change
+    it.
+
+    At n = 4, ``thorpe_sec_min``'s value and shift, and the plane that
+    ``_thorpe_plane`` reads off its two-form: a cold solve of an R that
+    commutes with star is ``_star_split``'s one ``eigh``; any other R
+    makes one ``eigvalsh`` and one ``eigh`` per probe, plus an ``eigh``
+    per probe on a kink.  Other n take omega = 0, so m = lo from one
+    ``eigh``, whose eigenvectors start ``_sec_min``'s plane search.  The
+    last two operators are kept, so alternating ge and le queries on R, or
+    ``sec_extremes`` and then such queries, solve R and -R once each, and
+    the memo does not grow with them."""
+    N = n * (n - 1) // 2
+    mat = np.frombuffer(key).reshape(N, N)
+    if n != 4:
+        eig = np.linalg.eigh(mat)
+        lo, hi = eig[0][[0, -1]].tolist()
+        value, plane, converged = _sec_min(
+            CurvatureOperator._from_symmetric(n, mat), eig)
+        return (lo, hi, lo, None, value, tuple(plane.x.tolist()),
+                tuple(plane.y.tolist()), converged)
     split = _star_split(mat)
     if split is None:
         lam = np.linalg.eigvalsh(mat).tolist()
@@ -525,7 +533,7 @@ def _n4_solve(key):
     # sec is the form of R at the pair coordinates of x ^ y
     s = np.array([x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x0 * y3 - x3 * y0,
                   x1 * y2 - x2 * y1, x1 * y3 - x3 * y1, x2 * y3 - x3 * y2])
-    return lo, hi, m, t_star, float(s.dot(mat).dot(s)), x, y
+    return lo, hi, m, t_star, float(s.dot(mat).dot(s)), x, y, 1.0
 
 
 @dataclass
@@ -583,24 +591,24 @@ def witness_search(R, k, p_max=6):
 def certify_bound(R, k, direction="ge", strict=False):
     """Top-level bound decision for an operator.
 
-    The shift engine computes ``mu = max_omega lambda_min(R - k Id + omega)``
-    over four-forms omega, which ``sec`` cannot see: multiples of the Hodge
-    star at n = 4 (method ``thorpe_exact``, where the test is exact), and
-    omega = 0 otherwise (``psd_shift``, sufficient only).  The bound is
-    certified when ``mu > tol``, or ``mu >= -tol`` if not strict; a strict
-    query inside that band is inconclusive, since equality cannot be told
-    from a strict margin at working precision.  At n = 4, ``mu = m - k``,
-    and m, ``t_star`` and the plane come from one solve of R, kept with
-    the one before it (of -R for a ge/le pair): a query on a kept
-    operator reads its record and calls no eigensolver.  Below the band,
-    n = 4 is refuted by that plane when its sec is below ``k - tol``, and
-    inconclusive otherwise.  Other n search for a plane below ``k - tol``
-    (a minimizing run from the rounded plane of each eigenvector of R) and
-    refute with it (method ``grassmann_opt``); when none is found the
-    answer is inconclusive.  The search is not guaranteed to find one.
-    ``direction="le"`` is decided as ``sec >= -k`` of -R, and answered in
-    the caller's terms: its k and direction, and the plane's sec of R.
-    A k that is not finite raises ``ValueError``."""
+    The decision reads R's record (``_solve``), which holds
+    ``m = max_omega lambda_min(R + omega)`` over four-forms omega, which
+    ``sec`` cannot see: multiples of the Hodge star at n = 4 (method
+    ``thorpe_exact``, where the test is exact), and omega = 0 otherwise
+    (``psd_shift``, sufficient only).  ``mu = m - k`` is the shift test's
+    value at k; the bound is certified when ``mu > tol``, or ``mu >= -tol``
+    if not strict; a strict query inside that band is inconclusive, since
+    equality cannot be told from a strict margin at working precision.
+    Below the band the record's plane refutes the bound when its sec is
+    below ``k - tol`` (method ``grassmann_opt`` for n != 4, where the plane
+    search is not guaranteed to find such a plane), and the answer is
+    inconclusive otherwise.  The record is kept with the one before it
+    (of -R for a ge/le pair): a query on a kept operator calls no
+    eigensolver.  ``direction="le"`` is decided as ``sec >= -k`` of -R,
+    and answered in the caller's terms: its k and direction, the plane's
+    sec of R, and ``bounds``, the record's [m, sec] bracket of the queried
+    extreme (``[-sec, -m]`` of -R's record for le).  A k that is not
+    finite raises ``ValueError``."""
     if direction not in ("ge", "le"):
         raise ValueError("direction must be 'ge' or 'le'")
     if not math.isfinite(k):
@@ -608,39 +616,28 @@ def certify_bound(R, k, direction="ge", strict=False):
     le = direction == "le"
     k_ge = -k if le else k          # the bound of the "ge" query decided
     mat = -R.mat if le else R.mat   # and the operator it is decided on
-    # the extreme eigenvalues give |R|_2 and, for n != 4,
-    # lambda_min(R - k Id); n != 4 keeps the eigenvectors for the search
-    if R.n == 4:
-        lo, hi, m, t_star, value, x, y = _n4_solve(mat.tobytes())
-        mu = m - k_ge
-        method, witness = "thorpe_exact", {"t_star": t_star, "mu_max": mu}
-    else:
-        eig = np.linalg.eigh(mat)
-        lo, hi = eig[0][[0, -1]].tolist()
-        mu = lo - k_ge
-        method, witness = "psd_shift", {"lambda_min": mu}
+    lo, hi, m, t_star, value, x, y, _ = _solve(mat.tobytes(), R.n)
+    mu = m - k_ge
     tol = _EIG_TOL * max(-lo, hi, abs(k_ge))
     tolerances = {"eig_tol": tol}
     if R.n == 4:
+        method, witness = "thorpe_exact", {"t_star": t_star, "mu_max": mu}
         tolerances["gap_tol"] = _GAP_TOL
+    else:
+        method, witness = "psd_shift", {"lambda_min": mu}
     if mu > tol or (mu >= -tol and not strict):
         verdict = "certified"
-    elif mu >= -tol:
+    elif mu >= -tol or value >= k_ge - tol:
+        # inside the band, or the plane found does not violate the bound
         verdict = "inconclusive_for_certification"
     else:
-        if R.n != 4:
-            value, plane, _ = _sec_min(
-                CurvatureOperator._from_symmetric(R.n, mat), eig)
-            x, y = plane.x.tolist(), plane.y.tolist()
-        if value >= k_ge - tol:
-            # the plane found does not violate the bound
-            verdict = "inconclusive_for_certification"
-        else:
-            verdict = "refuted"
-            witness["plane"] = {"x": list(x), "y": list(y),
-                                "sec": (-value if le else value) + 0.0}
-            if R.n != 4:
-                method, tolerances["plane_margin"] = "grassmann_opt", tol
+        verdict = "refuted"
+        witness["plane"] = {"x": list(x), "y": list(y),
+                            "sec": (-value if le else value) + 0.0}
+        if method == "psd_shift":
+            method, tolerances["plane_margin"] = "grassmann_opt", tol
+    lower, upper = (-value, -m) if le else (m, value)
     return Certificate(n=R.n, k=k, direction=direction, verdict=verdict,
-                       method=method, strict=strict, witness=witness,
-                       tolerances=tolerances)
+                       method=method, strict=strict,
+                       bounds={"lower": lower + 0.0, "upper": upper + 0.0},
+                       witness=witness, tolerances=tolerances)

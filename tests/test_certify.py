@@ -14,7 +14,13 @@ from curvelab import multilinear as ml
 from curvelab import weitzenbock as wz
 from curvelab.fixtures import fixture_operator
 
-from conftest import random_operator, selfdual_split
+from conftest import exact_answer_operator, random_operator, selfdual_split
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Each test starts with no solve record kept."""
+    ce._solve.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -329,34 +335,34 @@ def test_kinked_maxima_close_the_gap_to_their_plane():
     for _ in range(500):
         R = kinked_n4_operator(rng)
         norm = float(np.linalg.norm(R.mat, 2))
-        _, _, m, _, value, _, _ = ce._n4_solve(R.mat.tobytes())
+        _, _, m, _, value, *_ = ce._solve(R.mat.tobytes(), 4)
         assert m >= value - ce._GAP_TOL * norm
-    ce._n4_solve.cache_clear()
 
 
 # ---------------------------------------------------------------------------
 # exact minimum sectional curvature in dimension four
 
 
-def isotropic_by_eigh(B, j):
-    """``_isotropic`` by ``eigh`` of the form on span(B) at every m."""
-    s, W = np.linalg.eigh(B.T @ (j[:, None] * B))
-    lo, hi = float(s[0]), float(s[-1])
-    if not lo <= 0.0 <= hi:
-        return None
-    cos2 = hi / (hi - lo) if hi > lo else 1.0
-    return B @ (math.sqrt(cos2) * W[:, 0] + math.sqrt(1.0 - cos2) * W[:, -1])
+def definite(F):
+    """Whether the symmetric F is definite, by Sylvester's criterion: its
+    leading principal minors are all positive, or alternate in sign from
+    a negative first one.  At m = 2 that is ``det F > 0``."""
+    minors = [np.linalg.det(F[:i, :i]) for i in range(1, len(F) + 1)]
+    return (all(d > 0.0 for d in minors)
+            or all((-1) ** i * d > 0.0 for i, d in enumerate(minors, 1)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
-def test_isotropic_matches_the_eigh_formula(m, seed):
-    # None exactly when the formula is, and otherwise a unit vector of
-    # span(B) on which J's form vanishes
+def test_isotropic_vector_exists_unless_the_form_is_definite(m, seed):
+    # a form has an isotropic line iff it is not definite, so the result
+    # is None exactly when J's form on span(B) is definite (never for
+    # m >= 4: J has signature (3, 3)), and otherwise a unit vector of
+    # span(B) on which that form vanishes
     j = ce._star_eigenbasis()[2]
     B = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, m)))[0]
     u = ce._isotropic(B, j)
-    if isotropic_by_eigh(B, j) is None:
+    if definite(B.T @ (j[:, None] * B)):
         assert u is None
         return
     assert u is not None and u.shape == (6,)
@@ -372,8 +378,7 @@ def test_shifted_minimum_on_fixtures():
                        ("s2xs2", 0.0, 0.0)):
         R = fixture_operator(name, 4)
         assert ce.thorpe_sec_min(R)[:2] == (m, t)
-        assert ce._n4_solve(R.mat.tobytes())[2:4] == (m, t)
-    ce._n4_solve.cache_clear()
+        assert ce._solve(R.mat.tobytes(), 4)[2:4] == (m, t)
 
 
 def test_star_commuting_operators_take_the_closed_form(monkeypatch):
@@ -400,11 +405,10 @@ def test_star_commuting_operators_take_the_closed_form(monkeypatch):
         R = cv.CurvatureOperator(4, mat)
         for solve in (lambda: ce.certify_bound(R, 0.0),
                       lambda: ce.thorpe_sec_min(R)):
-            ce._n4_solve.cache_clear()
+            ce._solve.cache_clear()
             searches.clear()
             solve()
             assert (not searches) == closed, name
-    ce._n4_solve.cache_clear()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -418,7 +422,7 @@ def test_star_commuting_closed_form_is_the_star_shift_maximum(seed, exponent):
     R = cv.CurvatureOperator(4, 10.0 ** exponent * star_commuting(A))
     norm = float(np.linalg.norm(R.mat, 2))
     lam = np.linalg.eigvalsh(R.mat)
-    lo, hi, m, t_star, value, x, y = ce._n4_solve(R.mat.tobytes())
+    lo, hi, m, t_star, value, x, y, _ = ce._solve(R.mat.tobytes(), 4)
     assert ce.thorpe_sec_min(R)[:2] == (m, t_star)
     assert abs(lo - lam[0]) <= 1e-14 * norm
     assert abs(hi - lam[-1]) <= 1e-14 * norm
@@ -434,7 +438,6 @@ def test_star_commuting_closed_form_is_the_star_shift_maximum(seed, exponent):
     assert ce._star_split(nudged) is None
     searched = ce.thorpe_sec_min(cv.CurvatureOperator(4, nudged))[0]
     assert abs(searched - m) <= ce._GAP_TOL * norm
-    ce._n4_solve.cache_clear()
 
 
 def test_shifted_minimum_rejects_other_dimensions():
@@ -492,17 +495,16 @@ def test_extremes_in_dim_four_read_the_solve_records():
     ops += [kinked_n4_operator(rng) for _ in range(50)]
     for i, R in enumerate(ops):
         ext = ce.sec_extremes(R)
-        *_, low, x, y = ce._n4_solve(R.mat.tobytes())
+        *_, low, x, y, _ = ce._solve(R.mat.tobytes(), 4)
         assert ext.min_value == low
         assert (tuple(ext.min_plane.x), tuple(ext.min_plane.y)) == (x, y)
-        *_, high, x, y = ce._n4_solve((-R.mat).tobytes())
+        *_, high, x, y, _ = ce._solve((-R.mat).tobytes(), 4)
         assert ext.max_value == -high
         assert (tuple(ext.max_plane.x), tuple(ext.max_plane.y)) == (x, y)
         assert ext.converged_fraction == 1.0
         if i >= 20:
             norm = float(np.linalg.norm(R.mat, 2))
             assert abs(ext.min_value) <= ce._GAP_TOL * norm
-    ce._n4_solve.cache_clear()
 
 
 def test_extremes_in_dim_four_serve_later_bound_queries(monkeypatch):
@@ -516,14 +518,96 @@ def test_extremes_in_dim_four_serve_later_bound_queries(monkeypatch):
     for k in (ext.max_value + 0.1, ext.max_value - 0.1):
         ce.certify_bound(R, k, direction="le")
     assert len(solves) == 2
-    ce._n4_solve.cache_clear()
 
 
 def test_extremes_are_deterministic(rng):
+    # the second call solves cold too, rather than reading the first's
+    # records
     R = random_operator(5, rng)
     a = ce.sec_extremes(R)
+    ce._solve.cache_clear()
     b = ce.sec_extremes(R)
     assert a.min_value == b.min_value and a.max_value == b.max_value
+
+
+# ---------------------------------------------------------------------------
+# one solve record per operator at every n
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_record_sec_is_the_sec_of_its_plane(n):
+    # omega = 0 outside n = 4: m is lambda_min, and the plane search gives
+    # the plane.  At n = 3 every two-form is decomposable, so lambda_min is
+    # min sec and the search, started on the bottom eigenvector's plane,
+    # stays there
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        for mat in (random_operator(n, rng).mat, exact_answer_operator(
+                n, rng)[0].mat):
+            R = cv.CurvatureOperator(n, mat)
+            norm = float(np.linalg.norm(mat, 2))
+            lo, hi, m, t_star, value, x, y, converged = ce._solve(
+                mat.tobytes(), n)
+            lam = np.linalg.eigvalsh(mat)
+            assert m == lo and t_star is None
+            assert abs(lo - lam[0]) <= 1e-14 * norm
+            assert abs(hi - lam[-1]) <= 1e-14 * norm
+            assert value == cv.sec(R, cv.TwoPlane(np.array(x), np.array(y)))
+            assert 0.0 < converged <= 1.0
+            if n == 3:
+                assert abs(m - value) <= 1e-14 * norm
+
+
+def test_extremes_serve_later_bound_queries_outside_dim_four(monkeypatch):
+    # sec_extremes keeps the records of R and -R, so ge and le queries on
+    # R, certified and refuted alike, solve no eigenproblem
+    R = random_operator(5, np.random.default_rng(14))
+    ext = ce.sec_extremes(R)
+    lam = np.linalg.eigvalsh(R.mat)
+    solves = []
+
+    def counted(solve):
+        def run(*args, **kwargs):
+            solves.append(solve.__name__)
+            return solve(*args, **kwargs)
+        return run
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    verdicts = [ce.certify_bound(R, k, direction=direction).verdict
+                for k, direction in ((lam[0] - 0.1, "ge"),
+                                     (ext.min_value + 0.1, "ge"),
+                                     (lam[-1] + 0.1, "le"),
+                                     (ext.max_value - 0.1, "le"))]
+    assert verdicts == ["certified", "refuted"] * 2
+    assert solves == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_bounds_bracket_the_queried_extreme(n):
+    # [lower, upper] holds min sec for ge and max sec for le, does not
+    # depend on k, and a refuting plane's sec is its end on the violating
+    # side: upper for ge, lower for le
+    rng = np.random.default_rng(50 + n)
+    for _ in range(10):
+        R, m = exact_answer_operator(n, rng)
+        norm = float(np.linalg.norm(R.mat, 2))
+        slack = ce._GAP_TOL * norm
+        for Rq, extreme, direction in ((R, m, "ge"), (cv.CurvatureOperator(
+                n, -R.mat), -m, "le")):
+            certs = [ce.certify_bound(Rq, extreme + d * norm,
+                                      direction=direction, strict=strict)
+                     for d in (-0.5, -1e-3, 0.0, 1e-3, 0.5)
+                     for strict in (False, True)]
+            assert len({json.dumps(c.bounds) for c in certs}) == 1
+            lower, upper = certs[0].bounds["lower"], certs[0].bounds["upper"]
+            assert lower <= upper + slack
+            assert lower - slack <= extreme <= upper + slack
+            refuted = [c for c in certs if c.refuted]
+            assert refuted
+            for c in refuted:
+                assert c.witness["plane"]["sec"] == (
+                    upper if direction == "ge" else lower)
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +696,12 @@ def test_n4_refutation_needs_a_plane_below_the_bound(monkeypatch):
                                 (0.99, "le", (e[0], e[2]))):
         assert ce.certify_bound(R, k, direction=direction).refuted
         monkeypatch.setattr(ce, "_thorpe_plane", lambda *args: plane)
-        ce._n4_solve.cache_clear()
+        ce._solve.cache_clear()
         cert = ce.certify_bound(R, k, direction=direction)
         assert cert.verdict == "inconclusive_for_certification"
         assert "plane" not in cert.witness
         monkeypatch.undo()
-        ce._n4_solve.cache_clear()
+        ce._solve.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +709,8 @@ def test_n4_refutation_needs_a_plane_below_the_bound(monkeypatch):
 
 
 def _counted_solves(monkeypatch):
-    """Clear the memo and list the operators' bytes that the star-shift
-    search solves from here on."""
+    """List the operators' bytes that the star-shift search solves from
+    here on."""
     solves = []
     solve = ce.thorpe_sec_min
 
@@ -635,7 +719,6 @@ def _counted_solves(monkeypatch):
         return solve(R, *args, **kwargs)
 
     monkeypatch.setattr(ce, "thorpe_sec_min", counted)
-    ce._n4_solve.cache_clear()
     return solves
 
 
@@ -682,12 +765,12 @@ def test_memo_certificates_match_cold_ones():
                    for Rq, sign, direction in ((R, 1.0, "ge"),
                                                (minus, -1.0, "le"))
                    for strict in (False, True)]
-        ce._n4_solve.cache_clear()
+        ce._solve.cache_clear()
         warm = [json.dumps(ce.certify_bound(Rq, k, direction=direction,
                                             strict=strict).to_dict())
                 for Rq, k, direction, strict in queries]
         for doc, (Rq, k, direction, strict) in zip(warm, queries):
-            ce._n4_solve.cache_clear()
+            ce._solve.cache_clear()
             cold = ce.certify_bound(Rq, k, direction=direction, strict=strict)
             assert json.dumps(cold.to_dict()) == doc
 
@@ -703,10 +786,10 @@ def test_memo_hit_runs_no_solve_and_no_eigensolver(monkeypatch):
                for direction in ("ge", "le") for strict in (False, True)]
     cold = []
     for Rq, k, direction, strict in queries:
-        ce._n4_solve.cache_clear()
+        ce._solve.cache_clear()
         cold.append(json.dumps(ce.certify_bound(
             Rq, k, direction=direction, strict=strict).to_dict()))
-    ce._n4_solve.cache_clear()
+    ce._solve.cache_clear()
     ce.certify_bound(R, 0.0)
     ce.certify_bound(minus, 0.0)
 
@@ -732,15 +815,16 @@ def test_memo_is_not_shared_with_certificates():
     R = fixture_operator("s2xs2", 4)
     first = ce.certify_bound(R, 0.01)
     expected = json.dumps(first.to_dict())
-    record = ce._n4_solve(R.mat.tobytes())
-    lo, hi, m, t_star, value, x, y = record
+    record = ce._solve(R.mat.tobytes(), 4)
+    lo, hi, m, t_star, value, x, y, converged = record
     assert type(x) is type(y) is tuple
-    assert all(type(v) is float for v in (lo, hi, m, t_star, value, *x, *y))
+    assert all(type(v) is float
+               for v in (lo, hi, m, t_star, value, *x, *y, converged))
     first.witness["plane"]["x"][0] = 7.0
     first.witness["plane"]["y"].append(1.0)
     first.witness["t_star"] = 7.0
     assert json.dumps(ce.certify_bound(R, 0.01).to_dict()) == expected
-    assert ce._n4_solve(R.mat.tobytes()) == record
+    assert ce._solve(R.mat.tobytes(), 4) == record
 
 
 def test_cold_solve_linalg_budget(monkeypatch):
@@ -781,20 +865,19 @@ def test_cold_solve_linalg_budget(monkeypatch):
                  for m in (2, 3, 4) for _ in range(3)]
     seen = set()
     for mat in [sign * mat for mat in commuting for sign in (1.0, -1.0)]:
-        ce._n4_solve.cache_clear()
+        ce._solve.cache_clear()
         calls.clear()
         probes.clear()
-        ce._n4_solve(mat.tobytes())
+        ce._solve(mat.tobytes(), 4)
         assert calls == ["eigh"] and not probes
     for mat in searched:
-        ce._n4_solve.cache_clear()
+        ce._solve.cache_clear()
         calls.clear()
         probes.clear()
         clusters.clear()
-        ce._n4_solve(mat.tobytes())
+        ce._solve(mat.tobytes(), 4)
         seen.update(clusters)
         assert 0 < len(calls) <= len(probes) + 1 + len(clusters)
-    ce._n4_solve.cache_clear()
     assert {2, 3, 4} <= seen
 
 
@@ -803,7 +886,7 @@ def test_certificate_serialization():
     d = cert.to_dict()
     assert d["verdict"] == "certified" and d["direction"] == "ge"
     assert set(d) == {"n", "k", "direction", "verdict", "method", "strict",
-                      "witness", "tolerances"}
+                      "bounds", "witness", "tolerances"}
 
 
 # ---------------------------------------------------------------------------
@@ -939,6 +1022,10 @@ def test_certify_bound_four_form_shift_stays_inconclusive(rng):
     assert not cert.certified
     assert set(cert.witness) == {"lambda_min"}
     assert cert.witness["lambda_min"] < -0.1
+    # the bracket shows how open the verdict is: [m, sec = 1], m - k being
+    # the witness's lambda_min
+    assert cert.bounds["lower"] - 1.0 == cert.witness["lambda_min"]
+    assert cert.bounds["upper"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_certify_bound_refutes_by_plane_outside_dim_four():
@@ -985,6 +1072,7 @@ def test_certify_and_extremes_draw_no_random_numbers(rng, monkeypatch):
         cert = ce.certify_bound(ops[n], top + 1.0)
         assert cert.refuted and cert.method == "grassmann_opt"
     for n in (4, 5):
+        ce._solve.cache_clear()         # search cold, not from the records
         ext = ce.sec_extremes(ops[n])
         assert ext.min_value <= ext.max_value
 

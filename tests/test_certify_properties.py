@@ -82,10 +82,12 @@ def test_n4_refutation_planes_on_gaussian_operators(seed, exponent, offset,
 
 def mirrored(ge, k):
     """The certificate of ``sec <= -k`` on -R that mirrors ge, ``sec >= k``
-    on R: the same witness and tolerances, with k, the direction and the
-    plane's sec in the terms of -R."""
+    on R: the same witness and tolerances, with k, the direction, the
+    bounds and the plane's sec in the terms of -R."""
     doc = ge.to_dict()
-    doc.update(k=-k, direction="le")
+    bounds = doc["bounds"]
+    doc.update(k=-k, direction="le", bounds={"lower": -bounds["upper"] + 0.0,
+                                             "upper": -bounds["lower"] + 0.0})
     if "plane" in doc["witness"]:
         doc["witness"]["plane"]["sec"] = -doc["witness"]["plane"]["sec"]
     return doc
