@@ -40,7 +40,8 @@ check, outside the decision: ``K(R - k Id, Harm^p)`` is positive
 semidefinite for every p when ``sec >= k`` (p = 1 is the Ricci test).
 Since ``K(Id, Harm^p) = p (p + n - 2) Id``, level p is
 ``lambda_min K(R, Harm^p) - k p (p + n - 2)``: the assembly and the
-eigensolve do not depend on k.
+eigensolve do not depend on k.  It imports ``weitzenbock`` when called,
+so a decision never loads the K(R) machinery.
 
 Every eigenvalue test uses ``tol = 1e-9 * max(|R|_2, |k|)``.
 """
@@ -54,7 +55,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import multilinear as ml
-from . import weitzenbock as wz
 from .curvature import CurvatureOperator, TwoPlane, four_form_matrix, sec
 
 
@@ -519,8 +519,9 @@ def _solve(key, n):
         lo, hi = eig[0][[0, -1]].tolist()
         value, plane, converged = _sec_min(
             CurvatureOperator._from_symmetric(n, mat), eig)
-        return (lo, hi, lo, None, value, tuple(plane.x.tolist()),
-                tuple(plane.y.tolist()), converged)
+        # + 0.0 turns the negative zeros of qr's plane into 0.0
+        x, y = (tuple(v + 0.0 for v in w.tolist()) for w in (plane.x, plane.y))
+        return lo, hi, lo, None, value, x, y, converged
     split = _star_split(mat)
     if split is None:
         lam = np.linalg.eigvalsh(mat).tolist()
@@ -554,6 +555,8 @@ def hierarchy_check(R, k, p_max=6):
     the first refuting level the eigenpolynomial of the least eigenvalue
     is kept as ``witness``.  A k that is not finite raises ``ValueError``.
     """
+    from . import weitzenbock as wz
+
     if not math.isfinite(k):
         raise ValueError(f"the bound k must be finite, got {k!r}")
     tol = _EIG_TOL * max(_spectral_norm(R.mat), abs(k))

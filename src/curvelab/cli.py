@@ -25,21 +25,18 @@ every emitted matrix re-ingests to bit-identical doubles.  Output is
 accumulated fully and written once (atomically when ``--out`` is used).
 
 Start-up pays only for the command that runs: this module loads no other
-curvelab module at import, and each subcommand imports the modules it
-calls when it runs (``verify --suite lemmas`` loads ``littlewood`` alone,
-``decompose`` only ``curvature`` and ``fixtures``).
+curvelab module and no NumPy at import, and each subcommand imports the
+modules it calls when it runs (``verify --suite lemmas`` loads
+``littlewood`` alone, ``decompose`` only ``curvature`` and ``fixtures``).
+So ``--help``, a usage error and ``verify --suite lemmas`` run without
+NumPy.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
 import math
 import os
 import sys
-import tempfile
-
-import numpy as np
 
 from . import DEFAULT_SEED
 
@@ -120,7 +117,7 @@ def operator_from_json(doc):
                 )
             vals.append(v)
         rows.append(vals)
-    return CurvatureOperator(n, np.array(rows))
+    return CurvatureOperator(n, rows)
 
 
 def load_operator(source, n):
@@ -151,6 +148,8 @@ def emit(doc, out_path):
     if out_path is None:
         sys.stdout.write(text + "\n")
         return
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -176,6 +175,8 @@ def _maybe_warn_asymmetry(doc, R):
 
 
 def cmd_decompose(args):
+    import numpy as np
+
     from .curvature import decompose
 
     R = load_operator(args.input, args.n)
@@ -221,6 +222,8 @@ def _check_build_dimension(rep, n, p):
 
 
 def cmd_kterm(args):
+    import numpy as np
+
     from . import knalgebra as kn
     from . import weitzenbock as wz
 
@@ -287,6 +290,8 @@ def cmd_verify(args):
         ok = report["passed"]
         doc.update(report)
     elif args.suite == "integral":
+        import numpy as np
+
         from .curvature import random_operator
         from .spherical import verify_integral_formula
 
@@ -315,6 +320,8 @@ def cmd_verify(args):
             rows.append({"p": p, "sym": ts, "wedge": tw})
         doc.update({"rows": rows, "passed": ok})
     elif args.suite == "gpowers":
+        import numpy as np
+
         from . import knalgebra as kn
 
         rows = []
@@ -338,11 +345,11 @@ def cmd_verify(args):
 
 
 def cmd_certify(args):
-    from .certify import certify_bound
-
     if not abs(args.k) <= MAX_MAGNITUDE:
         raise InputError(f"--k: expected a finite number of magnitude at "
                          f"most {MAX_MAGNITUDE:g}, got {args.k!r}")
+    from .certify import certify_bound
+
     R = load_operator(args.input, args.n)
     cert = certify_bound(R, args.k, direction=args.direction,
                          strict=args.strict)
@@ -431,13 +438,15 @@ def main(argv=None):
         _attach_k_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:    # a ValueError, but not bad input
-        error = exc
-    except (InputError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         error = exc
+    # numpy's LinAlgError is a ValueError, but not bad input; numpy cannot
+    # have raised it unless a command loaded it
+    np = sys.modules.get("numpy")
+    linalg = np is not None and isinstance(error, np.linalg.LinAlgError)
+    if isinstance(error, (InputError, ValueError)) and not linalg:
+        print(f"input error: {error}", file=sys.stderr)
+        return 2
     print(json.dumps({"error": f"{type(error).__name__}: {error}"}))
     return 3
 

@@ -472,13 +472,18 @@ def test_certify_deterministic_output(capsys):
 @pytest.mark.parametrize("name", ["identity", "hodge-star", "s2xs2",
                                   "weyl-type", "four-form", "traceless-ricci"])
 def test_certify_writes_no_negative_zero(capsys, name):
-    # a zero coordinate or sec is written 0.0, so witnesses compare as text
-    for k in ("-2", "0.01", "2"):
-        for direction in ("ge", "le"):
-            code, out, _ = run(capsys, "certify", name, "--n", "4", "--k", k,
-                               "--direction", direction)
-            assert code in (0, 1)
-            assert re.search(r"-0\.0\b", out) is None, (k, direction, out)
+    # a zero coordinate or sec is written 0.0, so witnesses compare as text;
+    # n = 5 and 6 refute with the plane search's planes (hodge-star and
+    # s2xs2 exist at n = 4 only)
+    dims = ("4",) if name in ("hodge-star", "s2xs2") else ("4", "5", "6")
+    for n in dims:
+        for k in ("-2", "-0.9", "0.01", "2"):
+            for direction in ("ge", "le"):
+                code, out, _ = run(capsys, "certify", name, "--n", n,
+                                   "--k", k, "--direction", direction)
+                assert code in (0, 1)
+                assert re.search(r"-0\.0\b", out) is None, (n, k, direction,
+                                                             out)
 
 
 def readme_commands():
@@ -600,27 +605,35 @@ def test_cli_commands_never_import_scipy():
 _LOADED_PROBE = """
 import contextlib, io, json, sys
 argv = sys.argv[1:]
+code = 0
 if argv == ["import"]:
     import curvelab
 elif argv == ["import", "cli"]:
     import curvelab.cli
 else:
     from curvelab import cli
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli.main(argv)
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # --help and usage errors
+            code = exc.code
 print(json.dumps(sorted(m for m in sys.modules
                         if m == "numpy" or m.startswith("curvelab."))))
+sys.exit(code)
 """
 
 
-def loaded_modules(*argv):
+def loaded_modules(*argv, code=0):
     """curvelab's submodules (bare names) and numpy, as loaded by a fresh
-    interpreter that imports the package or runs one CLI command."""
+    interpreter that imports the package or runs one CLI command, which
+    must exit with ``code``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
     return {m.removeprefix("curvelab.") for m in json.loads(proc.stdout)}
 
 
@@ -629,11 +642,23 @@ def test_import_curvelab_loads_no_submodule_and_no_numpy():
 
 
 def test_import_cli_loads_no_other_curvelab_module():
-    assert loaded_modules("import", "cli") - {"numpy"} == {"cli"}
+    assert loaded_modules("import", "cli") == {"cli"}
+
+
+def test_help_and_usage_errors_load_no_numpy():
+    assert loaded_modules("--help") == {"cli"}
+    assert loaded_modules("certify", "--help") == {"cli"}
+    assert loaded_modules("no-such-command", code=2) == {"cli"}
+    assert loaded_modules("certify", "identity", code=2) == {"cli"}
+
+
+def test_certify_non_finite_bound_exits_two_without_numpy():
+    assert loaded_modules("certify", "identity", "--k", "nan",
+                          code=2) == {"cli"}
 
 
 def test_verify_lemmas_loads_only_littlewood():
-    assert loaded_modules("verify", "--suite", "lemmas") - {"numpy"} == {
+    assert loaded_modules("verify", "--suite", "lemmas") == {
         "cli", "littlewood"}
 
 
@@ -647,7 +672,8 @@ def test_decompose_loads_no_certification_or_verification_module():
 def test_certify_loads_no_verification_module():
     loaded = loaded_modules("certify", "s2xs2", "--n", "4", "--k", "0")
     assert "certify" in loaded
-    assert not loaded & {"closedform", "spherical", "littlewood", "knalgebra"}
+    assert not loaded & {"closedform", "spherical", "littlewood", "knalgebra",
+                         "weitzenbock"}
 
 
 def test_public_names_resolve_to_their_defining_modules():
