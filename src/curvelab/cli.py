@@ -222,8 +222,6 @@ def _check_build_dimension(rep, n, p):
 
 
 def cmd_kterm(args):
-    import numpy as np
-
     from . import knalgebra as kn
     from . import weitzenbock as wz
 
@@ -231,18 +229,19 @@ def cmd_kterm(args):
     _check_build_dimension(args.rep, R.n, args.p)
     space = kn.space_for(args.rep, R.n, args.p)
     K = wz.curvature_term(R, space)
-    spectrum = np.linalg.eigvalsh(K.mat).tolist()      # ascending
+    # on Sym^p one eigensolve per tower block: the spectrum is their union
+    bs = wz.block_structure(R, K) if args.rep == "sym" else None
+    spectrum = (K.eigenvalues() if bs is None else bs.spectrum).tolist()
     doc = {
         "n": R.n,
         "rep": args.rep,
         "p": args.p,
         "dim": space.dim,
         "matrix": K.mat.tolist(),
-        "spectrum": spectrum,
+        "spectrum": spectrum,                           # ascending
         "lambda_min": spectrum[0],
     }
-    if args.rep == "sym":
-        bs = wz.block_structure(R, K)
+    if bs is not None:
         doc["blocks"] = {
             "degrees": bs.degrees,
             "dims": bs.block_dims,

@@ -36,7 +36,7 @@ See ``docs/bases.md`` for the frozen ordering and normalization rules.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -252,25 +252,35 @@ class RepSpace:
     basis : tuple
         Wedge index tuples or monomial exponent tuples.  For "traceless"
         this is the monomial basis of the ambient symmetric power.
-    change_of_basis : ndarray or None
-        For "traceless": rows are the orthonormal harmonic basis vectors in
-        normalized-monomial coordinates of the ambient symmetric power.
     reflectors : (V, T) or None
         For "traceless": the k Householder reflectors of the r^2 map,
         k = dim Sym^{p-2}, in compact WY form: ``Q = I - V T V^T`` is
         orthogonal, V (ambient dim x k) unit lower trapezoidal, T (k x k)
-        upper triangular, and ``change_of_basis = Q[:, k:].T``.
+        upper triangular.  They are all the space stores.
+    change_of_basis : ndarray or None
+        For "traceless": ``Q[:, k:].T``, whose rows are the orthonormal
+        harmonic basis vectors in normalized-monomial coordinates of the
+        ambient symmetric power; formed on first read, then kept.
     """
 
-    def __init__(self, kind, n, p, dim, basis, change_of_basis=None,
-                 reflectors=None):
+    def __init__(self, kind, n, p, dim, basis, reflectors=None):
         self.kind = kind
         self.n = n
         self.p = p
         self.dim = dim
         self.basis = basis
-        self.change_of_basis = change_of_basis
         self.reflectors = reflectors
+
+    @cached_property
+    def change_of_basis(self):
+        # C = I[k:, :] - V_2 T^T V^T, V_2 the rows k onward of V
+        if self.reflectors is None:
+            return None
+        V, T = self.reflectors
+        k = T.shape[0]
+        C = (V[k:] @ -T.T) @ V.T
+        C[np.arange(self.dim), np.arange(k, k + self.dim)] += 1.0
+        return C
 
     def __repr__(self):
         return f"RepSpace({self.kind}, n={self.n}, p={self.p}, dim={self.dim})"
@@ -340,12 +350,12 @@ def build_traceless(n, p):
     map M (ambient dim x k, full column rank).  ``qr(M, mode="raw")`` gives
     k Householder reflectors with product ``Q = I - V T V^T`` and
     ``M = Q[:, :k] R``, so the last dim - k columns of Q span the
-    complement: ``C = Q[:, k:]^T = I[k:, :] - V_2 T^T V^T`` (V_2 the rows k
-    onward of V).  The basis is orthonormal but not canonical.  The space
-    carries no generators of its own: the ambient ones preserve it, so its
-    generators are ``C D C^T``; ``weitzenbock.curvature_term`` assembles on
-    the ambient power and moves the result onto the basis by a rank-2k
-    update with ``(V, T)``, never forming C K C^T.
+    complement: ``C = Q[:, k:]^T``, formed on first read of
+    ``change_of_basis``.  The basis is orthonormal but not canonical.  The
+    space carries no generators of its own: the ambient ones preserve it,
+    so its generators are ``C D C^T``; ``weitzenbock.curvature_term``
+    assembles on the ambient power and moves the result onto the basis by
+    a blockwise rank-2k update with ``(V, T)``, never forming C.
     """
     _check_np(n, p)
     amb = build_symmetric(n, p)
@@ -356,13 +366,5 @@ def build_traceless(n, p):
         V = np.tril(h.T, -1)   # h is the transposed LAPACK geqrf storage
         np.fill_diagonal(V, 1.0)
         T = _block_reflector(V, tau)
-    k = T.shape[0]
-    C = (V[k:] @ -T.T) @ V.T
-    dim = C.shape[0]
-    C[np.arange(dim), np.arange(k, amb.dim)] += 1.0
-    if dim != dim_traceless(n, p):
-        raise RuntimeError(
-            f"harmonic basis has dim {dim}, expected {dim_traceless(n, p)}"
-        )
-    return RepSpace("traceless", n, p, dim, amb.basis, change_of_basis=C,
+    return RepSpace("traceless", n, p, amb.dim - T.shape[0], amb.basis,
                     reflectors=(V, T))

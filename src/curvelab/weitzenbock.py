@@ -30,7 +30,7 @@ class SymmetricEndomorphism:
     """Symmetric matrix acting on a representation space.
 
     ``sym_defect`` is always 0.0: ``_assemble`` is exactly symmetric by
-    construction and ``_harmonic_split`` keeps exact symmetry, so nothing
+    construction and ``_tower_blocks`` keeps exact symmetry, so nothing
     is measured or removed.  The field stays because the benchmark's
     ``perfbench/workloads.py`` still passes it to ``checks.check_kterm``."""
 
@@ -98,22 +98,34 @@ def _assemble(Rmat, space):
     return np.bincount(at, wt, dim * dim).reshape(dim, dim)
 
 
-def _harmonic_split(K, reflectors):
-    """Q^T K Q for symmetric K and the reflectors (V, T) of Q = I - V T V^T.
+def _tower_blocks(K, reflectors):
+    """The blocks of Q^T K Q for symmetric K and Q = I - V T V^T, split at k.
 
     ``Q^T K Q = K - (Y V^T + V Y^T)`` with ``W = K V`` and
-    ``Y = W T - V (T^T V^T W T) / 2``: a rank-2k update, exactly symmetric
-    whenever K is.  With the reflectors of ``build_traceless(n, p)`` and
-    K = K(R, Sym^p) the result is block diagonal, since K commutes with
-    the r^2 map: its rows and columns k onward are K(R, Harm^p), and its
-    leading k x k block is similar to K(R, Sym^{p-2}).
+    ``Y = W T - V (T^T V^T W T) / 2``.  Returns its leading k x k,
+    off-diagonal and trailing blocks, each diagonal block formed alone as
+    ``K_ii - (Z + Z^T)``, ``Z = Y_i V_i^T``: exactly symmetric whenever K
+    is.  With the reflectors of ``build_traceless(n, p)`` and
+    K = K(R, Sym^p) the off-diagonal block vanishes, since K commutes with
+    the r^2 map: the trailing block is K(R, Harm^p), and the leading block
+    is similar to K(R, Sym^{p-2}).
     """
     V, T = reflectors
+    k = T.shape[0]
     W = K @ V
     Y = W @ T - 0.5 * V @ (T.T @ (V.T @ W) @ T)
-    X = Y @ V.T
-    X += X.T
-    return np.subtract(K, X, out=X)
+
+    def diagonal(s):
+        Z = Y[s] @ V[s].T
+        # Z += Z^T one row stripe at a time, with no transposed copy of Z
+        for i in range(0, Z.shape[0], 64):
+            S = Z[i:i + 64, i:] + Z[i:, i:i + 64].T
+            Z[i:i + 64, i:] = S
+            Z[i:, i:i + 64] = S.T
+        return np.subtract(K[s, s], Z, out=Z)
+
+    off = K[:k, k:] - (Y[:k] @ V[k:].T + V[:k] @ Y[k:].T)
+    return diagonal(slice(k)), off, diagonal(slice(k, None))
 
 
 def curvature_term(R, space):
@@ -121,9 +133,9 @@ def curvature_term(R, space):
 
     For traceless spaces the sum is assembled on the ambient symmetric
     power and moved onto the harmonic basis, which the generators
-    preserve: K(R, Harm^p) is the trailing block of ``_harmonic_split``
-    with ``space.reflectors``, never C K C^T.  K comes out exactly
-    symmetric.
+    preserve: K(R, Harm^p) is the trailing block of ``_tower_blocks``
+    with ``space.reflectors``, never C K C^T nor all of Q^T K Q.  K comes
+    out exactly symmetric.
     """
     if R.n != space.n:
         raise ValueError(f"operator has n={R.n}, space has n={space.n}")
@@ -131,9 +143,7 @@ def curvature_term(R, space):
     K = _assemble(R.mat, ml.build_symmetric(space.n, space.p) if traceless
                   else space)
     if traceless:
-        k = space.reflectors[1].shape[0]
-        # a copy, so the ambient-sized split is not kept alive by a view
-        K = _harmonic_split(K, space.reflectors)[k:, k:].copy()
+        K = _tower_blocks(K, space.reflectors)[2]
     return SymmetricEndomorphism(space, K)
 
 
@@ -163,7 +173,8 @@ class BlockStructure:
 
     ``degrees`` runs p, p - 2, ..., down to 1 or 0; ``block_dims[i]`` and
     ``spectra[d]`` are the dimension of Harm^d and the ascending
-    eigenvalues of K(R, Harm^d), one per degree.  ``offdiag_max`` is the
+    eigenvalues of K(R, Harm^d), one per degree; ``spectrum`` is their
+    sorted union, the eigenvalues of K(R, Sym^p).  ``offdiag_max`` is the
     largest entry of any off-diagonal block of the splits.
     """
 
@@ -173,6 +184,7 @@ class BlockStructure:
     block_dims: list
     offdiag_max: float
     spectra: dict
+    spectrum: np.ndarray
 
 
 def block_structure(R, K):
@@ -181,8 +193,8 @@ def block_structure(R, K):
     ``K`` is the caller's ``curvature_term(R, build_symmetric(n, p))``, so
     the ambient power is assembled once.  The walk visits every degree
     d = p, p - 2, ... down to 1 or 0 (lowest first): at d = p it splits K
-    itself, below p a directly assembled K(R, Sym^d), each with the
-    reflectors of ``build_traceless(n, d)`` (``_harmonic_split``).  The
+    itself, below p a directly assembled K(R, Sym^d), each into the
+    ``_tower_blocks`` of ``build_traceless(n, d)``'s reflectors.  The
     trailing block's spectrum is degree d's, and the leading block,
     similar to K(R, Sym^{d-2}), must have the union of the lower degrees'
     spectra.  Raises ``RuntimeError`` if an off-diagonal block exceeds
@@ -201,12 +213,11 @@ def block_structure(R, K):
         Kd = (K if d == p
               else curvature_term(R, ml.build_symmetric(n, d))).mat
         reflectors = ml.build_traceless(n, d).reflectors
-        k = reflectors[1].shape[0]
-        S = _harmonic_split(Kd, reflectors)
-        off_max = max(off_max, float(np.max(np.abs(S[:k, k:]), initial=0.0)))
-        gap = np.abs(np.linalg.eigvalsh(S[:k, :k]) - union)
+        lead, off, trail = _tower_blocks(Kd, reflectors)
+        off_max = max(off_max, float(np.max(np.abs(off), initial=0.0)))
+        gap = np.abs(np.linalg.eigvalsh(lead) - union)
         mismatch = max(mismatch, float(np.max(gap, initial=0.0)))
-        spectra[d] = np.linalg.eigvalsh(S[k:, k:])
+        spectra[d] = np.linalg.eigvalsh(trail)
         union = np.sort(np.concatenate([union, spectra[d]]))
     degrees = sorted(spectra, reverse=True)
     if off_max > _OFFDIAG_TOL * scale:
@@ -219,4 +230,4 @@ def block_structure(R, K):
         )
     return BlockStructure(n=n, p=p, degrees=degrees,
                           block_dims=[spectra[d].size for d in degrees],
-                          offdiag_max=off_max, spectra=spectra)
+                          offdiag_max=off_max, spectra=spectra, spectrum=union)

@@ -321,6 +321,35 @@ def test_kterm_emits_the_matrix_and_an_ascending_spectrum(capsys):
         assert spectrum == sorted(spectrum)
 
 
+def test_kterm_solves_through_the_term_or_its_tower_blocks(capsys,
+                                                           monkeypatch):
+    # wedge and sym0 solve K once through K.eigenvalues(), the benchmark's
+    # eigensolve span; sym solves only the tower blocks, and its spectrum
+    # is their sorted union, K's own to a dense solve's rounding
+    from curvelab import weitzenbock as wz
+    eigenvalues, solved = wz.SymmetricEndomorphism.eigenvalues, []
+
+    def counted(K):
+        solved.append(K.space.kind)
+        return eigenvalues(K)
+
+    monkeypatch.setattr(wz.SymmetricEndomorphism, "eigenvalues", counted)
+    for rep, kind in (("wedge", "exterior"), ("sym0", "traceless")):
+        doc = run_json(capsys, "kterm", "RL", "--n", "5", "--rep", rep,
+                       "--p", "3")
+        assert solved == [kind]
+        assert doc["spectrum"] == np.linalg.eigvalsh(doc["matrix"]).tolist()
+        solved.clear()
+    doc = run_json(capsys, "kterm", "RL", "--n", "5", "--rep", "sym",
+                   "--p", "4")
+    assert solved == []
+    union = sorted(sum(doc["blocks"]["spectra"].values(), []))
+    assert doc["spectrum"] == union
+    K = np.array(doc["matrix"])
+    gap = np.abs(np.array(union) - np.linalg.eigvalsh(K)).max()
+    assert gap <= 1e-12 * np.abs(K).max()
+
+
 def test_kterm_sym_assembles_the_ambient_power_once(capsys, monkeypatch):
     # the block check reuses the reported K(R, Sym^p); only the lower
     # tower degrees are assembled again

@@ -1,5 +1,6 @@
 """Assembly of the curvature term and its structural properties."""
 
+import tracemalloc
 from math import comb, factorial
 from types import SimpleNamespace
 
@@ -109,11 +110,12 @@ def test_traceless_assembly_matches_dense_reference(n, p, rng):
     ("traceless", 1, 2), ("traceless", 1, 5),
 ])
 def test_reflector_update_matches_dense_conjugation(kind, n, p, rng):
-    # Harm^p: the rank-2k update against C K C^T on the ambient K, exactly
+    # Harm^p: the trailing block against C K C^T on the ambient K, exactly
     # symmetric; p < 2 (k = 0) and n = 1 (dim 0, tau = 0) included.  Sym^p
-    # and the wedge: the assembled K itself, never symmetrized.  The full
-    # split is block diagonal, its leading block similar to K(R, Sym^{p-2}),
-    # for any symmetric R: K commutes with the r^2 map.
+    # and the wedge: the assembled K itself, never symmetrized.  All three
+    # blocks of the split match a dense Q^T K Q, which is block diagonal,
+    # its leading block similar to K(R, Sym^{p-2}), for any symmetric R:
+    # K commutes with the r^2 map.
     R = SimpleNamespace(n=n, mat=_random_mat(n, rng))
     space = getattr(ml, "build_" + kind)(n, p)
     K = wz.curvature_term(R, space)
@@ -124,12 +126,22 @@ def test_reflector_update_matches_dense_conjugation(kind, n, p, rng):
         ref = C @ ambient @ C.T
         scale = np.abs(ambient).max(initial=0.0)
         assert np.abs(K.mat - ref).max(initial=0.0) <= 1e-14 * scale
-        S = wz._harmonic_split(ambient, space.reflectors)
-        k = space.reflectors[1].shape[0]
-        assert np.abs(S[:k, k:]).max(initial=0.0) <= 1e-13 * scale
+        V, T = space.reflectors
+        k = T.shape[0]
+        Q = np.eye(V.shape[0]) - V @ T @ V.T
+        dense = Q.T @ ambient @ Q
+        lead, off, trail = wz._tower_blocks(ambient, space.reflectors)
+        for block, want in ((lead, dense[:k, :k]), (off, dense[:k, k:]),
+                            (trail, dense[k:, k:])):
+            assert block.shape == want.shape
+            assert np.abs(block - want).max(initial=0.0) <= 1e-14 * scale
+        np.testing.assert_array_equal(lead, lead.T)
+        np.testing.assert_array_equal(trail, trail.T)
+        np.testing.assert_array_equal(trail, K.mat)
+        assert np.abs(off).max(initial=0.0) <= 1e-13 * scale
         if k:
             lower = wz._assemble(R.mat, ml.build_symmetric(n, p - 2))
-            gap = (np.sort(np.linalg.eigvalsh(S[:k, :k]))
+            gap = (np.sort(np.linalg.eigvalsh(lead))
                    - np.linalg.eigvalsh(lower))
             assert np.abs(gap).max() <= 1e-12 * scale
     else:
@@ -166,6 +178,34 @@ def test_assembly_matches_dense_reference_and_misses_four_forms(kind, n, p,
         omega = CurvatureOperator(n, _four_form(n, rng))
         np.testing.assert_array_equal(
             wz.curvature_term(omega, space).mat, np.zeros(K.mat.shape))
+
+
+def _traced_peak(fn):
+    """Peak of the Python and NumPy allocations made while ``fn`` runs."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_harmonic_terms_form_no_change_of_basis_or_full_split(rng):
+    # Harm^4 R^10 inside Sym^4 R^10 (dim 715, 55 reflectors), against the
+    # ambient matrix's 8 * 715^2 bytes.  A cold build stores (V, T) only
+    # (an eager C alone is 0.92 of it); K(R) on a built space keeps the
+    # ambient K and one trailing-sized block alive, where a full Q^T K Q
+    # split with a transposed temporary peaks at 3.2
+    ambient = 8.0 * ml.dim_symmetric(10, 4) ** 2
+    R = CurvatureOperator(10, _random_mat(10, rng))
+    ml.build_traceless.cache_clear()
+    assert _traced_peak(lambda: ml.build_traceless(10, 4)) <= 0.5 * ambient
+    space = ml.build_traceless(10, 4)
+    wz.curvature_term(R, space)     # product tables cached
+    assert _traced_peak(lambda: wz.curvature_term(R, space)) <= 2.75 * ambient
+    assert "change_of_basis" not in vars(space)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +369,18 @@ def test_block_structure_dimensions_and_offdiagonal(rng):
 
 def test_block_structure_spectrum_is_union_of_blocks(rng):
     # direct-sum rule: the full spectrum is the multiset union of the
-    # per-degree block spectra
-    n, p = 4, 3
-    R = random_operator(n, rng)
-    K = _ambient_term(R, p)
-    bs = wz.block_structure(R, K)
-    full = np.sort(np.linalg.eigvalsh(K.mat))
-    merged = np.sort(np.concatenate([bs.spectra[d] for d in bs.degrees]))
-    np.testing.assert_allclose(full, merged, atol=1e-8)
+    # per-degree block spectra; that union is ``spectrum``, which kterm
+    # --rep sym reports in place of a dense solve of K, equal to one to
+    # its rounding (Sym^4 R^10 and Sym^5 R^8 as in the benchmark)
+    for n, p in [(4, 3), (4, 4), (10, 4), (8, 5)]:
+        R = random_operator(n, rng)
+        K = _ambient_term(R, p)
+        bs = wz.block_structure(R, K)
+        full = np.sort(np.linalg.eigvalsh(K.mat))
+        merged = np.sort(np.concatenate([bs.spectra[d] for d in bs.degrees]))
+        np.testing.assert_allclose(full, merged, atol=1e-8)
+        np.testing.assert_array_equal(bs.spectrum, merged)
+        assert np.abs(bs.spectrum - full).max() <= 1e-12 * np.abs(K.mat).max()
 
 
 @pytest.mark.parametrize("n,p", [(4, 4), (6, 6), (8, 5)])
@@ -375,10 +419,9 @@ def test_block_structure_rejects_a_broken_tower(coupled, match, rng):
     else:
         S = rng.standard_normal((Q1.shape[1],) * 2)
         E = eps * Q1 @ (S + S.T) @ Q1.T
-        k = Q1.shape[1]
-        split = wz._harmonic_split(K.mat + E,
-                                   ml.build_traceless(n, p).reflectors)
-        assert np.abs(split[:k, k:]).max() <= 1e-13 * np.abs(K.mat).max()
+        off = wz._tower_blocks(K.mat + E,
+                               ml.build_traceless(n, p).reflectors)[1]
+        assert np.abs(off).max() <= 1e-13 * np.abs(K.mat).max()
     broken = wz.SymmetricEndomorphism(K.space, K.mat + E)
     with pytest.raises(RuntimeError, match=match):
         wz.block_structure(R, broken)
