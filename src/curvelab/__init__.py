@@ -35,7 +35,6 @@ _HOMES = {
     "build_traceless": "multilinear",
     "SymmetricEndomorphism": "weitzenbock",
     "curvature_term": "weitzenbock",
-    "quadratic_form": "weitzenbock",
 }
 
 __all__ = sorted(_HOMES)

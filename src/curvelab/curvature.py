@@ -231,9 +231,6 @@ class CurvatureDecomposition:
     def operator(self, name):
         return CurvatureOperator(self.n, self.part(name))
 
-    def parts(self):
-        return {"U": self.r_u, "L": self.r_l, "W": self.r_w, "W4": self.r_w4}
-
 
 def decompose(R):
     """Split R into scalar, traceless-Ricci, Weyl-type, and four-form parts.

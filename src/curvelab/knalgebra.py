@@ -72,11 +72,6 @@ class KNElement:
         return f"KNElement({self.algebra}, n={self.n}, grade={self.grade})"
 
 
-def g_element(algebra, n):
-    """The metric as the grade-1 element (identity matrix on R^n)."""
-    return KNElement(algebra, n, 1, np.eye(space_for(algebra, n, 1).dim))
-
-
 def identity_element(algebra, n, p):
     """Identity matrix on the grade-p space, i.e. g^p / p!."""
     return KNElement(algebra, n, p, np.eye(space_for(algebra, n, p).dim))
@@ -132,7 +127,7 @@ def iterated_g_power(algebra, n, p):
         raise ValueError("need p >= 0")
     if p == 0:
         return identity_element(algebra, n, 0)
-    acc = g_element(algebra, n)
+    acc = g = identity_element(algebra, n, 1)   # the metric, grade 1
     for _ in range(p - 1):
-        acc = kn_product(acc, g_element(algebra, n))
+        acc = kn_product(acc, g)
     return acc

@@ -83,14 +83,6 @@ def dim_symmetric(n, p):
     return math.comb(n + p - 1, p) if p >= 0 else 0
 
 
-def dim_traceless(n, p):
-    if p < 0:
-        return 0
-    if p < 2:
-        return dim_symmetric(n, p)
-    return dim_symmetric(n, p) - dim_symmetric(n, p - 2)
-
-
 # ---------------------------------------------------------------------------
 # basis enumeration
 
@@ -208,27 +200,6 @@ def product_congruence(kind, n, pa, pb, A, B):
     P[ia, ib, out] = val
     Y = B @ np.tensordot(A, P, 1)
     return P.reshape(-1, dim).T @ Y.reshape(-1, dim)
-
-
-# ---------------------------------------------------------------------------
-# polynomials, as coordinates on the u_l basis of Sym^p
-
-
-def circle_harmonic(n, p):
-    """Sym^p coordinates of the harmonic fixture Re (x_1 + i x_2)^p.
-
-    Its monomials are ``x_1^{p-k} x_2^k`` for even k, with coefficient
-    ``binom(p, k) (-1)^{k/2}``; squared norm ``2^{p-1} p!``.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    index = monomial_basis(n, p).index
-    v = np.zeros(dim_symmetric(n, p))
-    for k in range(0, p + 1, 2):
-        c = math.comb(p, k) * (-1) ** (k // 2)
-        v[index((p - k, k) + (0,) * (n - 2))] = float(c) * math.sqrt(
-            math.factorial(p - k) * math.factorial(k))
-    return v
 
 
 # ---------------------------------------------------------------------------

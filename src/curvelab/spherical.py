@@ -19,9 +19,10 @@ representation: for harmonic phi, psi,
     <K phi, psi> = c * int_{S^{n-1}} sum_{a,b} R_ab (D_a phi)(D_b psi),
 
 where D_a runs over the generator actions ``x_i d_j phi - x_j d_i phi``
-and the constant c depends only on (n, p); it is fixed by
-``c = <phi, phi> / int phi^2`` and is independent of the harmonic phi
-used, which is checked over several choices.
+and the constant c depends only on (n, p): it is the Fischer/L^2 ratio
+``c = <phi, phi> / int phi^2``, which on harmonic phi of degree p equals
+``n (n + 2) ... (n + 2p - 2) / |S^{n-1}|`` (Stein & Weiss, Introduction
+to Fourier Analysis on Euclidean Spaces, ch. IV).
 """
 
 from __future__ import annotations
@@ -35,13 +36,10 @@ from . import multilinear as ml
 from . import weitzenbock as wz
 
 
-def integrate_monomial(exps, n=None):
-    """Integral of x^exps over the unit sphere S^{n-1}; exact Gamma formula."""
+def integrate_monomial(exps):
+    """Integral of x^exps over the unit sphere S^{n-1}, n = len(exps);
+    exact Gamma formula."""
     exps = tuple(int(e) for e in exps)
-    if n is None:
-        n = len(exps)
-    elif n != len(exps):
-        raise ValueError("exponent tuple length must equal n")
     if any(e < 0 for e in exps):
         raise ValueError("negative exponent")
     if any(e % 2 for e in exps):
@@ -49,7 +47,7 @@ def integrate_monomial(exps, n=None):
     num = 2.0
     for e in exps:
         num *= math.gamma((e + 1) / 2)
-    return num / math.gamma((n + sum(exps)) / 2)
+    return num / math.gamma((len(exps) + sum(exps)) / 2)
 
 
 def sphere_area(n):
@@ -65,7 +63,7 @@ def _gram(n, p, q):
     ``int u_c = int x^c / sqrt(c!)``, once per basis vector of Sym^{p+q}.
     """
     out, _, _, val = ml.product_table("symmetric", n, p, q)
-    J = np.array([integrate_monomial(c, n)
+    J = np.array([integrate_monomial(c)
                   for c in ml.monomial_basis(n, p + q)])
     J /= ml.monomial_norms(n, p + q)
     return (val * J[out]).reshape(ml.dim_symmetric(n, p),
@@ -100,32 +98,13 @@ def random_harmonic(n, p, rng):
     return C.T @ (C @ u)
 
 
-_C_CONSTANT_TOL = 1e-8
-
-
-def c_constant(n, p, probes=3, seed=0):
-    """The (n, p) constant relating the pairing norm to the sphere norm.
-
-    Computed as ``<phi, phi> / int phi^2`` on the planar harmonic fixture
-    and cross-checked on ``probes`` random harmonics; choices must agree
-    to relative ``_C_CONSTANT_TOL``.
-    """
+def c_constant(n, p):
+    """The (n, p) constant relating the pairing norm to the sphere norm:
+    ``<phi, phi> / int phi^2 = n (n + 2) ... (n + 2p - 2) / |S^{n-1}|``
+    for every harmonic phi of degree p."""
     if p < 1:
         raise ValueError("need p >= 1")
-    phi = ml.circle_harmonic(n, p)
-    c = (phi @ phi) / sphere_inner(n, phi, phi)
-    rng = np.random.default_rng(seed)
-    for _ in range(probes):
-        psi = random_harmonic(n, p, rng)
-        ns = psi @ psi
-        if ns < 1e-12:
-            continue
-        ci = ns / sphere_inner(n, psi, psi)
-        if abs(ci - c) > _C_CONSTANT_TOL * abs(c):
-            raise RuntimeError(
-                f"constant is not choice-independent: {c!r} vs {ci!r}"
-            )
-    return float(c)
+    return math.prod(range(n, n + 2 * p, 2)) / sphere_area(n)
 
 
 def _generator_images(n, p, phi):
@@ -168,7 +147,7 @@ _INTEGRAL_TOL = 1e-7
 def verify_integral_formula(R, p, trials=10, seed=0):
     """Check the integral representation on random harmonic pairs.
 
-    The left side is the bilinear form of the directly assembled
+    The left side is ``(C phi) . K (C psi)``, K the directly assembled
     curvature term on traceless symmetric power p; the right side is the
     c-scaled sphere integral.  Returns the JSON document with one row per
     trial; errors are relative to the larger side, and the document passes
@@ -185,7 +164,7 @@ def verify_integral_formula(R, p, trials=10, seed=0):
     for t in range(trials):
         phi = random_harmonic(n, p, rng)
         psi = random_harmonic(n, p, rng)
-        lhs = wz.bilinear_form(K, C @ phi, C @ psi)
+        lhs = float((C @ phi) @ K.mat @ (C @ psi))
         rhs = c * integral_form(R, phi, psi)
         denom = max(abs(lhs), abs(rhs), 1e-9 * scale)
         rows.append({"trial": t, "lhs": lhs, "rhs": rhs,

@@ -147,17 +147,6 @@ def curvature_term(R, space):
     return SymmetricEndomorphism(space, K)
 
 
-def quadratic_form(K, vec):
-    """<K v, v> for a coordinate vector on K's space."""
-    v = np.asarray(vec, dtype=float)
-    return float(v @ K.mat @ v)
-
-
-def bilinear_form(K, v, w):
-    """<K v, w> for coordinate vectors on K's space."""
-    return float(np.asarray(v, float) @ K.mat @ np.asarray(w, float))
-
-
 # ---------------------------------------------------------------------------
 # harmonic tower
 
@@ -195,7 +184,8 @@ def block_structure(R, K):
     d = p, p - 2, ... down to 1 or 0 (lowest first): at d = p it splits K
     itself, below p a directly assembled K(R, Sym^d), each into the
     ``_tower_blocks`` of ``build_traceless(n, d)``'s reflectors.  The
-    trailing block's spectrum is degree d's, and the leading block,
+    trailing block is K(R, Harm^d), solved as a ``SymmetricEndomorphism``
+    on that space for degree d's spectrum, and the leading block,
     similar to K(R, Sym^{d-2}), must have the union of the lower degrees'
     spectra.  Raises ``RuntimeError`` if an off-diagonal block exceeds
     ``_OFFDIAG_TOL`` or a leading block's spectrum misses that union by
@@ -212,12 +202,12 @@ def block_structure(R, K):
     for d in range(p % 2, p + 1, 2):
         Kd = (K if d == p
               else curvature_term(R, ml.build_symmetric(n, d))).mat
-        reflectors = ml.build_traceless(n, d).reflectors
-        lead, off, trail = _tower_blocks(Kd, reflectors)
+        harm = ml.build_traceless(n, d)
+        lead, off, trail = _tower_blocks(Kd, harm.reflectors)
         off_max = max(off_max, float(np.max(np.abs(off), initial=0.0)))
         gap = np.abs(np.linalg.eigvalsh(lead) - union)
         mismatch = max(mismatch, float(np.max(gap, initial=0.0)))
-        spectra[d] = np.linalg.eigvalsh(trail)
+        spectra[d] = SymmetricEndomorphism(harm, trail).eigenvalues()
         union = np.sort(np.concatenate([union, spectra[d]]))
     degrees = sorted(spectra, reverse=True)
     if off_max > _OFFDIAG_TOL * scale:

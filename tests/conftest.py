@@ -245,6 +245,23 @@ def coords_to_polynomial(space, vec):
     return Polynomial(space.n, coeffs)
 
 
+def circle_harmonic(n, p):
+    """Sym^p coordinates of the harmonic fixture Re (x_1 + i x_2)^p.
+
+    Its monomials are ``x_1^{p-k} x_2^k`` for even k, with coefficient
+    ``binom(p, k) (-1)^{k/2}``; squared norm ``2^{p-1} p!``.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    index = ml.monomial_basis(n, p).index
+    v = np.zeros(ml.dim_symmetric(n, p))
+    for k in range(0, p + 1, 2):
+        c = math.comb(p, k) * (-1) ** (k // 2)
+        v[index((p - k, k) + (0,) * (n - 2))] = float(c) * math.sqrt(
+            math.factorial(p - k) * math.factorial(k))
+    return v
+
+
 def harmonic_projection(poly):
     """Orthogonal projection onto harmonic polynomials of the same degree,
     through the ``build_traceless`` basis C: ``C^T C`` in coordinates."""
@@ -403,7 +420,7 @@ def berger_diagonal(R, tol=1e-8):
             n, {tuple(int(i == k) for k in range(n)): v[i] for i in range(n)}
         )
         coords = polynomial_coords(space, lin * lin - r2n)
-        val = wz.quadratic_form(K, coords)
+        val = float(coords @ K.mat @ coords)
         if abs(val - 4.0 * lams[m]) > tol * scale:
             raise RuntimeError(
                 f"diagonal value {val:.12e} != 4*{lams[m]:.12e} "

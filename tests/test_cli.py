@@ -324,8 +324,9 @@ def test_kterm_emits_the_matrix_and_an_ascending_spectrum(capsys):
 def test_kterm_solves_through_the_term_or_its_tower_blocks(capsys,
                                                            monkeypatch):
     # wedge and sym0 solve K once through K.eigenvalues(), the benchmark's
-    # eigensolve span; sym solves only the tower blocks, and its spectrum
-    # is their sorted union, K's own to a dense solve's rounding
+    # eigensolve span; sym solves only its tower blocks K(R, Harm^d),
+    # d = 4, 2, 0, each through that span, and its spectrum is their sorted
+    # union, K's own to a dense solve's rounding
     from curvelab import weitzenbock as wz
     eigenvalues, solved = wz.SymmetricEndomorphism.eigenvalues, []
 
@@ -342,7 +343,7 @@ def test_kterm_solves_through_the_term_or_its_tower_blocks(capsys,
         solved.clear()
     doc = run_json(capsys, "kterm", "RL", "--n", "5", "--rep", "sym",
                    "--p", "4")
-    assert solved == []
+    assert solved == ["traceless"] * 3
     union = sorted(sum(doc["blocks"]["spectra"].values(), []))
     assert doc["spectrum"] == union
     K = np.array(doc["matrix"])

@@ -34,7 +34,7 @@ def test_element_validation():
 
 def test_metric_element_is_identity_on_vectors():
     for algebra in ("wedge", "sym", "sym0"):
-        g = kn.g_element(algebra, 4)
+        g = kn.identity_element(algebra, 4, 1)
         np.testing.assert_array_equal(g.mat, np.eye(4))
         assert g.grade == 1
 
@@ -144,7 +144,7 @@ def test_metric_kulkarni_is_the_grade_one_wedge_product(rng):
 
 
 def test_metric_squared_is_twice_identity_on_two_forms():
-    g = kn.g_element("wedge", 5)
+    g = kn.identity_element("wedge", 5, 1)
     gg = kn.kn_product(g, g)
     np.testing.assert_allclose(gg.mat, 2.0 * np.eye(10), atol=1e-12)
 
@@ -155,7 +155,7 @@ def test_wedge_product_with_metric_matches_kulkarni_construction(rng):
     n = 5
     h = rng.standard_normal((n, n))
     h = 0.5 * (h + h.T)
-    g = kn.g_element("wedge", n)
+    g = kn.identity_element("wedge", n, 1)
     hel = kn.KNElement("wedge", n, 1, h)
     prod = kn.kn_product(g, hel)
     np.testing.assert_allclose(prod.mat, metric_kulkarni(n, h), atol=1e-10)

@@ -9,11 +9,11 @@ import scipy.linalg
 
 from curvelab import multilinear as ml
 
-from conftest import (Polynomial, coords_to_polynomial, dense_generators,
-                      harmonic_projection, laplacian, polynomial_coords,
-                      product_table_loop, r_squared, random_rotation,
-                      rep_matrix, so_generator, substitute_linear,
-                      wedge_coords)
+from conftest import (Polynomial, circle_harmonic, coords_to_polynomial,
+                      dense_generators, harmonic_projection, laplacian,
+                      polynomial_coords, product_table_loop, r_squared,
+                      random_rotation, rep_matrix, so_generator,
+                      substitute_linear, wedge_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_dimension_formulas(n, p):
     assert ml.dim_exterior(n, p) == comb(n, p)
     assert ml.dim_symmetric(n, p) == comb(n + p - 1, p)
     expect = comb(n + p - 1, p) - (comb(n + p - 3, p - 2) if p >= 2 else 0)
-    assert ml.dim_traceless(n, p) == expect
+    assert ml.build_traceless(n, p).dim == expect
 
 
 def test_basis_orderings():
@@ -173,7 +173,7 @@ def test_substitute_linear_matches_pointwise(rng):
 def test_circle_harmonic_is_real_part_of_complex_power(rng):
     for p in (2, 3, 5):
         f = coords_to_polynomial(ml.build_symmetric(4, p),
-                                 ml.circle_harmonic(4, p))
+                                 circle_harmonic(4, p))
         for _ in range(4):
             x = rng.standard_normal(4)
             expect = ((x[0] + 1j * x[1]) ** p).real
@@ -185,7 +185,7 @@ def test_circle_harmonic_is_real_part_of_complex_power(rng):
 def test_circle_harmonic_norm(p):
     # squared norm of Re(x1 + i x2)^p under the apolar pairing
     f = coords_to_polynomial(ml.build_symmetric(4, p),
-                             ml.circle_harmonic(4, p))
+                             circle_harmonic(4, p))
     assert f.pairing(f) == pytest.approx(2.0 ** (p - 1) * factorial(p))
 
 
@@ -221,7 +221,7 @@ def test_harmonic_projection_properties(rng):
             proj.coeffs.get(e, 0.0), abs=1e-10)
     # harmonic input is returned unchanged
     h = coords_to_polynomial(ml.build_symmetric(n, p),
-                             ml.circle_harmonic(n, p))
+                             circle_harmonic(n, p))
     hp = harmonic_projection(h)
     for e in set(h.coeffs) | set(hp.coeffs):
         assert hp.coeffs.get(e, 0.0) == pytest.approx(h.coeffs.get(e, 0.0),

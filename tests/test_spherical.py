@@ -9,8 +9,9 @@ from curvelab import multilinear as ml
 from curvelab import spherical as sp
 from curvelab import weitzenbock as wz
 
-from conftest import (Polynomial, dense_generators, harmonic_projection,
-                      polynomial_coords, r_squared, random_operator)
+from conftest import (Polynomial, circle_harmonic, dense_generators,
+                      harmonic_projection, polynomial_coords, r_squared,
+                      random_operator)
 
 
 def _random_poly(n, p, rng):
@@ -27,7 +28,7 @@ def _coords(poly):
 def _integrate(poly):
     """Integral over the unit sphere, one monomial at a time."""
     return float(
-        sum(c * sp.integrate_monomial(e, poly.n)
+        sum(c * sp.integrate_monomial(e)
             for e, c in poly.coeffs.items())
     )
 
@@ -138,20 +139,29 @@ def test_c_constant_linear_case_is_dimension_over_area():
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_c_constant_matches_its_closed_form(n):
-    # the Fischer/L^2 relation for spherical harmonics (Stein & Weiss,
-    # Fourier Analysis on Euclidean Spaces, ch. IV): for harmonic phi of
-    # degree p, <phi, phi> = n (n + 2) ... (n + 2p - 2) int phi^2 / |S^{n-1}|
+    # the definition c = <phi, phi> / int phi^2 against the closed form
+    # n (n + 2) ... (n + 2p - 2) / |S^{n-1}| that c_constant returns (the
+    # Fischer/L^2 relation, Stein & Weiss, ch. IV), on the circle harmonic
+    # and on seeded random harmonics of each degree
+    rng = np.random.default_rng(n)
     for p in range(1, 7):
-        expect = math.prod(range(n, n + 2 * p, 2)) / sp.sphere_area(n)
-        assert abs(sp.c_constant(n, p) - expect) <= 1e-12 * expect
+        c = sp.c_constant(n, p)
+        for phi in [circle_harmonic(n, p)] + [
+                sp.random_harmonic(n, p, rng) for _ in range(3)]:
+            ratio = (phi @ phi) / sp.sphere_inner(n, phi, phi)
+            assert abs(ratio - c) <= 1e-12 * c
 
 
-def test_c_constant_choice_independent():
-    # the function itself raises if two probe harmonics disagree
-    for n, p in ((3, 2), (4, 3), (5, 2)):
-        c1 = sp.c_constant(n, p, probes=3, seed=0)
-        c2 = sp.c_constant(n, p, probes=5, seed=11)
-        assert c1 == pytest.approx(c2, rel=1e-8)
+def test_c_constant_builds_no_basis_and_draws_no_sample(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("c_constant is a closed form")
+
+    monkeypatch.setattr(ml, "build_traceless", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for n, p in ((3, 1), (4, 3), (7, 6)):
+        assert sp.c_constant(n, p) > 0
+    with pytest.raises(ValueError):
+        sp.c_constant(4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +192,8 @@ def test_integral_form_matches_algebraic_curvature_term(rng):
         for _ in range(3):
             f = harmonic_projection(_random_poly(n, p, rng))
             g = harmonic_projection(_random_poly(n, p, rng))
-            lhs = wz.bilinear_form(K, polynomial_coords(space, f),
-                                   polynomial_coords(space, g))
+            lhs = (polynomial_coords(space, f) @ K.mat
+                   @ polynomial_coords(space, g))
             rhs = c * sp.integral_form(R, _coords(f), _coords(g))
             assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-9)
 

@@ -15,9 +15,9 @@ from curvelab.curvature import CurvatureOperator, ricci
 from curvelab.fixtures import fixture_operator
 from curvelab.multilinear import pair_index
 
-from conftest import (berger_diagonal, dense_generators, lambda2_matrix,
-                      random_operator, random_rotation, rep_matrix,
-                      wedge_coords)
+from conftest import (berger_diagonal, circle_harmonic, dense_generators,
+                      lambda2_matrix, random_operator, random_rotation,
+                      rep_matrix, wedge_coords)
 
 
 def test_output_is_symmetric_with_recorded_defect(rng):
@@ -276,9 +276,9 @@ def test_circle_harmonic_quadratic_form_round_case():
         R = fixture_operator("scal-part", n)
         space = ml.build_traceless(n, p)
         K = wz.curvature_term(R, space)
-        v = space.change_of_basis @ ml.circle_harmonic(n, p)
+        v = space.change_of_basis @ circle_harmonic(n, p)
         expect = (n + p - 2) * 2.0 ** (p - 1) * p * p * factorial(p - 1)
-        assert wz.quadratic_form(K, v) == pytest.approx(expect, abs=1e-9)
+        assert v @ K.mat @ v == pytest.approx(expect, abs=1e-9)
 
 
 def test_decomposable_wedge_quadratic_form_round_case():
@@ -288,18 +288,7 @@ def test_decomposable_wedge_quadratic_form_round_case():
         space = ml.build_exterior(n, p)
         K = wz.curvature_term(R, space)
         v = wedge_coords(space, [(1.0, tuple(range(1, p + 1)))])
-        assert wz.quadratic_form(K, v) == pytest.approx(p * (n - p), abs=1e-9)
-
-
-def test_bilinear_form_consistency(rng):
-    space = ml.build_exterior(4, 2)
-    K = wz.curvature_term(random_operator(4, rng), space)
-    v = rng.standard_normal(space.dim)
-    w = rng.standard_normal(space.dim)
-    assert wz.bilinear_form(K, v, w) == pytest.approx(
-        wz.bilinear_form(K, w, v), abs=1e-12)
-    assert wz.bilinear_form(K, v, v) == pytest.approx(
-        wz.quadratic_form(K, v), abs=1e-12)
+        assert v @ K.mat @ v == pytest.approx(p * (n - p), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
