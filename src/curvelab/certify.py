@@ -28,12 +28,14 @@
   sectional curvature over the Grassmannian of 2-planes by alternating
   exact eigen-steps, batched over one start per eigenvector of R, the
   plane that eigenvector rounds to.  With x fixed, sec(x, .) is the
-  quadratic form of the Jacobi matrix ``L_x^T R L_x`` (``L_x y = x ^ y``),
-  so the best y is its bottom eigenvector on x^perp; then x and y swap
-  roles.  The value never increases and there is no step size, and no
-  step draws a random number: a verdict depends on (R, k, direction,
-  strict) alone.  At n = 4 it does not run: the star-shift solve is
-  exact.
+  quadratic form of the Jacobi matrix ``J_x[j, l] = R(x ^ e_j, x ^ e_l)
+  = sum_ik x_i x_k R_ijkl``, read off the one (n^2, n^2) matrix of
+  R_ijkl (``multilinear.curvature_tensor``), so the best y is its bottom
+  eigenvector on x^perp, where a shift by a multiple of |R|_2 along x
+  puts it; then x and y swap roles.  The value never increases and there
+  is no step size, and no step draws a random number: a verdict depends
+  on (R, k, direction, strict) alone.  At n = 4 it does not run: the
+  star-shift solve is exact.
 
 ``hierarchy_check`` is the paper's necessary condition as a library
 check, outside the decision: ``K(R - k Id, Harm^p)`` is positive
@@ -190,39 +192,41 @@ _MAX_SWEEPS = 500
 _STALL = 1e-15
 
 
-def _partner(Rmat, x, E):
+def _partner(H, x, shift):
     """Best unit partners y of the unit vectors x_b, with their values.
 
-    ``L_x y = x ^ y`` in the pair basis, with ``L_x = x . E`` for the skew
-    matrices ``E = two_forms(n)``, so sec(x, y) is the quadratic form of
-    the Jacobi matrix ``L_x^T R L_x`` at y.  Restricted to an orthonormal
-    basis P of x^perp, its bottom eigenvector is the y that minimizes
-    sec(x, .).
+    sec(x, y) is the quadratic form at y of the Jacobi matrix ``J_x =
+    (x (x) x) . H``, ``H = curvature_tensor(R)``, formed for the whole
+    batch in one product.  ``J_x x = 0``, and on x^perp its values are
+    secs, within [-|R|_2, |R|_2]: with ``shift > |R|_2``, x is the top
+    eigenvector of ``J_x + shift x x^T``, and the bottom one is the y
+    perpendicular to x that minimizes sec(x, .).
     """
-    L = np.tensordot(x, E, (1, 1))
-    P = np.linalg.qr(x[:, :, None], mode="complete")[0][:, :, 1:]
-    LP = L @ P
-    w, V = np.linalg.eigh(np.swapaxes(LP, 1, 2) @ Rmat @ LP)
-    return w[:, 0], (P @ V[:, :, :1])[:, :, 0]
+    xx = x[:, :, None] * x[:, None, :]
+    J = (xx.reshape(len(x), -1) @ H).reshape(xx.shape) + shift * xx
+    w, V = np.linalg.eigh(J)
+    return w[:, 0], V[:, :, 0]
 
 
-def _descend(Rmat, x, y, norm):
-    """Minimize sec from each start (x_b, y_b) by alternating eigen-steps.
+def _descend(H, x, norm):
+    """Minimize sec from each start x_b by alternating eigen-steps.
 
-    A sweep replaces y by the best partner of x, then x by the best
-    partner of y.  Each step is exact, so the value never increases and
-    there is no step size.  A start stops once a sweep no longer lowers
-    its value (by ``_STALL * norm``, norm = |R|_2).  Returns the final
-    values and frames and the number of starts that stopped within
-    ``_MAX_SWEEPS``.
+    A sweep sets y to the best partner of x, then x to the best partner
+    of y (``_partner`` on ``H = curvature_tensor(R)``, shifted by
+    ``2 norm``, norm = |R|_2, or by 1 when R = 0).  Each step is exact,
+    so the value never increases and there is no step size.  A start
+    stops once a sweep no longer lowers its value (by ``_STALL * norm``).
+    Returns the final values and frames and the number of starts that
+    stopped within ``_MAX_SWEEPS``.
     """
-    E = ml.two_forms(x.shape[1])
+    shift = 2.0 * norm or 1.0
     stall = _STALL * norm
     value = np.full(x.shape[0], np.inf)
+    y = np.empty_like(x)
     active = np.arange(x.shape[0])
     for _ in range(_MAX_SWEEPS):
-        _, y[active] = _partner(Rmat, x[active], E)
-        f, x[active] = _partner(Rmat, y[active], E)
+        _, y[active] = _partner(H, x[active], shift)
+        f, x[active] = _partner(H, y[active], shift)
         lowered = f < value[active] - stall
         value[active] = f
         active = active[lowered]
@@ -232,17 +236,17 @@ def _descend(Rmat, x, y, norm):
 
 
 def _sec_min(R, eig=None):
-    """Lowest sec reached by ``_descend`` from the rounded plane of each
-    eigenvector v of R: the top two left singular vectors of v's skew
-    matrix ``sum_a v_a two_forms(n)[a]``, which span, when its top
-    singular value is simple, the plane of the decomposable two-form
-    nearest v, from ``eig = eigh(R.mat)`` (solved when not given).
-    Returns (value, plane, fraction of the starts that converged), where
-    value is ``sec`` of the returned orthonormal plane."""
+    """Lowest sec reached by ``_descend`` from each eigenvector v of R,
+    started at the first vector of its rounded plane: the top two left
+    singular vectors of v's skew matrix ``sum_a v_a two_forms(n)[a]``
+    span, when its top singular value is simple, the plane of the
+    decomposable two-form nearest v.  ``eig = eigh(R.mat)``, solved when
+    not given.  Returns (value, plane, fraction of the starts that
+    converged), where value is ``sec`` of the returned orthonormal
+    plane."""
     lam, V = np.linalg.eigh(R.mat) if eig is None else eig
     U = np.linalg.svd(np.tensordot(V.T, ml.two_forms(R.n), 1))[0]
-    f, x, y, converged = _descend(R.mat, np.ascontiguousarray(U[:, :, 0]),
-                                  np.ascontiguousarray(U[:, :, 1]),
+    f, x, y, converged = _descend(ml.curvature_tensor(R.mat, R.n), U[:, :, 0],
                                   max(-lam[0], lam[-1]))
     b = int(np.argmin(f))
     plane = TwoPlane.orthonormalized(x[b], y[b])

@@ -51,7 +51,7 @@ MAX_MAGNITUDE = 1e100
 # Largest representation dimension kterm will materialize: the dense
 # output matrix alone is dim^2 doubles, so refuse early and point the
 # caller at the library API instead of exhausting memory.  verify bounds
-# its largest array by the same dim^2.
+# its largest array by the same dim^2, and a fixture its N x N matrix.
 MAX_KTERM_DIM = 10_000
 
 
@@ -125,6 +125,12 @@ def load_operator(source, n):
     from .fixtures import ALIASES, FIXTURES, fixture_operator
 
     if source in FIXTURES or source in ALIASES:
+        # a fixture's N x N matrix is built from --n alone: refuse first
+        N = n * (n - 1) // 2
+        if N > MAX_KTERM_DIM:
+            raise InputError(f"operator of dimension {N} exceeds the CLI "
+                             f"limit {MAX_KTERM_DIM} (fixture {source}, "
+                             f"n={n})")
         return fixture_operator(source, n)
     if source == "-":
         text = sys.stdin.read()

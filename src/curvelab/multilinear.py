@@ -28,7 +28,8 @@ the wedge and ``d/dx_i`` on polynomials, the so(n) action is
 ``product_congruence`` scatters the table into the product map P and
 returns ``P (A (x) B) P^T``, the graded product of ``knalgebra``.
 ``two_forms`` reads the degree-one wedge products as the skew matrices of
-the pair basis.
+the pair basis, and ``curvature_tensor`` the components R_ijkl of an
+operator through them.
 
 See ``docs/bases.md`` for the frozen ordering and normalization rules.
 """
@@ -44,11 +45,6 @@ import numpy as np
 
 # ---------------------------------------------------------------------------
 # so(n) pair bookkeeping
-
-
-def pair_basis(n):
-    """Ordered basis labels of so(n): pairs (i, j), 1-based, i < j, lex order."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
 def pair_index(n, i, j):
@@ -69,6 +65,16 @@ def two_forms(n):
     E[out, i, j] = val
     E.flags.writeable = False
     return E
+
+
+def curvature_tensor(Rmat, n):
+    """The components ``R_ijkl = R(e_i ^ e_j, e_k ^ e_l)`` of the operator
+    matrix Rmat as the (n^2, n^2) matrix ``H[(i, k), (j, l)] = R_ijkl``.
+    Each column of ``two_forms`` has at most one nonzero entry, +-1, so
+    each entry of H is 0 or a signed copy of one of Rmat's.  ``(x (x) x) . H`` is the Jacobi
+    matrix ``J_x[j, l] = R(x ^ e_j, x ^ e_l)``."""
+    E = two_forms(n).reshape(-1, n * n)
+    return (E.T @ Rmat @ E).reshape((n,) * 4).swapaxes(1, 2).reshape(n * n, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ A polynomial of degree p is its coordinate vector on the normalized
 monomials ``u_l = x^l / sqrt(l!)`` of ``multilinear.build_symmetric(n, p)``;
 p is read off the vector's length.  Products of polynomials, of any
 degrees p and q, are integrated through one Gram matrix per (n, p, q),
-read off ``multilinear.product_table`` like every other product of basis
-vectors.
+formed from the Gamma formula one parity class of monomials at a time.
 
 The curvature term on harmonic polynomials of degree p has an integral
 representation: for harmonic phi, psi,
@@ -59,15 +58,29 @@ def sphere_area(n):
 def _gram(n, p, q):
     """``int u_a u_b`` over the normalized monomials u_a of Sym^p, u_b of Sym^q.
 
-    ``u_a u_b = val u_{a+b}`` is a row of ``product_table``, and
-    ``int u_c = int x^c / sqrt(c!)``, once per basis vector of Sym^{p+q}.
+    ``u_a u_b = x^(a+b) / sqrt(a! b!)`` integrates to 0 unless a and b
+    have the same parity in every coordinate, so the matrix is one dense
+    block per parity class: the distinct parity rows (``np.unique``, so
+    no key limits n).  By the Gamma formula an entry is ``|S^{n-1}| /
+    prod_{j < (p+q)/2} (n/2 + j)`` times ``prod_i F[a_i, b_i]``, with
+    ``F[e, f] = Gamma((e + f + 1)/2) / (Gamma(1/2) sqrt(e! f!))``, exactly
+    1 on the coordinates where both exponents are 0.  No product of the
+    two bases is enumerated.
     """
-    out, _, _, val = ml.product_table("symmetric", n, p, q)
-    J = np.array([integrate_monomial(c)
-                  for c in ml.monomial_basis(n, p + q)])
-    J /= ml.monomial_norms(n, p + q)
-    return (val * J[out]).reshape(ml.dim_symmetric(n, p),
-                                  ml.dim_symmetric(n, q))
+    A, B = (np.array(ml.monomial_basis(n, d)).reshape(-1, n) for d in (p, q))
+    root = [math.sqrt(math.factorial(e)) for e in range(max(p, q) + 1)]
+    F = np.array([[math.gamma((e + f + 1) / 2) / math.gamma(0.5)
+                   / root[e] / root[f] for f in range(q + 1)]
+                  for e in range(p + 1)])
+    scale = sphere_area(n) / math.prod(n / 2 + j for j in range((p + q) // 2))
+    cls = np.unique(np.vstack([A % 2, B % 2]), axis=0,
+                    return_inverse=True)[1].reshape(-1)
+    ca, cb = cls[:len(A)], cls[len(A):]
+    G = np.zeros((len(A), len(B)))
+    for c in np.intersect1d(ca, cb):
+        I, J = np.flatnonzero(ca == c), np.flatnonzero(cb == c)
+        G[np.ix_(I, J)] = scale * F[A[I, None], B[J]].prod(axis=2)
+    return G
 
 
 def _degree(n, coords):

@@ -71,9 +71,7 @@ def _assemble(Rmat, space):
     if p == 0 or (kind == "exterior" and p == n):
         return np.zeros((1, 1))
     dims = ml.dim_exterior if kind == "exterior" else ml.dim_symmetric
-    E = ml.two_forms(n).reshape(-1, n * n)
-    # H[(i, k), (j, l)] = R_ijkl
-    H = (E.T @ Rmat @ E).reshape((n,) * 4).swapaxes(1, 2).reshape(n * n, -1)
+    H = ml.curvature_tensor(Rmat, n)
     out, i, k, c = ml.product_table(kind, n, 1, 1)
     C = np.zeros((dims(n, 2), n * n))
     C[out, i * n + k] = c

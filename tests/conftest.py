@@ -326,7 +326,7 @@ def so_generator(n, i, j):
 def lambda2_matrix(n, Q):
     """Induced matrix of Q in O(n) on two-forms in the pair basis."""
     Q = np.asarray(Q, dtype=float)
-    pairs = ml.pair_basis(n)
+    pairs = ml.wedge_basis(n, 2)
     out = np.empty((len(pairs), len(pairs)))
     for b, (i, j) in enumerate(pairs):
         for a, (k, l) in enumerate(pairs):

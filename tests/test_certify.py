@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,6 +486,53 @@ def test_extremes_match_exact_minimum_on_random_operators(rng):
         R = random_operator(4, rng)
         exact, _, _ = ce.thorpe_sec_min(R)
         assert ce._sec_min(R)[0] == pytest.approx(exact, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_jacobi_matrix_reads_off_the_curvature_tensor(rng, n):
+    # (x (x) x) . H against the congruence L_x^T R L_x, L_x y = x ^ y
+    R = random_operator(n, rng)
+    H = ml.curvature_tensor(R.mat, n)
+    norm = float(np.linalg.norm(R.mat, 2))
+    for _ in range(5):
+        x = rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        L = np.tensordot(x, ml.two_forms(n), (0, 1))
+        J = (np.outer(x, x).ravel() @ H).reshape(n, n)
+        assert np.abs(J - L.T @ R.mat @ L).max() <= 1e-13 * norm
+
+
+def test_plane_search_memory(monkeypatch):
+    # J_x for every start is one (N, n^2) product with the (n^2, n^2)
+    # matrix of R_ijkl: no (N, N, n) array.  Every start is active in the
+    # first sweep, so two sweeps reach the peak
+    monkeypatch.setattr(ce, "_MAX_SWEEPS", 2)
+    n = 24
+    N = n * (n - 1) // 2
+    A = np.random.default_rng(24).standard_normal((N, N))
+    R = cv.CurvatureOperator(n, A + A.T)
+    eig = np.linalg.eigh(R.mat)
+    ce._sec_min(R, eig)
+    tracemalloc.start()
+    try:
+        ce._sec_min(R, eig)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
+def test_zero_operator_outside_dim_four():
+    # every sec is 0; the plane search's shift along x is then 1
+    R = cv.CurvatureOperator(5, np.zeros((10, 10)))
+    cert = ce.certify_bound(R, 0.0)
+    assert cert.certified and cert.method == "psd_shift"
+    assert cert.bounds == {"lower": 0.0, "upper": 0.0}
+    ext = ce.sec_extremes(R)
+    assert ext.min_value == ext.max_value == 0.0
+    for plane in (ext.min_plane, ext.max_plane):
+        frame = np.array([plane.x, plane.y])
+        np.testing.assert_allclose(frame @ frame.T, np.eye(2), atol=1e-12)
 
 
 def test_extremes_in_dim_four_read_the_solve_records():

@@ -182,6 +182,24 @@ def test_certify_non_finite_bound_exits_two(capsys):
 
 
 @pytest.mark.parametrize("command", [
+    ("decompose", "identity", "--n", "300"),
+    ("certify", "identity", "--n", "300", "--k", "0"),
+])
+def test_oversized_fixture_exits_two(capsys, monkeypatch, command):
+    # N = C(300, 2) = 44850 is refused before the fixture is built
+    import curvelab.fixtures
+
+    def refuse(*args):
+        raise AssertionError("the fixture was built")
+    monkeypatch.setattr(curvelab.fixtures, "fixture_operator", refuse)
+    code, out, err = run(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert f"operator of dimension 44850 exceeds the CLI limit " \
+           f"{cli.MAX_KTERM_DIM}" in err
+
+
+@pytest.mark.parametrize("command", [
     ("decompose",), ("kterm", "--rep", "wedge", "--p", "2"),
     ("certify", "--k", "0"),
 ])

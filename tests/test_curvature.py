@@ -108,7 +108,7 @@ def test_coords_are_the_wedge_formula(rng):
                                          rng.standard_normal(n))
         x, y = plane.x, plane.y
         expect = [x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-                  for (i, j) in ml.pair_basis(n)]
+                  for (i, j) in ml.wedge_basis(n, 2)]
         np.testing.assert_allclose(plane.coords(), expect, atol=1e-15)
 
 
@@ -208,8 +208,8 @@ def test_metric_kulkarni_against_coordinate_formula(rng):
         k = rng.standard_normal((n, n))
         k = 0.5 * (k + k.T)
         R = CurvatureOperator(n, metric_kulkarni(n, h, k))
-        for (i, j) in ml.pair_basis(n):
-            for (kk, ll) in ml.pair_basis(n):
+        for (i, j) in ml.wedge_basis(n, 2):
+            for (kk, ll) in ml.wedge_basis(n, 2):
                 expect = (h[i - 1, kk - 1] * k[j - 1, ll - 1]
                           + h[j - 1, ll - 1] * k[i - 1, kk - 1]
                           - h[i - 1, ll - 1] * k[j - 1, kk - 1]
@@ -258,8 +258,8 @@ def test_four_form_entry_is_bianchi_symmetrization(rng):
     for n in range(3, 8):
         R = random_operator(n, rng)
         B = CurvatureOperator(n, four_form_projection(R))
-        for (i, j) in ml.pair_basis(n):
-            for (k, l) in ml.pair_basis(n):
+        for (i, j) in ml.wedge_basis(n, 2):
+            for (k, l) in ml.wedge_basis(n, 2):
                 expect = 0.0
                 if len({i, j, k, l}) == 4:
                     expect = (R.entry(i, j, k, l) - R.entry(i, k, j, l)

@@ -1,5 +1,6 @@
 """Representation spaces, polynomial calculus, and rotation generators."""
 
+import itertools
 import math
 from math import comb, factorial
 
@@ -12,8 +13,8 @@ from curvelab import multilinear as ml
 from conftest import (Polynomial, circle_harmonic, coords_to_polynomial,
                       dense_generators, harmonic_projection, laplacian,
                       polynomial_coords, product_table_loop, r_squared,
-                      random_rotation, rep_matrix, so_generator,
-                      substitute_linear, wedge_coords)
+                      random_operator, random_rotation, rep_matrix,
+                      so_generator, substitute_linear, wedge_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -21,11 +22,11 @@ from conftest import (Polynomial, circle_harmonic, coords_to_polynomial,
 
 
 def test_pair_basis_is_lexicographic():
-    assert ml.pair_basis(4) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    # the pair basis of so(n) is the wedge basis of two-forms
     for n in range(2, 9):
-        pairs = ml.pair_basis(n)
+        pairs = ml.wedge_basis(n, 2)
         assert len(pairs) == n * (n - 1) // 2
-        assert pairs == sorted(pairs)
+        assert list(pairs) == sorted(pairs)
         for a, (i, j) in enumerate(pairs):
             assert i < j
             assert ml.pair_index(n, i, j) == a
@@ -38,15 +39,26 @@ def test_two_forms_is_one_read_only_array_per_n():
         assert not E.flags.writeable
         with pytest.raises(ValueError):
             E[0, 0, 1] = 2.0
-        for a, (i, j) in enumerate(ml.pair_basis(n)):
+        for a, (i, j) in enumerate(ml.wedge_basis(n, 2)):
             assert E[a, i - 1, j - 1] == 1.0 and E[a, j - 1, i - 1] == -1.0
             assert np.count_nonzero(E[a]) == 2
+
+
+def test_curvature_tensor_is_r_ijkl():
+    # each column of two_forms has at most one nonzero, +-1, so every entry
+    # of H is 0 or a signed copy of one of R's: entry(i, j, k, l) exactly
+    rng = np.random.default_rng(4)
+    for n in (4, 6):
+        R = random_operator(n, rng)
+        H = ml.curvature_tensor(R.mat, n).reshape((n,) * 4)
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            assert H[i, k, j, l] == R.entry(i + 1, j + 1, k + 1, l + 1)
 
 
 def test_so_generator_action_on_basis_vectors():
     # the generator for the pair (i, j) sends e_j to e_i and e_i to -e_j
     for n in (3, 5):
-        for (i, j) in ml.pair_basis(n):
+        for (i, j) in ml.wedge_basis(n, 2):
             E = so_generator(n, i, j)
             np.testing.assert_array_equal(E @ np.eye(n)[j - 1], np.eye(n)[i - 1])
             np.testing.assert_array_equal(E @ np.eye(n)[i - 1], -np.eye(n)[j - 1])
@@ -57,8 +69,8 @@ def test_so_generator_action_on_basis_vectors():
 def test_generator_commutators_close():
     # [E_ij, E_kl] is again a (signed) generator or zero; check by expansion
     n = 5
-    basis = {pair: so_generator(n, *pair) for pair in ml.pair_basis(n)}
-    flat = np.array([basis[p].ravel() for p in ml.pair_basis(n)])
+    basis = {pair: so_generator(n, *pair) for pair in ml.wedge_basis(n, 2)}
+    flat = np.array([basis[p].ravel() for p in ml.wedge_basis(n, 2)])
     for (a, Ea) in basis.items():
         for (b, Eb) in basis.items():
             C = Ea @ Eb - Eb @ Ea
@@ -239,7 +251,7 @@ def _as_dense(space):
         C = space.change_of_basis
         amb = _as_dense(ml.build_symmetric(space.n, space.p))
         return {pair: C @ D @ C.T for pair, D in amb.items()}
-    return dict(zip(ml.pair_basis(space.n), dense_generators(space)))
+    return dict(zip(ml.wedge_basis(space.n, 2), dense_generators(space)))
 
 
 @pytest.mark.parametrize("build,n,p", [
@@ -265,7 +277,7 @@ def test_bracket_compatibility(build, n, p):
     # [D_a, D_b] must represent the so(n) bracket [E_a, E_b]
     space = build(n, p)
     dense = _as_dense(space)
-    pairs = ml.pair_basis(n)
+    pairs = ml.wedge_basis(n, 2)
     gens = {pair: so_generator(n, *pair) for pair in pairs}
     flat = np.array([gens[q].ravel() for q in pairs])
     for a in pairs:
@@ -303,7 +315,7 @@ def test_exponential_equivariance(build, n, p, tol, rng):
     # e_i wedge ..., so rep(exp(A)) = exp(+D)
     space = build(n, p)
     dense = _as_dense(space)
-    pairs = ml.pair_basis(n)
+    pairs = ml.wedge_basis(n, 2)
     coeffs = rng.standard_normal(len(pairs))
     A = sum(c * so_generator(n, *q) for c, q in zip(coeffs, pairs))
     D = sum(c * dense[q] for c, q in zip(coeffs, pairs))

@@ -1,6 +1,7 @@
 """Exact sphere integration and the integral form of the curvature term."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,19 @@ def test_sphere_inner_matches_product_integral(rng, n, p, q):
     assert abs(sp.sphere_inner(n, g, f) - expect) <= 1e-12 * abs(expect)
 
 
+def test_gram_memory():
+    # one dense block per parity class: the 1287 x 1287 result and its
+    # blocks, not the 1.66M products of Sym^5 R^9 with itself
+    tracemalloc.start()
+    try:
+        G = sp._gram.__wrapped__(9, 5, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.shape == (1287, 1287)
+    assert peak <= 64e6
+
+
 # ---------------------------------------------------------------------------
 # the normalizing constant
 
@@ -203,7 +217,7 @@ def test_integral_form_matches_double_sum(rng, n, p, q):
     # the brute-force sum_ab R_ab int (D_a f)(D_b g), one product at a time
     R = random_operator(n, rng)
     f, g = _random_poly(n, p, rng), _random_poly(n, q, rng)
-    pairs = ml.pair_basis(n)
+    pairs = ml.wedge_basis(n, 2)
     expect = sum(
         R.mat[a, b] * _integrate(
             f.rotation_action(*pa) * g.rotation_action(*pb))
