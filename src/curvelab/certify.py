@@ -238,14 +238,17 @@ def _descend(H, x, norm):
 def _sec_min(R, eig=None):
     """Lowest sec reached by ``_descend`` from each eigenvector v of R,
     started at the first vector of its rounded plane: the top two left
-    singular vectors of v's skew matrix ``sum_a v_a two_forms(n)[a]``
-    span, when its top singular value is simple, the plane of the
-    decomposable two-form nearest v.  ``eig = eigh(R.mat)``, solved when
-    not given.  Returns (value, plane, fraction of the starts that
-    converged), where value is ``sec`` of the returned orthonormal
-    plane."""
+    singular vectors of v's skew matrix, ``s v_a`` at (i, j) for each
+    product ``e_i ^ e_j = s e_a`` of the (n, 1, 1) wedge table, span, when
+    its top singular value is simple, the plane of the decomposable
+    two-form nearest v.  ``eig = eigh(R.mat)``, solved when not given.
+    Returns (value, plane, fraction of the starts that converged), where
+    value is ``sec`` of the returned orthonormal plane."""
     lam, V = np.linalg.eigh(R.mat) if eig is None else eig
-    U = np.linalg.svd(np.tensordot(V.T, ml.two_forms(R.n), 1))[0]
+    out, i, j, val = ml.product_table("exterior", R.n, 1, 1)
+    S = np.zeros((lam.size, R.n, R.n))
+    S[:, i, j] = val * V[out].T
+    U = np.linalg.svd(S)[0]
     f, x, y, converged = _descend(ml.curvature_tensor(R.mat, R.n), U[:, :, 0],
                                   max(-lam[0], lam[-1]))
     b = int(np.argmin(f))

@@ -17,9 +17,9 @@ The four mutually orthogonal summands are
 For n = 3 the last two summands vanish identically; decomposition then
 runs in a degraded two-part mode and says so in the result.
 
-The wedge sign is not written here: the code below contracts with
-``multilinear.two_forms`` or reads ``multilinear.product_table``, directly
-or through ``multilinear.product_congruence``.
+The wedge sign is not written here: the code below reads
+``multilinear.product_table``, directly or through
+``multilinear.curvature_tensor`` and ``multilinear.product_congruence``.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multilinear import (pair_index, product_congruence, product_table,
-                          two_forms)
+from .multilinear import (curvature_tensor, pair_index, product_congruence,
+                          product_table, wedge_basis)
 
 
 class CurvatureOperator:
@@ -139,8 +139,10 @@ class TwoPlane:
         return cls(q[:, 0], q[:, 1])
 
     def coords(self):
-        """Coordinates of x ^ y in the pair basis."""
-        return two_forms(self.n) @ self.y @ self.x
+        """Coordinates of x ^ y in the pair basis: ``x_i y_j e_i ^ e_j``
+        summed over the (n, 1, 1) wedge table, both orders of each pair."""
+        out, i, j, val = product_table("exterior", self.n, 1, 1)
+        return np.bincount(out, val * self.x[i] * self.y[j], len(out) // 2)
 
     def __repr__(self):
         return f"TwoPlane(n={self.n})"
@@ -154,9 +156,12 @@ def sec(R, plane):
 
 def ricci(R):
     """Ricci form Ric(e_p, e_q) = sum_i R(e_p ^ e_i, e_q ^ e_i) as an n x n
-    matrix: column p of ``two_forms(n)[:, :, i]`` is e_p ^ e_i.  Each term
-    is an exact signed gather of R, so the sum is exactly symmetric."""
-    return sum(M.T @ R.mat @ M for M in two_forms(R.n).transpose(2, 0, 1))
+    matrix: the trace of ``curvature_tensor`` over its second index pair.
+    Each term is a signed copy of an entry of R, and Ric(e_q, e_p) sums the
+    same copies in the same order, so Ric is exactly symmetric.  A zero
+    reads as 0.0, never -0.0."""
+    H = curvature_tensor(R.mat, R.n)
+    return H[:, ::R.n + 1].sum(axis=1).reshape(R.n, R.n) + 0.0
 
 
 def scalar_curvature(R):
@@ -181,32 +186,29 @@ def metric_kulkarni(n, h, k=None):
 @lru_cache(maxsize=16)
 def four_form_matrix(n):
     """The four-form e_1 ^ e_2 ^ e_3 ^ e_4 on two-forms of R^n (n >= 4),
-    in the pair basis; at n = 4 the Hodge star.  Its entries are the
-    products of two-forms that land on (1, 2, 3, 4), the first four-form.
-    The array is cached and read-only."""
+    in the pair basis; at n = 4 the Hodge star.  Its entries are the six
+    products of two-forms of R^4 (the (4, 2, 2) wedge table), placed at
+    the pairs of {1, 2, 3, 4} in R^n.  The array is cached and read-only."""
     if n < 4:
         raise ValueError(f"a four-form needs n >= 4, got n={n}")
-    N = n * (n - 1) // 2
-    out, a, c, val = product_table("exterior", n, 2, 2)
-    W = np.zeros((N, N))
-    first = out == 0
-    W[a[first], c[first]] = val[first]
+    _, a, c, val = product_table("exterior", 4, 2, 2)
+    at = np.array([pair_index(n, i, j) for i, j in wedge_basis(4, 2)])
+    W = np.zeros((n * (n - 1) // 2,) * 2)
+    W[at[a], at[c]] = val
     W.flags.writeable = False
     return W
 
 
 def four_form_projection(R):
-    """Orthogonal projection onto the alternating four-form summand.
-
-    Four-form e_q has entry ``val`` at each product ``e_a ^ e_c = val e_q``
-    (six entries +-1), so the projection is ``sum_q b_q e_q`` with
-    ``b_q = <e_q, R> / 6``: R is symmetric, so the three a < c terms / 3."""
-    out, a, c, val = product_table("exterior", R.n, 2, 2)
-    upper = a < c
-    b = np.bincount(out[upper], val[upper] * R.mat[a[upper], c[upper]]) / 3.0
-    W = np.zeros_like(R.mat)
-    W[a, c] += val * b[out]         # 0.0 + -0.0: a zero b_q reads as 0.0
-    return W
+    """Orthogonal projection onto the alternating four-form summand: the
+    alternation ``b_ijkl = (R_ijkl - R_ikjl + R_iljk) / 3`` of R (the
+    Bianchi map), read off ``curvature_tensor`` at the pairs i < j, k < l.
+    It vanishes exactly where the two pairs share an index, and is exactly
+    symmetric; a zero reads as 0.0, never -0.0."""
+    T = curvature_tensor(R.mat, R.n).reshape((R.n,) * 4).swapaxes(1, 2)
+    i, j = (np.array(wedge_basis(R.n, 2)).T - 1)[:, :, None]
+    k, l = i.T, j.T
+    return (T[i, j, k, l] - T[i, k, j, l] + T[i, l, j, k]) / 3.0 + 0.0
 
 
 @dataclass

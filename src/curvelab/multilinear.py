@@ -27,9 +27,8 @@ the wedge and ``d/dx_i`` on polynomials, the so(n) action is
 ``D_(i,j) = M_i M_j^T - M_j M_i^T``; no space stores it.
 ``product_congruence`` scatters the table into the product map P and
 returns ``P (A (x) B) P^T``, the graded product of ``knalgebra``.
-``two_forms`` reads the degree-one wedge products as the skew matrices of
-the pair basis, and ``curvature_tensor`` the components R_ijkl of an
-operator through them.
+``curvature_tensor`` reads the components R_ijkl of an operator off the
+degree-one wedge products, as a signed gather of its entries.
 
 See ``docs/bases.md`` for the frozen ordering and normalization rules.
 """
@@ -54,27 +53,20 @@ def pair_index(n, i, j):
     return (i - 1) * n - (i - 1) * i // 2 + (j - i - 1)
 
 
-@lru_cache(maxsize=32)
-def two_forms(n):
-    """The pair basis as skew matrices, shape (N, n, n): slice a is
-    ``e_i ^ e_j`` with +1 at (i, j) and -1 at (j, i), scattered from the
-    ``(n, 1, 1)`` wedge table, so ``two_forms(n) @ y @ x`` is x ^ y.
-    The array is cached and read-only."""
-    out, i, j, val = product_table("exterior", n, 1, 1)
-    E = np.zeros((dim_exterior(n, 2), n, n))
-    E[out, i, j] = val
-    E.flags.writeable = False
-    return E
-
-
 def curvature_tensor(Rmat, n):
     """The components ``R_ijkl = R(e_i ^ e_j, e_k ^ e_l)`` of the operator
     matrix Rmat as the (n^2, n^2) matrix ``H[(i, k), (j, l)] = R_ijkl``.
-    Each column of ``two_forms`` has at most one nonzero entry, +-1, so
-    each entry of H is 0 or a signed copy of one of Rmat's.  ``(x (x) x) . H`` is the Jacobi
-    matrix ``J_x[j, l] = R(x ^ e_j, x ^ e_l)``."""
-    E = two_forms(n).reshape(-1, n * n)
-    return (E.T @ Rmat @ E).reshape((n,) * 4).swapaxes(1, 2).reshape(n * n, -1)
+    ``e_i ^ e_j = s_ij e_a`` with a and s_ij = +-1 read off the (n, 1, 1)
+    wedge table (s_ii = 0), so H is a signed gather of Rmat: no entry is
+    summed, and no array but H has n^4 entries.  ``(x (x) x) . H`` is the
+    Jacobi matrix ``J_x[j, l] = R(x ^ e_j, x ^ e_l)``."""
+    out, i, j, val = product_table("exterior", n, 1, 1)
+    at, sign = np.zeros((n, n), dtype=np.intp), np.zeros((n, n))
+    at[i, j], sign[i, j] = out, val
+    H = Rmat[at[:, None, :, None], at[None, :, None, :]]
+    H *= sign[:, None, :, None]
+    H *= sign[None, :, None, :]
+    return H.reshape(n * n, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -64,20 +64,22 @@ def _assemble(Rmat, space):
     within their row; one ``np.bincount`` sums the pairs' weights
     ``(v_e v_f) A[a_e, a_f]``.  Bins (x, y) and (y, x) receive the same
     products in the same row order, so K is exactly symmetric.  so(n) acts
-    trivially in degree 0 and on ^n, where the terms cancel only to
-    rounding: K = 0 there.
+    trivially in degree 0, on ^n and on R^1 (so(1) = 0), where the terms
+    cancel only to rounding: K = 0 there.
     """
     kind, n, p, dim = space.kind, space.n, space.p, space.dim
-    if p == 0 or (kind == "exterior" and p == n):
+    if p == 0 or n == 1 or (kind == "exterior" and p == n):
         return np.zeros((1, 1))
     dims = ml.dim_exterior if kind == "exterior" else ml.dim_symmetric
     H = ml.curvature_tensor(Rmat, n)
-    out, i, k, c = ml.product_table(kind, n, 1, 1)
-    C = np.zeros((dims(n, 2), n * n))
-    C[out, i * n + k] = c
-    ric, G = H[:, ::n + 1].sum(axis=1).reshape(n, n), -(C @ H @ C.T)
+    terms = [H[:, ::n + 1].sum(axis=1).reshape(n, n)]
+    if p >= 2:
+        out, i, k, c = ml.product_table(kind, n, 1, 1)
+        C = np.zeros((dims(n, 2), n * n))
+        C[out, i * n + k] = c
+        terms.append(-(C @ H @ C.T))
     groups = []
-    for q, A in zip((1, 2), (ric, G)[:p]):
+    for q, A in enumerate(terms, 1):
         out, _, a, v = ml.product_table(kind, n, p - q, q)
         w = out.size // dims(n, p - q)
         groups.append((0.5 * (A + A.T),) + tuple(x.reshape(-1, w, 1)

@@ -83,6 +83,46 @@ def _dense_generators(kind, n, dim, basis):
     return gens
 
 
+def two_form_stack(n):
+    """The pair basis as skew matrices, shape (N, n, n): slice a is
+    ``e_i ^ e_j`` with +1 at (i, j) and -1 at (j, i), so
+    ``two_form_stack(n) @ y @ x`` is x ^ y.  A dense reference for the
+    signed gathers of ``curvature_tensor`` and ``TwoPlane.coords``."""
+    E = np.zeros((n * (n - 1) // 2, n, n))
+    for a, (i, j) in enumerate(ml.wedge_basis(n, 2)):
+        E[a, i - 1, j - 1], E[a, j - 1, i - 1] = 1.0, -1.0
+    return E
+
+
+def curvature_tensor_by_contraction(Rmat, n):
+    """``E^T R E`` with E = ``two_form_stack(n)``, axes as
+    ``curvature_tensor`` orders them: H[(i, k), (j, l)] = R_ijkl."""
+    E = two_form_stack(n).reshape(-1, n * n)
+    return (E.T @ Rmat @ E).reshape((n,) * 4).swapaxes(1, 2).reshape(n * n, -1)
+
+
+def four_form_matrix_by_table(n):
+    """The entries of the whole (n, 2, 2) wedge table that land on
+    e_1 ^ e_2 ^ e_3 ^ e_4, scattered into an N x N matrix."""
+    out, a, c, val = ml.product_table("exterior", n, 2, 2)
+    W = np.zeros((n * (n - 1) // 2,) * 2)
+    first = out == 0
+    W[a[first], c[first]] = val[first]
+    return W
+
+
+def four_form_projection_by_table(R):
+    """Projection onto the four-forms through the whole (n, 2, 2) wedge
+    table: ``sum_q b_q e_q``, ``b_q = <e_q, R> / 6``, the three a < c
+    products of each four-form e_q over 3."""
+    out, a, c, val = ml.product_table("exterior", R.n, 2, 2)
+    upper = a < c
+    b = np.bincount(out[upper], val[upper] * R.mat[a[upper], c[upper]]) / 3.0
+    W = np.zeros_like(R.mat)
+    W[a, c] += val * b[out]
+    return W
+
+
 def selfdual_split(alpha):
     """Split a two-form of R^4 into self-dual and anti-self-dual parts."""
     alpha = np.asarray(alpha, dtype=float)

@@ -1,5 +1,7 @@
 """Curvature operators, traces, sectional curvature, and the four-part split."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from curvelab.curvature import (
 )
 from curvelab.fixtures import fixture_operator
 
-from conftest import lambda2_matrix, random_operator, random_rotation
+from conftest import (four_form_matrix_by_table, four_form_projection_by_table,
+                      lambda2_matrix, random_operator, random_rotation,
+                      two_form_stack)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +117,13 @@ def test_coords_are_the_wedge_formula(rng):
 
 
 def test_jacobi_map_is_wedge_with_x(rng):
-    # L_x = x . two_forms(n), batched over x, maps y to the coords of x ^ y
+    # L_x = x . two_form_stack(n), batched over x, maps y to the coords of
+    # x ^ y
     for n in range(3, 8):
         planes = [TwoPlane.orthonormalized(rng.standard_normal(n),
                                            rng.standard_normal(n))
                   for _ in range(4)]
-        L = np.tensordot(np.array([p.x for p in planes]), ml.two_forms(n),
+        L = np.tensordot(np.array([p.x for p in planes]), two_form_stack(n),
                          (1, 1))
         for Lx, plane in zip(L, planes):
             np.testing.assert_allclose(Lx @ plane.y, plane.coords(),
@@ -282,6 +287,43 @@ def test_four_form_matrix_hand_entries(n):
 def test_four_form_matrix_needs_four_dimensions():
     with pytest.raises(ValueError):
         four_form_matrix(3)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_four_form_matrix_is_the_first_four_form_of_the_table(n):
+    # the six products of R^4, placed at the pairs of {1, 2, 3, 4} in R^n,
+    # are the entries of the (n, 2, 2) table on e_1 ^ e_2 ^ e_3 ^ e_4
+    assert np.array_equal(four_form_matrix(n), four_form_matrix_by_table(n))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_four_form_projection_matches_the_table(n):
+    # the alternation against sum_q b_q e_q over the whole (2, 2) table;
+    # the three terms of b_q are summed in another order, so to rounding
+    rng = np.random.default_rng(n)
+    for scale in (1.0, 1e-3, 1e3):
+        R = random_operator(n, rng, scale)
+        W = four_form_projection(R)
+        expect = four_form_projection_by_table(R)
+        assert np.abs(W - expect).max() <= 1e-15 * np.abs(R.mat).max()
+        np.testing.assert_array_equal(W, W.T)
+        assert np.array_equal(W == 0, expect == 0)
+        assert not np.signbit(W[W == 0]).any()
+
+
+def test_four_form_projection_memory():
+    # the alternation reads one n^4 array of R_ijkl (19.5 MiB at n = 40);
+    # the (40, 2, 2) wedge table it replaces peaked at 520 MiB
+    n = 40
+    R = random_operator(n, np.random.default_rng(n))
+    ml.product_table.cache_clear()
+    tracemalloc.start()
+    try:
+        four_form_projection(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ import scipy.linalg
 from curvelab import multilinear as ml
 
 from conftest import (Polynomial, circle_harmonic, coords_to_polynomial,
-                      dense_generators, harmonic_projection, laplacian,
-                      polynomial_coords, product_table_loop, r_squared,
-                      random_operator, random_rotation, rep_matrix,
-                      so_generator, substitute_linear, wedge_coords)
+                      curvature_tensor_by_contraction, dense_generators,
+                      harmonic_projection, laplacian, polynomial_coords,
+                      product_table_loop, r_squared, random_operator,
+                      random_rotation, rep_matrix, so_generator,
+                      substitute_linear, wedge_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -32,25 +33,15 @@ def test_pair_basis_is_lexicographic():
             assert ml.pair_index(n, i, j) == a
 
 
-def test_two_forms_is_one_read_only_array_per_n():
-    for n in (3, 4, 6):
-        E = ml.two_forms(n)
-        assert ml.two_forms(n) is E
-        assert not E.flags.writeable
-        with pytest.raises(ValueError):
-            E[0, 0, 1] = 2.0
-        for a, (i, j) in enumerate(ml.wedge_basis(n, 2)):
-            assert E[a, i - 1, j - 1] == 1.0 and E[a, j - 1, i - 1] == -1.0
-            assert np.count_nonzero(E[a]) == 2
-
-
 def test_curvature_tensor_is_r_ijkl():
-    # each column of two_forms has at most one nonzero, +-1, so every entry
-    # of H is 0 or a signed copy of one of R's: entry(i, j, k, l) exactly
+    # every entry of H is 0 or a signed copy of one of R's: entry(i, j, k,
+    # l) exactly, and bitwise E^T R E over the dense skew matrices E
     rng = np.random.default_rng(4)
-    for n in (4, 6):
+    for n in (4, 5, 6, 7):
         R = random_operator(n, rng)
-        H = ml.curvature_tensor(R.mat, n).reshape((n,) * 4)
+        H = ml.curvature_tensor(R.mat, n)
+        assert np.array_equal(H, curvature_tensor_by_contraction(R.mat, n))
+        H = H.reshape((n,) * 4)
         for i, j, k, l in itertools.product(range(n), repeat=4):
             assert H[i, k, j, l] == R.entry(i + 1, j + 1, k + 1, l + 1)
 

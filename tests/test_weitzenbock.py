@@ -208,6 +208,16 @@ def test_harmonic_terms_form_no_change_of_basis_or_full_split(rng):
     assert "change_of_basis" not in vars(space)
 
 
+def test_vector_term_forms_no_degree_two_term(rng):
+    # on vectors K is the Ricci form, the trace of the (n^2, n^2) matrix of
+    # R_ijkl, 8 n^4 bytes: no degree-two term G = -C H C^T is formed
+    n = 40
+    R = CurvatureOperator(n, _random_mat(n, rng))
+    space = ml.build_exterior(n, 1)
+    wz.curvature_term(R, space)     # product tables cached
+    assert _traced_peak(lambda: wz.curvature_term(R, space)) <= 1.5 * 8 * n**4
+
+
 # ---------------------------------------------------------------------------
 # the trivial representations: vectors and covectors
 
